@@ -37,7 +37,6 @@ class CooccurrenceTable:
     n_contexts: int
     context_mode: str
     window_size: int | None = None
-    weighted: bool = False
 
     def pair_count(self, x: str, y: str) -> int:
         if x == y:
@@ -78,7 +77,6 @@ def build_cooccurrence(
     targets: Sequence[str] | None = None,
     context_mode: str = "document",
     window_size: int | None = None,
-    weighted: bool = False,
 ) -> CooccurrenceTable:
     """Count contexts containing each term and each term pair.
 
@@ -105,27 +103,21 @@ def build_cooccurrence(
     n_contexts = 0
     for ctx in _contexts(corpus, context_mode, window_size):
         n_contexts += 1
-        if weighted:
-            ctx_counts = Counter(ctx)
-            present = sorted(ctx_counts)
-        else:
-            present = sorted(set(ctx))
+        present = sorted(set(ctx))
         for term in present:
-            term_counts[term] += ctx_counts[term] if weighted else 1
+            term_counts[term] += 1
         for i, x in enumerate(present):
             x_is_target = target_set is None or x in target_set
             for y in present[i + 1 :]:
                 if not (x_is_target or (target_set is not None and y in target_set)):
                     continue
-                increment = ctx_counts[x] * ctx_counts[y] if weighted else 1
-                pair_counts[_pair_key(x, y)] += increment
+                pair_counts[_pair_key(x, y)] += 1
     return CooccurrenceTable(
         pair_counts=dict(pair_counts),
         term_counts=dict(term_counts),
         n_contexts=n_contexts,
         context_mode=context_mode,
         window_size=window_size if context_mode == "window" else None,
-        weighted=weighted,
     )
 
 

@@ -10,26 +10,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
 
 from . import association, quality, report
 from .corpus import FORMATS, TOKENIZER_MODES, TokenizerConfig, ingest, tokenize
-from .report import DEFAULT_CONFIG, METRIC_FAMILIES, _round_floats
+from .report import DEFAULT_CONFIG, METRIC_FAMILIES, canonical_json, is_blocking
 from .vectors import load_embeddings
-
-_MEASURE_INT_KEYS = ("lm_order", "knn_k", "dedup_top_cap", "vendi_cap")
-_MEASURE_FLOAT_KEYS = ("lm_smoothing",)
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
-
-
-def _json_dump(payload) -> str:
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2,
-                      ensure_ascii=False, allow_nan=False) + "\n"
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
@@ -67,7 +58,10 @@ def _ingest_from(args, cfg):
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
     tokenizer = _tokenizer_from(args, cfg)
-    return ingest(args.input, format=fmt, tokenizer_config=tokenizer)
+    corpus = ingest(args.input, format=fmt, tokenizer_config=tokenizer)
+    for err in corpus.ingest_errors:
+        print(f"ingest: skipped line {err.line}: {err.reason}", file=sys.stderr)
+    return corpus
 
 
 def _measure_config(cfg) -> dict:
@@ -81,18 +75,14 @@ def _measure_config(cfg) -> dict:
             raise ValueError(
                 f"unknown [measure] config key {key!r}; valid keys: {sorted(DEFAULT_CONFIG)}"
             )
-        if key in _MEASURE_INT_KEYS:
-            out[key] = int(raw)
-        elif key in _MEASURE_FLOAT_KEYS:
-            out[key] = float(raw)
-        else:
-            out[key] = raw
+        default = DEFAULT_CONFIG[key]
+        out[key] = raw if default is None else type(default)(raw)
     return out
 
 
 def _entry_summary(name: str, entry: dict) -> str:
     flags = entry.get("flags", [])
-    blocked = [f for f in flags if f.startswith(("error:", "skipped:"))]
+    blocked = [f for f in flags if is_blocking(f)]
     if blocked:
         note = entry.get("note")
         detail = f" ({note})" if note else ""
@@ -107,12 +97,9 @@ def _entry_summary(name: str, entry: dict) -> str:
         body = " ".join(parts) if parts else "(structured)"
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         body = f"{value:.6g}"
-    elif value is None:
-        body = ", ".join(flags) if flags else "null"
     else:
         body = str(value)
-    extra = [f for f in flags if not f.startswith(("error:", "skipped:"))]
-    suffix = f"  [{', '.join(extra)}]" if extra else ""
+    suffix = f"  [{', '.join(flags)}]" if flags else ""
     return f"{name}: {body}{suffix}"
 
 
@@ -135,8 +122,6 @@ def cmd_measure(args) -> int:
         measure_cfg = _measure_config(cfg)
 
         corpus = _ingest_from(args, cfg)
-        for err in corpus.ingest_errors:
-            print(f"ingest: skipped line {err.line}: {err.reason}", file=sys.stderr)
 
         embeddings = None
         if args.embeddings:
@@ -163,6 +148,8 @@ def cmd_measure(args) -> int:
         print(_entry_summary(name, entry))
     print(f"report written to {out_path}")
 
+    # Exit code 2 means a metric could not be computed; an undefined or
+    # infinite value is still a result, so it does not count here.
     failed = any(
         f.startswith(("error:", "skipped:"))
         for entry in rep.measurements.values()
@@ -215,8 +202,6 @@ def cmd_assoc(args) -> int:
         tokenizer = _tokenizer_from(args, cfg)
         targets = _read_targets(args.targets, tokenizer)
         corpus = _ingest_from(args, cfg)
-        for err in corpus.ingest_errors:
-            print(f"ingest: skipped line {err.line}: {err.reason}", file=sys.stderr)
 
         topk = cfg.getint("assoc", "topk", fallback=20)
         smoothing = cfg.getfloat("assoc", "smoothing", fallback=0.0)
@@ -261,7 +246,7 @@ def cmd_assoc(args) -> int:
         }
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(_json_dump(payload))
+                fh.write(canonical_json(payload))
         except OSError as exc:
             return _fail(f"cannot write association table to {args.out!r}: {exc}")
     return 0
@@ -271,8 +256,6 @@ def cmd_dedup(args) -> int:
     try:
         cfg = _load_config(args.config)
         corpus = _ingest_from(args, cfg)
-        for err in corpus.ingest_errors:
-            print(f"ingest: skipped line {err.line}: {err.reason}", file=sys.stderr)
         normalization = cfg.get("dedup", "normalization", fallback="exact")
         top_cap = cfg.getint("dedup", "top_cap", fallback=10)
         rep = quality.find_duplicates(corpus, normalization, top_cap)
@@ -305,7 +288,7 @@ def cmd_dedup(args) -> int:
         }
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(_json_dump(payload))
+                fh.write(canonical_json(payload))
         except OSError as exc:
             return _fail(f"cannot write dedup report to {args.out!r}: {exc}")
     return 0
@@ -319,8 +302,6 @@ def _add_common_flags(parser, *, embeddings=False, targets=False, metrics=False)
                              "append ':nofold' to keep case")
     parser.add_argument("--config", help="INI config file; flags override it")
     parser.add_argument("--out", help="output file path")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for future sampling support (unused)")
     if metrics:
         parser.add_argument("--metrics",
                             help=f"comma-separated families: {', '.join(METRIC_FAMILIES)}")
@@ -345,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("baseline", help="baseline report JSON")
     p_compare.add_argument("candidate", help="candidate report JSON")
     p_compare.add_argument("--out", help="write the delta as JSON here")
-    p_compare.add_argument("--seed", type=int, default=0, help="reserved (unused)")
     p_compare.set_defaults(func=cmd_compare)
 
     p_assoc = sub.add_parser("assoc", help="top co-terms by nPMI for target terms")

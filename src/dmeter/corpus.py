@@ -343,7 +343,7 @@ def _read_jsonl(stream, text_field, id_field, timestamp_field):
                 errors.append(IngestError(line_no, "attributes must map strings to strings"))
                 continue
         ts = obj.get(timestamp_field)
-        if ts is not None and not isinstance(ts, int):
+        if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)):
             errors.append(IngestError(line_no, f"{timestamp_field!r} must be an integer"))
             continue
         records.append(Record(id=rid, text=text, attributes=attrs, timestamp=ts))

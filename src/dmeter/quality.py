@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .corpus import Corpus
+from .corpus import _WORD_RE, Corpus
 from .errors import UndefinedValueError
 from .tendency import SummaryStats, summarize
 
@@ -87,7 +87,6 @@ def redundancy_entropy(report: RedundancyReport) -> float:
 
 # --- readability ---------------------------------------------------------------
 
-_WORD_RE = re.compile(r"\w+")
 _SENTENCE_SPLIT_RE = re.compile(r"[.!?]+(?:\s+|$)")
 _VOWEL_GROUP_RE = re.compile(r"[aeiouy]+")
 

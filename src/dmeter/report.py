@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import density, diversity, quality, tendency
@@ -38,10 +38,17 @@ DEFAULT_CONFIG = {
     "vendi_cap": 4096,
 }
 
-# Flags that make an entry's value unusable for deltas.  Informational flags
-# (low-confidence, alpha-boundary, ...) do not block comparison.
 _BLOCKING_FLAG_PREFIXES = ("error:", "skipped:")
 _BLOCKING_FLAGS = ("infinite", "negative-infinite", "undefined")
+
+
+def is_blocking(flag: str) -> bool:
+    """True when the flag makes an entry's value unusable for deltas.
+
+    Informational flags (low-confidence, alpha-boundary, undefined:<field>,
+    ...) do not block comparison.
+    """
+    return flag in _BLOCKING_FLAGS or flag.startswith(_BLOCKING_FLAG_PREFIXES)
 
 
 @dataclass(frozen=True)
@@ -53,13 +60,7 @@ class MeasurementReport:
     measurements: dict
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "corpus_fingerprint": self.corpus_fingerprint,
-            "tokenizer_config": self.tokenizer_config,
-            "created_at": self.created_at,
-            "measurements": self.measurements,
-        }
+        return asdict(self)
 
 
 def nats_to_bits(value: float) -> float:
@@ -75,23 +76,8 @@ def _default_created_at() -> str:
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _stats_dict(stats: tendency.SummaryStats) -> dict:
-    return {
-        "count": stats.count,
-        "mean": stats.mean,
-        "median": stats.median,
-        "modes": list(stats.modes),
-        "min": stats.min,
-        "max": stats.max,
-        "variance": stats.variance,
-        "std": stats.std,
-        "skewness": stats.skewness,
-        "excess_kurtosis": stats.excess_kurtosis,
-    }
-
-
 def _sanitize(value, flags: list, suffix: str = ""):
-    """Replace non-finite floats and None with null + a flag; recurse into dicts."""
+    """Replace non-finite floats and None with null + a flag; recurse into dicts and lists."""
     if value is None:
         flags.append(f"undefined{suffix}")
         return None
@@ -106,14 +92,7 @@ def _sanitize(value, flags: list, suffix: str = ""):
     if isinstance(value, dict):
         return {k: _sanitize(v, flags, f":{k}") for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        out = []
-        for v in value:
-            if isinstance(v, float) and not math.isfinite(v):
-                flags.append(("infinite" if v > 0 else "undefined") + suffix)
-                out.append(None)
-            else:
-                out.append(v)
-        return out
+        return [_sanitize(v, flags, suffix) for v in value]
     return value
 
 
@@ -171,13 +150,13 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
         "record_length_tokens",
         "tokens/record",
         {"tokenizer": tok},
-        lambda: _stats_dict(tendency.summarize([len(t) for t in corpus.iter_record_tokens()])),
+        lambda: asdict(tendency.summarize([len(t) for t in corpus.iter_record_tokens()])),
     )
     b.add(
         "token_count_stats",
         "count/type",
         {"tokenizer": tok},
-        lambda: _stats_dict(tendency.summarize(list(corpus.token_counts.entries.values()))),
+        lambda: asdict(tendency.summarize(list(corpus.token_counts.entries.values()))),
     )
 
     def _zipf():
@@ -346,7 +325,7 @@ def _add_quality(b, corpus, cfg):
 
     def _flesch():
         rep = quality.flesch_reading_ease(corpus)
-        out = _stats_dict(rep.stats)
+        out = asdict(rep.stats)
         out["n_scored"] = len(rep.per_record)
         out["n_skipped"] = rep.n_skipped
         return out
@@ -431,10 +410,14 @@ def _round_floats(value):
     return value
 
 
-def serialize_report(report: MeasurementReport) -> str:
+def canonical_json(payload) -> str:
     """Canonical JSON: sorted keys, 12-significant-digit floats, newline-terminated."""
-    payload = _round_floats(report.to_dict())
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    return json.dumps(_round_floats(payload), sort_keys=True, indent=2,
+                      ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def serialize_report(report: MeasurementReport) -> str:
+    return canonical_json(report.to_dict())
 
 
 def parse_report(source) -> MeasurementReport:
@@ -474,21 +457,7 @@ class BatchDelta:
     n_incomparable: int
 
     def to_dict(self) -> dict:
-        return {
-            "baseline_ref": self.baseline_ref,
-            "candidate_ref": self.candidate_ref,
-            "schema_version": self.schema_version,
-            "entries": self.entries,
-            "n_comparable": self.n_comparable,
-            "n_incomparable": self.n_incomparable,
-        }
-
-
-def _blocked(entry: dict) -> bool:
-    for flag in entry.get("flags", ()):
-        if flag in _BLOCKING_FLAGS or flag.startswith(_BLOCKING_FLAG_PREFIXES):
-            return True
-    return False
+        return asdict(self)
 
 
 def _numeric_fields(value) -> dict:
@@ -535,7 +504,7 @@ def compare(baseline: MeasurementReport, candidate: MeasurementReport) -> BatchD
         if b_entry.get("params") != c_entry.get("params"):
             entries[name] = {"comparable": False, "reason": "params-differ", "deltas": {}}
             continue
-        if _blocked(b_entry) or _blocked(c_entry):
+        if any(is_blocking(f) for e in (b_entry, c_entry) for f in e.get("flags", ())):
             entries[name] = {"comparable": False, "reason": "value-flagged", "deltas": {}}
             continue
         b_fields = _numeric_fields(b_entry.get("value"))
@@ -563,8 +532,7 @@ def compare(baseline: MeasurementReport, candidate: MeasurementReport) -> BatchD
 
 
 def serialize_delta(delta: BatchDelta) -> str:
-    payload = _round_floats(delta.to_dict())
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    return canonical_json(delta.to_dict())
 
 
 def format_delta_table(delta: BatchDelta) -> str:

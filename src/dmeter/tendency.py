@@ -318,6 +318,33 @@ class PerplexityResult:
     provenance: str = "self-contained"
 
 
+def _aggregate(rows, empty_message: str, provenance: str = "self-contained",
+               extra_flags: tuple = ()) -> PerplexityResult:
+    """Corpus and per-record perplexity from rows {record id: (logprob, n_tokens)},
+    summed in row order."""
+    total_logprob = 0.0
+    total_tokens = 0
+    per_record = {}
+    infinite = False
+    for rid, (logprob, n) in rows.items():
+        record_ppl = math.inf if math.isinf(logprob) else math.exp(-logprob / n)
+        if math.isinf(record_ppl):
+            infinite = True
+        per_record[rid] = (record_ppl, n)
+        total_logprob += logprob
+        total_tokens += n
+    if total_tokens == 0:
+        raise UndefinedValueError(empty_message)
+    value = math.inf if math.isinf(total_logprob) else math.exp(-total_logprob / total_tokens)
+    return PerplexityResult(
+        perplexity=value,
+        n_tokens=total_tokens,
+        per_record=per_record,
+        flags=(("infinite",) if infinite else ()) + extra_flags,
+        provenance=provenance,
+    )
+
+
 def perplexity(lm: NgramLM, corpus: Corpus) -> PerplexityResult:
     """exp of the mean negative log-probability per token.
 
@@ -328,10 +355,7 @@ def perplexity(lm: NgramLM, corpus: Corpus) -> PerplexityResult:
         raise ValueError(
             f"tokenizer mismatch: model {lm.tokenizer_config} vs corpus {corpus.tokenizer_config}"
         )
-    total_logprob = 0.0
-    total_tokens = 0
-    per_record = {}
-    infinite = False
+    rows = {}
     for record, toks in zip(corpus.records, corpus.iter_record_tokens()):
         if not toks:
             continue
@@ -344,30 +368,17 @@ def perplexity(lm: NgramLM, corpus: Corpus) -> PerplexityResult:
                 break
             logprob += math.log(p)
             prev = tok
-        n = len(toks)
-        record_ppl = math.inf if math.isinf(logprob) else math.exp(-logprob / n)
-        if math.isinf(record_ppl):
-            infinite = True
-        per_record[record.id] = (record_ppl, n)
-        total_logprob += logprob
-        total_tokens += n
-    if total_tokens == 0:
-        raise UndefinedValueError("perplexity undefined for a corpus with no tokens")
-    value = math.inf if math.isinf(total_logprob) else math.exp(-total_logprob / total_tokens)
-    return PerplexityResult(
-        perplexity=value,
-        n_tokens=total_tokens,
-        per_record=per_record,
-        flags=("infinite",) if infinite else (),
-    )
+        rows[record.id] = (logprob, len(toks))
+    return _aggregate(rows, "perplexity undefined for a corpus with no tokens")
 
 
 def perplexity_from_logprobs(source, corpus: Corpus | None = None) -> PerplexityResult:
     """Perplexity from an external model's log-probability file.
 
     One JSON object per line: {"id": record id, "logprob": total natural-log
-    probability of the record, "n_tokens": integer}.  When a corpus is given,
-    every line's id must belong to it.
+    probability of the record, "n_tokens": integer}.  Each id may appear once.
+    When a corpus is given, every line's id must belong to it, and a file
+    that leaves some of its records out is flagged partial-coverage.
     """
     if hasattr(source, "read"):
         lines = source.read().splitlines()
@@ -376,10 +387,7 @@ def perplexity_from_logprobs(source, corpus: Corpus | None = None) -> Perplexity
             lines = fh.read().splitlines()
 
     known_ids = {r.id for r in corpus.records} if corpus is not None else None
-    total_logprob = 0.0
-    total_tokens = 0
-    per_record = {}
-    infinite = False
+    rows = {}
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -396,19 +404,9 @@ def perplexity_from_logprobs(source, corpus: Corpus | None = None) -> Perplexity
             raise ValueError(f"logprob file line {line_no}: logprob must be <= 0")
         if known_ids is not None and rid not in known_ids:
             raise ValueError(f"logprob file line {line_no}: unknown record id {rid!r}")
-        record_ppl = math.inf if math.isinf(logprob) else math.exp(-logprob / n)
-        if math.isinf(record_ppl):
-            infinite = True
-        per_record[rid] = (record_ppl, n)
-        total_logprob += logprob
-        total_tokens += n
-    if total_tokens == 0:
-        raise UndefinedValueError("logprob file contains no records")
-    value = math.inf if math.isinf(total_logprob) else math.exp(-total_logprob / total_tokens)
-    return PerplexityResult(
-        perplexity=value,
-        n_tokens=total_tokens,
-        per_record=per_record,
-        flags=("infinite",) if infinite else (),
-        provenance="external-model",
-    )
+        if rid in rows:
+            raise ValueError(f"logprob file line {line_no}: duplicate record id {rid!r}")
+        rows[rid] = (logprob, n)
+    partial = known_ids is not None and len(rows) < len(known_ids)
+    return _aggregate(rows, "logprob file contains no records", provenance="external-model",
+                      extra_flags=("partial-coverage",) if partial else ())

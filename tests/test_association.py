@@ -67,12 +67,6 @@ class TestBuildCooccurrence:
         assert t.term_count("a") == 1
         assert t.pair_count("a", "b") == 1
 
-    def test_weighted_counting_multiplies_occurrences(self):
-        t = build_cooccurrence(corpus_of(["a a b"]), weighted=True)
-        assert t.weighted is True
-        assert t.term_count("a") == 2
-        assert t.pair_count("a", "b") == 2
-
     def test_self_pairs_never_tracked(self):
         t = build_cooccurrence(corpus_of(["a a b"]))
         assert ("a", "a") not in t.pair_counts

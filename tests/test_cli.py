@@ -1,12 +1,13 @@
 """End-to-end command-line tests driven through main()."""
 
+import configparser
 import json
 
 import numpy as np
 import pytest
 
-from dmeter.cli import main
-from dmeter.report import parse_report
+from dmeter.cli import _measure_config, main
+from dmeter.report import DEFAULT_CONFIG, parse_report
 from dmeter.vectors import EmbeddingMatrix, save_embeddings
 
 ROWS = [
@@ -62,6 +63,15 @@ class TestMeasure:
         assert code == 2  # density/diversity embedding entries skipped
         rep = parse_report(str(out))
         assert rep.measurements["knn_density"]["flags"] == ["skipped:no-embeddings"]
+
+    def test_undefined_entry_prints_its_note(self, tmp_path, capsys):
+        p = tmp_path / "one.jsonl"
+        p.write_text('{"id": "x", "text": "a a a."}\n', encoding="utf-8")
+        code = main(["measure", "--input", str(p), "--metrics", "tendency",
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 2  # the timestamp burstiness entry is skipped
+        lines = capsys.readouterr().out.splitlines()
+        assert "zipf: undefined (Zipf fit undefined for fewer than 2 distinct items)" in lines
 
     def test_embeddings_unlock_density_metrics(self, corpus_path, emb_path, tmp_path):
         out = tmp_path / "rep.json"
@@ -154,6 +164,13 @@ class TestMeasure:
     def test_missing_config_file_fatal(self, corpus_path, capsys):
         assert main(["measure", "--input", corpus_path, "--config", "/no/such.ini"]) == 1
         assert "cannot read config file" in capsys.readouterr().err
+
+    def test_config_values_take_the_type_of_their_default(self):
+        cfg = configparser.ConfigParser()
+        cfg["measure"] = {k: "text" if v is None else str(v) for k, v in DEFAULT_CONFIG.items()}
+        parsed = _measure_config(cfg)
+        assert parsed == {k: "text" if v is None else v for k, v in DEFAULT_CONFIG.items()}
+        assert all(type(parsed[k]) is type(v) for k, v in DEFAULT_CONFIG.items() if v is not None)
 
     def test_lm_config_applies(self, corpus_path, tmp_path):
         out = tmp_path / "rep.json"

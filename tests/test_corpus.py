@@ -145,6 +145,17 @@ class TestIngestJsonl:
         assert corpus.n_records == 0
         assert corpus.ingest_errors[0].line == 1
 
+    def test_bool_timestamp_skipped(self):
+        stream = io.StringIO(
+            '{"text": "a", "timestamp": 3}\n'
+            '{"text": "b", "timestamp": true}\n'
+            '{"text": "c", "timestamp": false}\n'
+        )
+        corpus = ingest(stream)
+        assert [r.timestamp for r in corpus.records] == [3]
+        assert [e.line for e in corpus.ingest_errors] == [2, 3]
+        assert "must be an integer" in corpus.ingest_errors[0].reason
+
     def test_unreadable_source_fatal(self):
         with pytest.raises(OSError):
             ingest("/nonexistent/path/corpus.jsonl")

@@ -16,6 +16,7 @@ from dmeter.report import (
     assemble_report,
     compare,
     format_delta_table,
+    _sanitize,
     nats_to_bits,
     parse_report,
     serialize_delta,
@@ -231,6 +232,14 @@ class TestAssembleReport:
         rep = assemble_report(small_corpus(), ["tendency"])
         assert rep.measurements["zipf"]["params"]["fit_method"] == DEFAULT_CONFIG["zipf_method"]
         assert rep.measurements["perplexity_self"]["params"]["smoothing"] == 1.0
+
+
+class TestSanitize:
+    def test_nonfinite_list_items_flagged_by_sign(self):
+        flags = []
+        value = _sanitize([1.0, -math.inf, math.inf, math.nan], flags, ":xs")
+        assert value == [1.0, None, None, None]
+        assert sorted(flags) == ["infinite:xs", "negative-infinite:xs", "undefined:xs"]
 
 
 class TestSerialization:

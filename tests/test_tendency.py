@@ -340,3 +340,23 @@ class TestPerplexityFromLogprobs:
     def test_empty_file_undefined(self):
         with pytest.raises(UndefinedValueError):
             perplexity_from_logprobs(io.StringIO(""))
+
+    def test_duplicate_id_names_its_line(self):
+        rows = [
+            {"id": "a", "logprob": -1.0, "n_tokens": 1},
+            {"id": "b", "logprob": -1.0, "n_tokens": 1},
+            {"id": "a", "logprob": -2.0, "n_tokens": 1},
+        ]
+        with pytest.raises(ValueError, match="line 3: duplicate record id 'a'"):
+            perplexity_from_logprobs(self.lines(rows))
+
+    def test_partial_corpus_coverage_flagged(self):
+        corpus = corpus_of(["x y", "z", "w"])
+        rows = [{"id": "0", "logprob": -2.0, "n_tokens": 2}]
+        partial = perplexity_from_logprobs(self.lines(rows), corpus)
+        assert partial.flags == ("partial-coverage",)
+        assert partial.n_tokens == 2
+        rows += [{"id": "1", "logprob": -1.0, "n_tokens": 1},
+                 {"id": "2", "logprob": -1.0, "n_tokens": 1}]
+        assert perplexity_from_logprobs(self.lines(rows), corpus).flags == ()
+        assert perplexity_from_logprobs(self.lines(rows[:1])).flags == ()
