@@ -12,16 +12,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .corpus import Corpus
 from .errors import UndefinedValueError
 
 CONTEXT_MODES = ("document", "window")
-
-
-def _pair_key(x: str, y: str) -> tuple[str, str]:
-    return (x, y) if x <= y else (y, x)
 
 
 @dataclass(frozen=True)
@@ -41,7 +36,7 @@ class CooccurrenceTable:
     def pair_count(self, x: str, y: str) -> int:
         if x == y:
             raise ValueError("self-pairs are not tracked")
-        return self.pair_counts.get(_pair_key(x, y), 0)
+        return self.pair_counts.get((x, y) if x <= y else (y, x), 0)
 
     def term_count(self, term: str) -> int:
         return self.term_counts.get(term, 0)
@@ -104,14 +99,12 @@ def build_cooccurrence(
     for ctx in _contexts(corpus, context_mode, window_size):
         n_contexts += 1
         present = sorted(set(ctx))
-        for term in present:
-            term_counts[term] += 1
+        term_counts.update(present)
+        # present is sorted, so (x, y) is already the pair key.
         for i, x in enumerate(present):
-            x_is_target = target_set is None or x in target_set
             for y in present[i + 1 :]:
-                if not (x_is_target or (target_set is not None and y in target_set)):
-                    continue
-                pair_counts[_pair_key(x, y)] += 1
+                if target_set is None or x in target_set or y in target_set:
+                    pair_counts[(x, y)] += 1
     return CooccurrenceTable(
         pair_counts=dict(pair_counts),
         term_counts=dict(term_counts),
@@ -202,6 +195,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation of fractional ranks; ties get their average rank."""
+    from scipy.stats import rankdata  # deferred: scipy.stats takes most of a second to import
+
     xs = list(xs)
     ys = list(ys)
     if len(xs) != len(ys):

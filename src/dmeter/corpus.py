@@ -8,15 +8,15 @@ comparison across mismatched configs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
-import io
+import itertools
 import json
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
 TOKENIZER_MODES = ("unicode-word", "whitespace", "character")
@@ -174,15 +174,9 @@ class Corpus:
 
         self._record_tokens = tuple(tuple(tokenize(r.text, tokenizer_config)) for r in self._records)
 
-        counts: Counter = Counter()
-        vocab: dict[str, None] = {}
-        for toks in self._record_tokens:
-            counts.update(toks)
-            for t in toks:
-                if t not in vocab:
-                    vocab[t] = None
-        self._token_counts = FrequencyTable(counts)
-        self._vocabulary = tuple(vocab)
+        self._token_counts = FrequencyTable(Counter(itertools.chain.from_iterable(self._record_tokens)))
+        # Counter keeps first-occurrence order, so its keys are the vocabulary.
+        self._vocabulary = tuple(self._token_counts)
 
         h = hashlib.sha256()
         for r in self._records:
@@ -258,8 +252,8 @@ def ngrams(corpus: Corpus, n: int) -> FrequencyTable:
         return corpus.token_counts
     counts: Counter = Counter()
     for toks in corpus.iter_record_tokens():
-        for i in range(len(toks) - n + 1):
-            counts[toks[i : i + n]] += 1
+        if len(toks) >= n:
+            counts.update(zip(*(toks[i:] for i in range(n))))
     return FrequencyTable(counts)
 
 
@@ -278,29 +272,39 @@ def ingest(
 ) -> Corpus:
     """Read a file path or text stream into a Corpus.
 
-    Malformed records are skipped and recorded (with their line number) in
-    the returned corpus's ingest_errors; an unreadable source is fatal.
+    Malformed records, and lines that are not valid UTF-8, are skipped and
+    recorded (with their line number) in the returned corpus's ingest_errors;
+    an unreadable source is fatal.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; choose from {FORMATS}")
 
     if hasattr(source, "read"):
-        stream = source
-        close = False
+        opened = contextlib.nullcontext(source)
     else:
-        stream = open(source, "r", encoding="utf-8", newline="")
-        close = True
-    try:
+        # A byte that is not UTF-8 becomes a lone surrogate; readers skip its line.
+        opened = open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
+    with opened as stream:
         if format == "jsonl":
             records, errors = _read_jsonl(stream, text_field, id_field, timestamp_field)
         elif format == "plaintext":
             records, errors = _read_plaintext(stream)
         else:
             records, errors = _read_csv(stream, text_field, id_field, timestamp_field)
-    finally:
-        if close:
-            stream.close()
     return Corpus(records, tokenizer_config, ingest_errors=errors)
+
+
+_NOT_UTF8 = re.compile("[\ud800-\udfff]")
+_NOT_UTF8_REASON = "line is not valid UTF-8"
+
+
+def _utf8_lines(stream, errors: list):
+    """Number the lines of stream, diverting those that are not valid UTF-8 to errors."""
+    for line_no, line in enumerate(stream, start=1):
+        if _NOT_UTF8.search(line):
+            errors.append(IngestError(line_no, _NOT_UTF8_REASON))
+        else:
+            yield line_no, line
 
 
 def _dedupe_id(rid: str, seen: set, line: int, errors: list) -> str | None:
@@ -315,7 +319,7 @@ def _read_jsonl(stream, text_field, id_field, timestamp_field):
     records: list[Record] = []
     errors: list[IngestError] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(stream, start=1):
+    for line_no, line in _utf8_lines(stream, errors):
         if not line.strip():
             continue
         try:
@@ -351,11 +355,12 @@ def _read_jsonl(stream, text_field, id_field, timestamp_field):
 
 
 def _read_plaintext(stream):
+    errors: list[IngestError] = []
     records = [
         Record(id=str(line_no), text=line.rstrip("\n").rstrip("\r"))
-        for line_no, line in enumerate(stream, start=1)
+        for line_no, line in _utf8_lines(stream, errors)
     ]
-    return records, []
+    return records, errors
 
 
 def _read_csv(stream, text_field, id_field, timestamp_field):
@@ -368,6 +373,11 @@ def _read_csv(stream, text_field, id_field, timestamp_field):
     if text_field not in reader.fieldnames:
         raise ValueError(f"csv has no {text_field!r} column (columns: {reader.fieldnames})")
     for line_no, row in enumerate(reader, start=2):  # header is line 1
+        # Fields past the header's columns are listed under the key None.
+        values = [v for v in row.values() if isinstance(v, str)] + row.get(None, [])
+        if any(map(_NOT_UTF8.search, values)):
+            errors.append(IngestError(line_no, _NOT_UTF8_REASON))
+            continue
         text = row.get(text_field)
         if text is None:
             errors.append(IngestError(line_no, f"missing {text_field!r} value"))

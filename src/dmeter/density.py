@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedValueError
-from .vectors import EmbeddingMatrix
+from .vectors import EmbeddingMatrix, unit_rows
 
 SIMILARITIES = ("cosine", "inverse-euclidean")
 VOLUME_MODES = ("bounding-box", "unit-hypercube")
@@ -46,7 +46,7 @@ class DataDensity:
 
 def _similarity_block(block: np.ndarray, all_rows: np.ndarray, similarity: str) -> np.ndarray:
     if similarity == "cosine":
-        return block @ all_rows.T
+        return np.clip(block @ all_rows.T, -1.0, 1.0)
     # inverse-euclidean: 1 / (1 + dist)
     sq = (
         np.sum(block * block, axis=1)[:, None]
@@ -60,8 +60,8 @@ def _similarity_block(block: np.ndarray, all_rows: np.ndarray, similarity: str) 
 def knn_density(emb: EmbeddingMatrix, k: int, similarity: str = "cosine") -> DensityReport:
     """Mean similarity of each point to its k nearest neighbors (self excluded).
 
-    Neighbors are ranked by the chosen similarity; rank ties break by
-    ascending row index so results are deterministic.  Search is exact full
+    Neighbors are ranked by the chosen similarity; the mean does not depend
+    on which of several tied neighbors is picked.  Search is exact full
     pairwise, capped at 50,000 points.
     """
     if similarity not in SIMILARITIES:
@@ -77,29 +77,18 @@ def knn_density(emb: EmbeddingMatrix, k: int, similarity: str = "cosine") -> Den
             "sample the matrix down before measuring density"
         )
 
-    rows = emb.matrix
-    if similarity == "cosine":
-        norms = np.linalg.norm(rows, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise UndefinedValueError(
-                f"cosine similarity undefined for zero-norm row {emb.labels[zero[0]]!r}"
-            )
-        rows = rows / norms[:, None]
+    rows = unit_rows(emb) if similarity == "cosine" else emb.matrix
 
     per_point = np.empty(n, dtype=np.float64)
     chunk = max(1, _CHUNK_CELLS // n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         sims = _similarity_block(rows[start:stop], rows, similarity)
-        if similarity == "cosine":
-            np.clip(sims, -1.0, 1.0, out=sims)
-        # Descending similarity; stable sort keeps ties in ascending-index order.
-        order = np.argsort(-sims, axis=1, kind="stable")
-        for local, row_order in enumerate(order):
-            i = start + local
-            neighbors = row_order[row_order != i][:k]
-            per_point[i] = sims[local, neighbors].mean()
+        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        # Ties share one value, so the k largest do not depend on which tie is
+        # picked; summed in descending order they match a stable ranking bit for bit.
+        top = -np.sort(np.partition(-sims, k - 1, axis=1)[:, :k], axis=1)
+        per_point[start:stop] = top.mean(axis=1)
 
     return DensityReport(
         global_density=float(per_point.mean()),

@@ -24,22 +24,22 @@ EMD_SUPPORT_CAP = 2000
 class Distribution:
     """Discrete probability distribution: unique support items, parallel probs."""
 
-    __slots__ = ("_support", "_probs")
+    __slots__ = ("_p",)
 
     def __init__(self, support: Sequence[Hashable], probs: Sequence[float]):
         support = tuple(support)
         probs = tuple(float(p) for p in probs)
         if len(support) != len(probs):
             raise ValueError(f"{len(support)} support items for {len(probs)} probabilities")
-        if len(set(support)) != len(support):
+        p = dict(zip(support, probs))
+        if len(p) != len(support):
             raise ValueError("support items must be unique")
-        if any(p < 0 for p in probs):
+        if any(x < 0 for x in probs):
             raise ValueError("probabilities must be non-negative")
         total = math.fsum(probs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total}, expected 1 within 1e-9")
-        self._support = support
-        self._probs = probs
+        self._p = p
 
     @classmethod
     def from_counts(cls, counts) -> "Distribution":
@@ -53,26 +53,23 @@ class Distribution:
 
     @property
     def support(self) -> tuple:
-        return self._support
+        return tuple(self._p)
 
     @property
     def probs(self) -> tuple:
-        return self._probs
+        return tuple(self._p.values())
 
     def prob(self, item, default: float = 0.0) -> float:
-        try:
-            return self._probs[self._support.index(item)]
-        except ValueError:
-            return default
+        return self._p.get(item, default)
 
     def as_dict(self) -> dict:
-        return dict(zip(self._support, self._probs))
+        return dict(self._p)
 
     def __len__(self) -> int:
-        return len(self._support)
+        return len(self._p)
 
     def __repr__(self) -> str:
-        return f"Distribution({len(self._support)} items)"
+        return f"Distribution({len(self._p)} items)"
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -169,17 +166,11 @@ def emd_discrete(p: Distribution, q: Distribution, cost: Callable[[Hashable, Has
 
     # Equality constraints: row sums = p (n rows), column sums = q (m rows).
     # Drop the final (redundant) column constraint to keep the system full rank.
-    rows = []
-    cols = []
-    for i in range(n):
-        for j in range(m):
-            rows.append(i)
-            cols.append(i * m + j)
-    for j in range(m - 1):
-        for i in range(n):
-            rows.append(n + j)
-            cols.append(i * m + j)
-    a_eq = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m))
+    # Flow f_ij is variable i * m + j; constraint n + j sums column j down the rows.
+    flows = np.arange(n * m).reshape(n, m)
+    rows = np.concatenate([np.repeat(np.arange(n), m), np.repeat(np.arange(n, n + m - 1), n)])
+    cols = np.concatenate([flows.ravel(), flows[:, : m - 1].T.ravel()])
+    a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n + m - 1, n * m))
     b_eq = np.concatenate([np.asarray(p.probs), np.asarray(q.probs[: m - 1])])
 
     res = linprog(c, A_eq=a_eq.tocsr(), b_eq=b_eq, bounds=(0, None), method="highs")

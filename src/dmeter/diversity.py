@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Corpus, FrequencyTable
 from .errors import KernelInvalidError, UndefinedValueError
-from .vectors import EmbeddingMatrix
+from .vectors import EmbeddingMatrix, unit_rows
 
 _SYMMETRY_TOL = 1e-9
 _PSD_TOL = 1e-8          # eigenvalues of kernel/n below -this are an error
@@ -62,13 +62,7 @@ class SimilarityKernel:
 
 def kernel_from_embeddings(emb: EmbeddingMatrix) -> SimilarityKernel:
     """Cosine-similarity kernel over embedding rows."""
-    norms = np.linalg.norm(emb.matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise UndefinedValueError(
-            f"cosine kernel undefined for zero-norm row {emb.labels[zero[0]]!r}"
-        )
-    unit = emb.matrix / norms[:, None]
+    unit = unit_rows(emb)
     sims = np.clip(unit @ unit.T, -1.0, 1.0)
     np.fill_diagonal(sims, 1.0)
     return SimilarityKernel(sims, source="cosine(embeddings)")

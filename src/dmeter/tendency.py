@@ -6,6 +6,7 @@ All logs are natural; entropy-adjacent quantities are in nats.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -122,13 +123,8 @@ def timestamp_gaps(corpus: Corpus) -> list[float]:
 def token_recurrence_gaps(corpus: Corpus, token: str) -> list[float]:
     """Gaps between successive occurrences of a token in the concatenated
     record-order token stream."""
-    positions = []
-    offset = 0
-    for toks in corpus.iter_record_tokens():
-        for i, t in enumerate(toks):
-            if t == token:
-                positions.append(offset + i)
-        offset += len(toks)
+    stream = itertools.chain.from_iterable(corpus.iter_record_tokens())
+    positions = [i for i, t in enumerate(stream) if t == token]
     return [float(b - a) for a, b in zip(positions, positions[1:])]
 
 
@@ -228,8 +224,9 @@ def zipf_fit(ft: FrequencyTable, fit_method: str = "discrete-mle") -> ZipfFit:
 
 # --- n-gram language model and perplexity --------------------------------------
 
-BOS = "\x02"  # context symbol for a record's first token; never a vocab item
-OOV = "\x00"  # explicit out-of-vocabulary bucket
+# Tokens are strings, so tuple sentinels can never collide with one.
+BOS = ("<bos>",)  # context symbol for a record's first token
+OOV = ("<oov>",)  # explicit out-of-vocabulary bucket
 
 
 @dataclass(frozen=True)
@@ -288,12 +285,13 @@ def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
     bigram: dict = {}
     contexts: dict = {}
     if order == 2:
-        for toks in corpus.iter_record_tokens():
-            prev = BOS
-            for tok in toks:
-                bigram[(prev, tok)] = bigram.get((prev, tok), 0) + 1
-                contexts[prev] = contexts.get(prev, 0) + 1
-                prev = tok
+        # BOS precedes each record's first token; every token but a record's last is a context.
+        nonempty = [toks for toks in corpus.iter_record_tokens() if toks]
+        starts = Counter(toks[0] for toks in nonempty)
+        ends = Counter(toks[-1] for toks in nonempty)
+        bigram = dict(corpus.ngram_counts(2).entries)
+        bigram.update(((BOS, tok), count) for tok, count in starts.items())
+        contexts = dict(Counter(unigram) + Counter({BOS: len(nonempty)}) - ends)
     return NgramLM(
         order=order,
         smoothing=float(smoothing),

@@ -144,6 +144,17 @@ def cosine_similarity(u, v) -> float:
     return float(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
 
 
+def unit_rows(emb: EmbeddingMatrix) -> np.ndarray:
+    """Rows scaled to unit L2 norm; a zero-norm row has no direction, so no cosine."""
+    norms = np.linalg.norm(emb.matrix, axis=1)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise UndefinedValueError(
+            f"cosine similarity undefined for zero-norm row {emb.labels[zero[0]]!r}"
+        )
+    return emb.matrix / norms[:, None]
+
+
 def cosine_distance(u, v) -> float:
     return 1.0 - cosine_similarity(u, v)
 

@@ -2,10 +2,15 @@
 
 import configparser
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dmeter
 from dmeter.cli import _measure_config, main
 from dmeter.report import DEFAULT_CONFIG, parse_report
 from dmeter.vectors import EmbeddingMatrix, save_embeddings
@@ -349,3 +354,12 @@ class TestParser:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main(["destroy"])
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of a second to import; only spearman needs it.
+    env = dict(os.environ, PYTHONPATH=str(Path(dmeter.__file__).parents[1]))
+    code = "import sys, dmeter.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

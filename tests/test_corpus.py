@@ -2,12 +2,16 @@
 
 import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmeter.corpus import (
     Corpus,
     FrequencyTable,
+    IngestError,
     Record,
     TokenizerConfig,
     ingest,
@@ -183,6 +187,19 @@ class TestIngestOtherFormats:
         with pytest.raises(ValueError, match="no 'text' column"):
             ingest(stream, format="csv")
 
+    @pytest.mark.parametrize("fmt, data, kept, bad_line", [
+        ("jsonl", b'{"id": "a", "text": "ok"}\n{"id": "b", "text": "bad \xff"}\n'
+                  b'{"id": "c", "text": "fine"}\n', ["a", "c"], 2),
+        ("plaintext", b"ok\nbad \xff\nfine\n", ["1", "3"], 2),
+        ("csv", b"id,text\na,ok\nb,bad \xff\nc,fine\n", ["a", "c"], 3),
+    ], ids=["jsonl", "plaintext", "csv"])
+    def test_line_not_utf8_skipped_and_named(self, tmp_path, fmt, data, kept, bad_line):
+        path = tmp_path / f"corpus.{fmt}"
+        path.write_bytes(data)
+        corpus = ingest(str(path), format=fmt)
+        assert [r.id for r in corpus.records] == kept
+        assert corpus.ingest_errors == (IngestError(bad_line, "line is not valid UTF-8"),)
+
     def test_csv_bad_timestamp_skipped(self):
         stream = io.StringIO("text,timestamp\nhello,soon\nbye,3\n")
         corpus = ingest(stream, format="csv")
@@ -244,6 +261,12 @@ class TestNgrams:
             oracle = sliding_window_ngrams(list(corpus.iter_record_tokens()), n)
             assert dict(corpus.ngram_counts(n).entries) == oracle
 
+    def test_huge_n_is_empty_without_building_n_iterators(self):
+        corpus = make_corpus(["a b c"] * 1000)
+        start = time.perf_counter()
+        assert len(ngrams(corpus, 10**9)) == 0
+        assert time.perf_counter() - start < 1.0
+
     def test_per_record_total_law(self):
         corpus = make_corpus(["a b c d", "x", "", "p q"])
         for n in (1, 2, 3, 5):
@@ -281,6 +304,27 @@ class TestCorpusInvariants:
     def test_vocabulary_in_first_seen_order(self):
         corpus = make_corpus(["b a", "a c"])
         assert corpus.vocabulary == ("b", "a", "c")
+
+
+def first_occurrence_vocabulary(token_lists):
+    """Scan every token once, keeping each type where it first appears: the
+    second pass Corpus made before it took its vocabulary from the counts."""
+    vocab = []
+    for toks in token_lists:
+        for t in toks:
+            if t not in vocab:
+                vocab.append(t)
+    return tuple(vocab)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "\x00", "\x02", "dd"]), max_size=7),
+                max_size=7))
+def test_token_tables_match_per_token_oracles(records):
+    corpus = make_corpus([" ".join(toks) for toks in records], TokenizerConfig(mode="whitespace"))
+    assert corpus.vocabulary == first_occurrence_vocabulary(records)
+    for n in (1, 2, 3, 8):
+        assert dict(ngrams(corpus, n).entries) == sliding_window_ngrams(records, n)
 
 
 class TestFrequencyTable:

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmeter.density import data_density, knn_density
+from dmeter.density import SIMILARITIES, _similarity_block, data_density, knn_density
 from dmeter.errors import UndefinedValueError
 from dmeter.vectors import EmbeddingMatrix
 
@@ -160,3 +162,43 @@ class TestDataDensity:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown volume mode"):
             data_density(emb_from([[1.0]]), volume_mode="sphere")
+
+
+# --- top-k by partition against the per-row ranking it replaced -----------------
+
+
+def stable_argsort_knn_density(matrix, k, similarity):
+    """Rank each row by a stable descending argsort, drop the point itself and
+    average the first k similarities: the per-row loop knn_density ran before
+    it took the top k by partition."""
+    rows = matrix
+    if similarity == "cosine":
+        rows = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+    sims = _similarity_block(rows, rows, similarity)
+    out = np.empty(matrix.shape[0])
+    for i, row_order in enumerate(np.argsort(-sims, axis=1, kind="stable")):
+        out[i] = sims[i, row_order[row_order != i][:k]].mean()
+    return out
+
+
+# A few repeated coordinate values make tied similarities and equal rows likely.
+coordinate = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0]) | st.floats(-10, 10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_top_k_matches_stable_argsort_oracle_bit_for_bit(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    distinct = data.draw(st.lists(st.lists(coordinate, min_size=d, max_size=d),
+                                  min_size=1, max_size=n), label="distinct rows")
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n),
+                      label="row picks")
+    matrix = np.array([distinct[i] for i in picks], dtype=np.float64)
+    emb = emb_from(matrix)
+    for similarity in SIMILARITIES:
+        if similarity == "cosine" and np.any(np.linalg.norm(matrix, axis=1) == 0.0):
+            continue
+        for k in range(1, n):
+            got = np.array(knn_density(emb, k, similarity).per_point_density)
+            assert np.array_equal(got, stable_argsort_knn_density(matrix, k, similarity))

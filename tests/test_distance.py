@@ -5,6 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from dmeter.distance import (
     Distribution,
@@ -113,6 +117,23 @@ class TestLevenshtein:
             assert dab == levenshtein(b, a)
             assert dab <= levenshtein(a, c) + levenshtein(c, b)
             assert abs(len(a) - len(b)) <= dab <= max(len(a), len(b), 0)
+
+
+# --- distributions --------------------------------------------------------------
+
+
+class TestDistribution:
+    def test_lookup_and_copy_keep_support_order(self):
+        p = Distribution(["b", "a", "c"], [0.5, 0.25, 0.25])
+        assert (p.prob("a"), p.prob("zzz"), p.prob("zzz", default=-1.0)) == (0.25, 0.0, -1.0)
+        assert p.support == ("b", "a", "c") and p.probs == (0.5, 0.25, 0.25)
+        copy = p.as_dict()
+        copy["a"] = 1.0
+        assert p.prob("a") == 0.25 and list(copy) == ["b", "a", "c"]
+
+    def test_duplicate_support_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            Distribution(["a", "a"], [0.5, 0.5])
 
 
 # --- KL divergence --------------------------------------------------------------
@@ -306,3 +327,40 @@ class TestWordMoversDistance:
     def test_unknown_ground_cost_rejected(self):
         with pytest.raises(ValueError, match="unknown ground cost"):
             word_movers_distance(["cat"], ["dog"], toy_embedding(), ground_cost="manhattan")
+
+
+# --- transport constraints against the nested loops they replaced ---------------
+
+
+def looped_transport_constraints(n, m):
+    """Row-sum then column-sum constraints, one nested loop each: how
+    emd_discrete built its constraint matrix before it used array operations."""
+    rows, cols = [], []
+    for i in range(n):
+        for j in range(m):
+            rows.append(i)
+            cols.append(i * m + j)
+    for j in range(m - 1):
+        for i in range(n):
+            rows.append(n + j)
+            cols.append(i * m + j)
+    return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m)).tocsr()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=5),
+       st.lists(st.integers(1, 5), min_size=1, max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_emd_matches_looped_constraint_solve(p_counts, q_counts, seed):
+    p = Distribution.from_counts(dict(enumerate(p_counts)))
+    q = Distribution.from_counts({f"q{j}": c for j, c in enumerate(q_counts)})
+    costs = np.random.default_rng(seed).uniform(0.0, 3.0, size=(len(p), len(q)))
+    column = {item: j for j, item in enumerate(q.support)}
+
+    def cost(a, b):
+        return costs[a, column[b]]
+
+    b_eq = np.concatenate([np.asarray(p.probs), np.asarray(q.probs[: len(q) - 1])])
+    res = linprog(costs.ravel(), A_eq=looped_transport_constraints(len(p), len(q)), b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert emd_discrete(p, q, cost) == float(res.fun)

@@ -6,6 +6,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from dmeter.corpus import Corpus, FrequencyTable, Record, TokenizerConfig
@@ -224,6 +226,18 @@ class TestNgramLM:
         lm = train_lm(corpus_of(["a b", "b a"]), order=2, smoothing=0.0)
         assert lm.bigram_counts == {(BOS, "a"): 1, ("a", "b"): 1, (BOS, "b"): 1, ("b", "a"): 1}
 
+    def test_sentinels_never_collide_with_real_tokens(self):
+        # Under the whitespace tokenizer "\x00" and "\x02" are ordinary tokens.
+        c = corpus_of(["\x02 a \x00 \x00", "b"], tokenizer_config=TokenizerConfig(mode="whitespace"))
+        unigram = train_lm(c, order=1, smoothing=1.0)
+        assert unigram.prob("unseen") == pytest.approx(1.0 / (5 + 5))
+        total = math.fsum(unigram.prob(t) for t in unigram.vocab) + unigram.prob(OOV)
+        assert total == pytest.approx(1.0, abs=1e-12)
+        bigram = train_lm(c, order=2, smoothing=0.0)
+        assert bigram.context_counts[BOS] == 2
+        assert bigram.context_counts["\x02"] == 1
+        assert bigram.prob("a", "\x02") == 1.0
+
     def test_invalid_arguments(self):
         c = corpus_of(["a"])
         with pytest.raises(ValueError, match="order"):
@@ -360,3 +374,31 @@ class TestPerplexityFromLogprobs:
                  {"id": "2", "logprob": -1.0, "n_tokens": 1}]
         assert perplexity_from_logprobs(self.lines(rows), corpus).flags == ()
         assert perplexity_from_logprobs(self.lines(rows[:1])).flags == ()
+
+
+# --- bigram tables against the per-token loop they replaced ---------------------
+
+
+def per_token_bigram_tables(corpus):
+    """Walk every token with its predecessor (BOS at a record start): the loop
+    train_lm ran before it took its bigrams from the corpus's cached table."""
+    bigram, contexts = {}, {}
+    for toks in corpus.iter_record_tokens():
+        prev = BOS
+        for tok in toks:
+            bigram[(prev, tok)] = bigram.get((prev, tok), 0) + 1
+            contexts[prev] = contexts.get(prev, 0) + 1
+            prev = tok
+    return bigram, contexts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "\x00", "\x01", "\x02", "<bos>"]),
+                         max_size=6), max_size=6))
+def test_bigram_tables_match_per_token_oracle(records):
+    c = corpus_of([" ".join(toks) for toks in records] or [""],
+                  tokenizer_config=TokenizerConfig(mode="whitespace", case_fold=False))
+    lm = train_lm(c, order=2)
+    bigram, contexts = per_token_bigram_tables(c)
+    assert lm.bigram_counts == bigram
+    assert lm.context_counts == contexts
