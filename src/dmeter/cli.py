@@ -13,7 +13,7 @@ import configparser
 import sys
 
 from . import association, quality, report
-from .corpus import FORMATS, TOKENIZER_MODES, TokenizerConfig, ingest, tokenize
+from .corpus import FORMATS, TokenizerConfig, ingest, tokenize
 from .report import DEFAULT_CONFIG, METRIC_FAMILIES, canonical_json, is_blocking
 from .vectors import load_embeddings
 
@@ -21,6 +21,16 @@ from .vectors import load_embeddings
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
+
+
+def _write_out(path: str, text: str, what: str) -> int:
+    """Write one --out file: 0 when written, 1 (after an error message) when not."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write {what} to {path!r}: {exc}")
+    return 0
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
@@ -46,8 +56,6 @@ def _tokenizer_from(args, cfg) -> TokenizerConfig:
         else:
             case_fold = True
         mode = spec
-    if mode not in TOKENIZER_MODES:
-        raise ValueError(f"unknown tokenizer mode {mode!r}; choose from {TOKENIZER_MODES}")
     return TokenizerConfig(mode=mode, case_fold=case_fold)
 
 
@@ -55,8 +63,6 @@ def _ingest_from(args, cfg):
     if not args.input:
         raise ValueError("--input is required")
     fmt = args.format or cfg.get("measure", "format", fallback="jsonl")
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
     tokenizer = _tokenizer_from(args, cfg)
     corpus = ingest(args.input, format=fmt, tokenizer_config=tokenizer)
     for err in corpus.ingest_errors:
@@ -64,20 +70,33 @@ def _ingest_from(args, cfg):
     return corpus
 
 
-def _measure_config(cfg) -> dict:
+_ASSOC_DEFAULTS = {"topk": 20, "smoothing": 0.0, "context_mode": "document", "window_size": 0}
+_DEDUP_DEFAULTS = {"normalization": "exact", "top_cap": 10}
+
+
+def _config_section(cfg, section: str, defaults: dict, cli_keys=()) -> dict:
+    """The keys set in one INI section, typed like their defaults (None: str).
+
+    A key outside defaults and cli_keys (which the CLI reads itself) is fatal,
+    unless the section only inherits it from [DEFAULT].
+    """
     out = {}
-    if not cfg.has_section("measure"):
+    if not cfg.has_section(section):
         return out
-    for key, raw in cfg.items("measure"):
-        if key in ("metrics", "format", "out"):
+    for key, raw in cfg.items(section):
+        if key in cli_keys or (key in cfg.defaults() and key not in defaults):
             continue
-        if key not in DEFAULT_CONFIG:
+        if key not in defaults:
             raise ValueError(
-                f"unknown [measure] config key {key!r}; valid keys: {sorted(DEFAULT_CONFIG)}"
+                f"unknown [{section}] config key {key!r}; valid keys: {sorted(defaults)}"
             )
-        default = DEFAULT_CONFIG[key]
+        default = defaults[key]
         out[key] = raw if default is None else type(default)(raw)
     return out
+
+
+def _measure_config(cfg) -> dict:
+    return _config_section(cfg, "measure", DEFAULT_CONFIG, cli_keys=("metrics", "format", "out"))
 
 
 def _entry_summary(name: str, entry: dict) -> str:
@@ -106,19 +125,9 @@ def _entry_summary(name: str, entry: dict) -> str:
 def cmd_measure(args) -> int:
     try:
         cfg = _load_config(args.config)
-        metrics_raw = args.metrics or cfg.get("measure", "metrics", fallback=None)
-        metrics = (
-            [m.strip() for m in metrics_raw.split(",") if m.strip()]
-            if metrics_raw
-            else list(METRIC_FAMILIES)
-        )
-        unknown = [m for m in metrics if m not in METRIC_FAMILIES]
-        if unknown:
-            return _fail(
-                f"unknown metrics {unknown}; valid names: {', '.join(METRIC_FAMILIES)}"
-            )
-        if not metrics:
-            return _fail(f"no metrics selected; valid names: {', '.join(METRIC_FAMILIES)}")
+        metrics_raw = (args.metrics or cfg.get("measure", "metrics", fallback="")
+                       or ",".join(METRIC_FAMILIES))
+        metrics = report.select_metrics(m.strip() for m in metrics_raw.split(",") if m.strip())
         measure_cfg = _measure_config(cfg)
 
         corpus = _ingest_from(args, cfg)
@@ -138,11 +147,8 @@ def cmd_measure(args) -> int:
         return _fail(str(exc))
 
     out_path = args.out or cfg.get("measure", "out", fallback="report.json")
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report.serialize_report(rep))
-    except OSError as exc:
-        return _fail(f"cannot write report to {out_path!r}: {exc}")
+    if _write_out(out_path, report.serialize_report(rep), "report"):
+        return 1
 
     for name, entry in rep.measurements.items():
         print(_entry_summary(name, entry))
@@ -151,7 +157,7 @@ def cmd_measure(args) -> int:
     # Exit code 2 means a metric could not be computed; an undefined or
     # infinite value is still a result, so it does not count here.
     failed = any(
-        f.startswith(("error:", "skipped:"))
+        f.startswith(report.BLOCKING_FLAG_PREFIXES)
         for entry in rep.measurements.values()
         for f in entry.get("flags", [])
     )
@@ -171,11 +177,7 @@ def cmd_compare(args) -> int:
         return _fail(str(exc))
     sys.stdout.write(report.format_delta_table(delta))
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(report.serialize_delta(delta))
-        except OSError as exc:
-            return _fail(f"cannot write delta to {args.out!r}: {exc}")
+        return _write_out(args.out, report.serialize_delta(delta), "delta")
     return 0
 
 
@@ -203,17 +205,14 @@ def cmd_assoc(args) -> int:
         targets = _read_targets(args.targets, tokenizer)
         corpus = _ingest_from(args, cfg)
 
-        topk = cfg.getint("assoc", "topk", fallback=20)
-        smoothing = cfg.getfloat("assoc", "smoothing", fallback=0.0)
-        context_mode = cfg.get("assoc", "context_mode", fallback="document")
-        window_size = cfg.getint("assoc", "window_size", fallback=0) or None
-
+        opts = {**_ASSOC_DEFAULTS, **_config_section(cfg, "assoc", _ASSOC_DEFAULTS)}
         table = association.build_cooccurrence(
-            corpus, targets=targets, context_mode=context_mode, window_size=window_size
+            corpus, targets=targets, context_mode=opts["context_mode"],
+            window_size=opts["window_size"] or None,
         )
         rows = []
         for target in targets:
-            co = association.top_npmi(table, target, k=topk, smoothing=smoothing)
+            co = association.top_npmi(table, target, k=opts["topk"], smoothing=opts["smoothing"])
             flags = []
             if target not in table.term_counts:
                 flags.append("warning:target-absent")
@@ -240,15 +239,11 @@ def cmd_assoc(args) -> int:
     if args.out:
         payload = {
             "corpus_fingerprint": corpus.fingerprint,
-            "context_mode": context_mode,
-            "smoothing": smoothing,
+            "context_mode": opts["context_mode"],
+            "smoothing": opts["smoothing"],
             "targets": rows,
         }
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(payload))
-        except OSError as exc:
-            return _fail(f"cannot write association table to {args.out!r}: {exc}")
+        return _write_out(args.out, canonical_json(payload), "association table")
     return 0
 
 
@@ -256,9 +251,8 @@ def cmd_dedup(args) -> int:
     try:
         cfg = _load_config(args.config)
         corpus = _ingest_from(args, cfg)
-        normalization = cfg.get("dedup", "normalization", fallback="exact")
-        top_cap = cfg.getint("dedup", "top_cap", fallback=10)
-        rep = quality.find_duplicates(corpus, normalization, top_cap)
+        opts = {**_DEDUP_DEFAULTS, **_config_section(cfg, "dedup", _DEDUP_DEFAULTS)}
+        rep = quality.find_duplicates(corpus, opts["normalization"], opts["top_cap"])
         entropy = quality.redundancy_entropy(rep)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
@@ -286,11 +280,7 @@ def cmd_dedup(args) -> int:
                 for fp, count, sample in rep.top_clusters
             ],
         }
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(payload))
-        except OSError as exc:
-            return _fail(f"cannot write dedup report to {args.out!r}: {exc}")
+        return _write_out(args.out, canonical_json(payload), "dedup report")
     return 0
 
 

@@ -219,9 +219,6 @@ class Corpus:
     def total_tokens(self) -> int:
         return self._token_counts.total
 
-    def record_tokens(self, index: int) -> tuple[str, ...]:
-        return self._record_tokens[index]
-
     def iter_record_tokens(self) -> Iterator[tuple[str, ...]]:
         return iter(self._record_tokens)
 
@@ -346,6 +343,10 @@ def _read_jsonl(stream, text_field, id_field, timestamp_field):
             ):
                 errors.append(IngestError(line_no, "attributes must map strings to strings"))
                 continue
+        # A JSON escape such as "\ud800" gives a lone surrogate, which UTF-8 cannot encode.
+        if any(map(_NOT_UTF8.search, [rid, text, *(attrs or {}), *(attrs or {}).values()])):
+            errors.append(IngestError(line_no, _NOT_UTF8_REASON))
+            continue
         ts = obj.get(timestamp_field)
         if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)):
             errors.append(IngestError(line_no, f"{timestamp_field!r} must be an integer"))
@@ -367,17 +368,22 @@ def _read_csv(stream, text_field, id_field, timestamp_field):
     records: list[Record] = []
     errors: list[IngestError] = []
     seen: set[str] = set()
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
         return records, errors
-    if text_field not in reader.fieldnames:
-        raise ValueError(f"csv has no {text_field!r} column (columns: {reader.fieldnames})")
-    for line_no, row in enumerate(reader, start=2):  # header is line 1
-        # Fields past the header's columns are listed under the key None.
-        values = [v for v in row.values() if isinstance(v, str)] + row.get(None, [])
-        if any(map(_NOT_UTF8.search, values)):
+    if text_field not in header:
+        raise ValueError(f"csv has no {text_field!r} column (columns: {header})")
+    # reader.line_num counts file lines read, so a record starts one past the last.
+    next_line = reader.line_num + 1
+    for fields in reader:
+        line_no, next_line = next_line, reader.line_num + 1
+        if not fields:  # a blank line
+            continue
+        if any(map(_NOT_UTF8.search, fields)):
             errors.append(IngestError(line_no, _NOT_UTF8_REASON))
             continue
+        row = dict(zip(header, fields))
         text = row.get(text_field)
         if text is None:
             errors.append(IngestError(line_no, f"missing {text_field!r} value"))

@@ -12,8 +12,6 @@ from collections import Counter
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from .errors import UndefinedValueError
 from .vectors import EmbeddingMatrix, euclidean, cosine_distance
@@ -147,6 +145,9 @@ def emd_discrete(p: Distribution, q: Distribution, cost: Callable[[Hashable, Has
     p and column sums are q.  Solved as a linear program; supports are capped
     at EMD_SUPPORT_CAP points each because the solve is exact, not approximate.
     """
+    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
+    from scipy.sparse import coo_matrix  # deferred along with it
+
     n, m = len(p), len(q)
     if n == 0 or m == 0:
         raise ValueError("distributions must have non-empty support")

@@ -33,12 +33,12 @@ DEFAULT_CONFIG = {
     "knn_k": 5,
     "knn_similarity": "cosine",
     "volume_mode": "bounding-box",
-    "dedup_top_cap": 10,
     "perplexity_logprobs": None,
     "vendi_cap": 4096,
 }
 
-_BLOCKING_FLAG_PREFIXES = ("error:", "skipped:")
+# A flag with one of these prefixes means the entry could not be computed.
+BLOCKING_FLAG_PREFIXES = ("error:", "skipped:")
 _BLOCKING_FLAGS = ("infinite", "negative-infinite", "undefined")
 
 
@@ -48,7 +48,7 @@ def is_blocking(flag: str) -> bool:
     Informational flags (low-confidence, alpha-boundary, undefined:<field>,
     ...) do not block comparison.
     """
-    return flag in _BLOCKING_FLAGS or flag.startswith(_BLOCKING_FLAG_PREFIXES)
+    return flag in _BLOCKING_FLAGS or flag.startswith(BLOCKING_FLAG_PREFIXES)
 
 
 @dataclass(frozen=True)
@@ -96,34 +96,34 @@ def _sanitize(value, flags: list, suffix: str = ""):
     return value
 
 
+# A failed measurement's flag comes from the first class its exception belongs to.
+_ERROR_FLAGS = ((UndefinedValueError, "undefined"), (MeasurementError, "error:measurement"),
+                (ValueError, "error:argument"), (Exception, "error:internal"))
+
+
 class _ReportBuilder:
     def __init__(self):
         self.measurements: dict = {}
 
-    def add(self, name, unit, params, compute, provenance="self-contained", extra_flags=()):
+    def add(self, name, unit, params, compute, provenance="self-contained", skip=None):
         """Run one measurement with failure isolation: any error becomes a
-        flagged entry instead of aborting the report."""
-        flags = list(extra_flags)
-        try:
-            value = compute()
-        except UndefinedValueError as exc:
-            value, note = None, str(exc)
-            flags.append("undefined")
-        except MeasurementError as exc:
-            value, note = None, str(exc)
-            flags.append("error:measurement")
-        except ValueError as exc:
-            value, note = None, str(exc)
-            flags.append("error:argument")
-        except Exception as exc:  # isolation rule: never abort the report
-            value, note = None, str(exc)
-            flags.append("error:internal")
+        flagged entry instead of aborting the report.  With a skip reason,
+        compute is not called and the entry is flagged skipped:<reason>."""
+        flags, value, note = [], None, None
+        if skip:
+            flags.append(f"skipped:{skip}")
         else:
-            if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], (list, tuple)):
-                value, more = value
-                flags.extend(more)
-            note = None
-            value = _sanitize(value, flags)
+            try:
+                value = compute()
+            except Exception as exc:  # isolation rule: never abort the report
+                note = str(exc)
+                flags.append(next(flag for kind, flag in _ERROR_FLAGS if isinstance(exc, kind)))
+            else:
+                if (isinstance(value, tuple) and len(value) == 2
+                        and isinstance(value[1], (list, tuple))):
+                    value, more = value
+                    flags.extend(more)
+                value = _sanitize(value, flags)
         entry = {
             "value": value,
             "unit": unit,
@@ -134,15 +134,6 @@ class _ReportBuilder:
         if note:
             entry["note"] = note
         self.measurements[name] = entry
-
-    def skip(self, name, unit, params, reason, provenance="self-contained"):
-        self.measurements[name] = {
-            "value": None,
-            "unit": unit,
-            "params": params,
-            "flags": [f"skipped:{reason}"],
-            "provenance": provenance,
-        }
 
 
 def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> None:
@@ -196,16 +187,13 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
         )
 
     gaps = tendency.timestamp_gaps(corpus)
-    if len(gaps) >= 2:
-        b.add(
-            "burstiness_timestamp",
-            "dimensionless",
-            {"gap_source": "timestamps"},
-            lambda: tendency.burstiness(gaps),
-        )
-    else:
-        b.skip("burstiness_timestamp", "dimensionless", {"gap_source": "timestamps"},
-               "needs-at-least-3-timestamped-records")
+    b.add(
+        "burstiness_timestamp",
+        "dimensionless",
+        {"gap_source": "timestamps"},
+        lambda: tendency.burstiness(gaps),
+        skip=None if len(gaps) >= 2 else "needs-at-least-3-timestamped-records",
+    )
 
     token = cfg["burstiness_token"]
     if token:
@@ -244,12 +232,7 @@ def _add_diversity(b, corpus, cfg, tok, emb, emb_source):
         b.add(f"subset_diversity_{attribute}", "nats", {"attribute": attribute}, _subset)
 
     emb_params = {"embedding_source": emb_source}
-    if emb is None:
-        b.skip("vendi_score", "effective-items", dict(emb_params, similarity="cosine"),
-               "no-embeddings", provenance="external-model")
-        b.skip("embedding_dispersion", "distance", emb_params,
-               "no-embeddings", provenance="external-model")
-        return
+    no_emb = "no-embeddings" if emb is None else None
 
     def _vendi():
         if emb.n > cfg["vendi_cap"]:
@@ -260,9 +243,9 @@ def _add_diversity(b, corpus, cfg, tok, emb, emb_source):
         return diversity.vendi_score(diversity.kernel_from_embeddings(emb))
 
     b.add("vendi_score", "effective-items", dict(emb_params, similarity="cosine"),
-          _vendi, provenance="external-model")
+          _vendi, provenance="external-model", skip=no_emb)
     b.add("embedding_dispersion", "distance", emb_params,
-          lambda: diversity.embedding_dispersion(emb), provenance="external-model")
+          lambda: diversity.embedding_dispersion(emb), provenance="external-model", skip=no_emb)
 
 
 def _add_density(b, cfg, emb, emb_source):
@@ -272,12 +255,7 @@ def _add_density(b, cfg, emb, emb_source):
         "embedding_source": emb_source,
     }
     dd_params = {"volume_mode": cfg["volume_mode"], "embedding_source": emb_source}
-    if emb is None:
-        b.skip("knn_density", "similarity", knn_params, "no-embeddings",
-               provenance="external-model")
-        b.skip("data_density", "points/volume", dd_params, "no-embeddings",
-               provenance="external-model")
-        return
+    no_emb = "no-embeddings" if emb is None else None
 
     def _knn():
         k = min(cfg["knn_k"], emb.n - 1)
@@ -287,7 +265,7 @@ def _add_density(b, cfg, emb, emb_source):
                 "per_point_max": max(rep.per_point_density),
                 "k_used": k}
 
-    b.add("knn_density", "similarity", knn_params, _knn, provenance="external-model")
+    b.add("knn_density", "similarity", knn_params, _knn, provenance="external-model", skip=no_emb)
 
     def _dd():
         res = density.data_density(emb, cfg["volume_mode"])
@@ -297,14 +275,15 @@ def _add_density(b, cfg, emb, emb_source):
             res.flags,
         )
 
-    b.add("data_density", "points/volume", dd_params, _dd, provenance="external-model")
+    b.add("data_density", "points/volume", dd_params, _dd, provenance="external-model",
+          skip=no_emb)
 
 
 def _add_quality(b, corpus, cfg):
     reports = {}
     for norm in quality.NORMALIZATIONS:
         def _dups(norm=norm):
-            rep = quality.find_duplicates(corpus, norm, cfg["dedup_top_cap"])
+            rep = quality.find_duplicates(corpus, norm)
             reports[norm] = rep
             return {
                 "n_records": rep.n_records,
@@ -338,6 +317,19 @@ def _add_quality(b, corpus, cfg):
     )
 
 
+def select_metrics(metric_selection) -> list[str]:
+    """The selected metric families, each once, in order; none or an unknown one is an error."""
+    selection = list(dict.fromkeys(metric_selection))
+    if not selection:
+        raise ValueError("metric selection is empty")
+    unknown = [m for m in selection if m not in METRIC_FAMILIES]
+    if unknown:
+        raise ValueError(
+            f"unknown metric families {unknown}; valid names: {', '.join(METRIC_FAMILIES)}"
+        )
+    return selection
+
+
 def assemble_report(
     corpus: Corpus,
     metric_selection,
@@ -353,14 +345,7 @@ def assemble_report(
     Embedding-derived entries are tagged provenance "external-model" and
     skipped (with reason) when no embeddings are supplied.
     """
-    selection = list(dict.fromkeys(metric_selection))
-    if not selection:
-        raise ValueError("metric selection is empty")
-    unknown = [m for m in selection if m not in METRIC_FAMILIES]
-    if unknown:
-        raise ValueError(
-            f"unknown metric families {unknown}; valid names: {', '.join(METRIC_FAMILIES)}"
-        )
+    selection = select_metrics(metric_selection)
     cfg = dict(DEFAULT_CONFIG)
     if config:
         bad = [k for k in config if k not in DEFAULT_CONFIG]

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .corpus import Corpus, FrequencyTable
 from .errors import UndefinedValueError
@@ -160,6 +159,8 @@ def _mle_alpha(counts: np.ndarray) -> tuple[float, bool]:
     decreases monotonically in alpha, so it has a unique root, bracketed on
     [floor, ceil] with boundary clamping.
     """
+    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
+
     ranks = np.arange(1, counts.size + 1, dtype=np.float64)
     log_ranks = np.log(ranks)
     target = float(np.dot(counts, log_ranks) / counts.sum())

@@ -83,29 +83,31 @@ def load_embeddings(source) -> EmbeddingMatrix:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    lines = [ln for ln in lines if ln.strip()]
+    # Number the file lines before dropping blank ones, so errors name file lines.
+    lines = [(i, ln) for i, ln in enumerate(lines, start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty embedding file")
-    header = lines[0].split()
+    header_line = lines[0][1]
+    header = header_line.split()
     if len(header) != 2:
-        raise ValueError(f"header must be 'n d', got {lines[0]!r}")
+        raise ValueError(f"header must be 'n d', got {header_line!r}")
     try:
         n, d = int(header[0]), int(header[1])
     except ValueError:
-        raise ValueError(f"header must be two integers, got {lines[0]!r}") from None
+        raise ValueError(f"header must be two integers, got {header_line!r}") from None
     if n < 0 or d < 1:
         raise ValueError(f"invalid header n={n} d={d}")
     if len(lines) - 1 != n:
         raise ValueError(f"header declares {n} rows, found {len(lines) - 1}")
     labels = []
     matrix = np.empty((n, d), dtype=np.float64)
-    for i, line in enumerate(lines[1:], start=2):
+    for row, (i, line) in enumerate(lines[1:]):
         parts = line.split()
         if len(parts) != d + 1:
             raise ValueError(f"line {i}: expected label + {d} values, got {len(parts)} fields")
         labels.append(parts[0])
         try:
-            matrix[i - 2] = [float(x) for x in parts[1:]]
+            matrix[row] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from None
     return EmbeddingMatrix(labels, matrix)

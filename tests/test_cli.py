@@ -97,6 +97,19 @@ class TestMeasure:
         assert "tendency, diversity, density, quality" in err
         assert not out.exists()
 
+    def test_empty_metric_selection_fails_before_reading_input(self, tmp_path, capsys):
+        code = main(["measure", "--input", str(tmp_path / "does-not-exist.jsonl"),
+                     "--metrics", " , ", "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert "metric selection is empty" in capsys.readouterr().err
+
+    def test_removed_dedup_top_cap_key_fatal(self, corpus_path, tmp_path, capsys):
+        ini = tmp_path / "old.ini"
+        ini.write_text("[measure]\ndedup_top_cap = 3\n", encoding="utf-8")
+        assert main(["measure", "--input", corpus_path, "--config", str(ini),
+                     "--out", str(tmp_path / "rep.json")]) == 1
+        assert "unknown [measure] config key 'dedup_top_cap'" in capsys.readouterr().err
+
     def test_unreadable_input_is_fatal(self, tmp_path, capsys):
         code = main(["measure", "--input", str(tmp_path / "nope.jsonl")])
         assert code == 1
@@ -308,6 +321,18 @@ class TestAssoc:
         # width-2 windows only pair adjacent tokens
         assert {c["term"] for c in payload["targets"][0]["co_terms"]} == {"brown", "jumps"}
 
+    def test_unknown_config_key_fatal(self, corpus_path, tmp_path, capsys):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("fox\n", encoding="utf-8")
+        ini = tmp_path / "a.ini"
+        ini.write_text("[assoc]\ntop_k = 1\n", encoding="utf-8")
+        out = tmp_path / "assoc.json"
+        code = main(["assoc", "--input", corpus_path, "--targets", str(targets),
+                     "--config", str(ini), "--out", str(out)])
+        assert code == 1
+        assert "unknown [assoc] config key 'top_k'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_multiword_targets_pass_through_tokenizer(self, corpus_path, tmp_path, capsys):
         targets = tmp_path / "targets.txt"
         targets.write_text("FOX\n", encoding="utf-8")
@@ -339,6 +364,24 @@ class TestDedup:
         assert code == 0
         assert "distinct: 1" in capsys.readouterr().out
 
+    def test_unknown_config_key_fatal(self, corpus_path, tmp_path, capsys):
+        ini = tmp_path / "d.ini"
+        ini.write_text("[dedup]\nnormalisation = fold-and-collapse\n", encoding="utf-8")
+        assert main(["dedup", "--input", corpus_path, "--config", str(ini)]) == 1
+        assert "unknown [dedup] config key 'normalisation'" in capsys.readouterr().err
+
+    def test_default_section_keys_only_apply_where_known(self, tmp_path, capsys):
+        p = tmp_path / "c.jsonl"
+        rows = [{"id": "1", "text": "Hello  World"}, {"id": "2", "text": "hello world"}]
+        p.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+        ini = tmp_path / "d.ini"
+        ini.write_text("[DEFAULT]\nnormalization = fold-and-collapse\n\n"
+                       "[measure]\nmetrics = quality\n\n[dedup]\n", encoding="utf-8")
+        out = tmp_path / "rep.json"
+        assert main(["measure", "--input", str(p), "--config", str(ini), "--out", str(out)]) == 0
+        assert main(["dedup", "--input", str(p), "--config", str(ini)]) == 0
+        assert "distinct: 1" in capsys.readouterr().out
+
     def test_bad_normalization_fatal(self, corpus_path, tmp_path, capsys):
         ini = tmp_path / "d.ini"
         ini.write_text("[dedup]\nnormalization = soundex\n", encoding="utf-8")
@@ -357,9 +400,11 @@ class TestParser:
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes most of a second to import; only spearman needs it.
+    # scipy.stats and scipy.optimize take most of a second to import; only
+    # spearman, the Zipf MLE and the exact EMD solve need them.
     env = dict(os.environ, PYTHONPATH=str(Path(dmeter.__file__).parents[1]))
-    code = "import sys, dmeter.cli; print('scipy.stats' in sys.modules)"
+    modules = ("scipy.stats", "scipy.optimize", "scipy.sparse")
+    code = f"import sys, dmeter.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

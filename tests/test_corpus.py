@@ -160,6 +160,18 @@ class TestIngestJsonl:
         assert [e.line for e in corpus.ingest_errors] == [2, 3]
         assert "must be an integer" in corpus.ingest_errors[0].reason
 
+    @pytest.mark.parametrize("line", [
+        '{"text": "x \\ud800 y"}',
+        '{"id": "a\\udc00", "text": "x"}',
+        '{"text": "x", "attributes": {"lang": "e\\udfffn"}}',
+        '{"text": "x", "attributes": {"l\\ud801": "en"}}',
+    ], ids=["text", "id", "attribute-value", "attribute-key"])
+    def test_escaped_lone_surrogate_skipped_and_named(self, line):
+        rows = ['{"id": "a", "text": "ok"}', line, '{"id": "c", "text": "fine"}']
+        corpus = ingest(io.StringIO("\n".join(rows) + "\n"))
+        assert [r.id for r in corpus.records] == ["a", "c"]
+        assert corpus.ingest_errors == (IngestError(2, "line is not valid UTF-8"),)
+
     def test_unreadable_source_fatal(self):
         with pytest.raises(OSError):
             ingest("/nonexistent/path/corpus.jsonl")
@@ -199,6 +211,14 @@ class TestIngestOtherFormats:
         corpus = ingest(str(path), format=fmt)
         assert [r.id for r in corpus.records] == kept
         assert corpus.ingest_errors == (IngestError(bad_line, "line is not valid UTF-8"),)
+
+    def test_csv_errors_and_default_ids_name_file_lines(self):
+        # A blank line and a quoted newline each take a file line of their own.
+        stream = io.StringIO('text,timestamp\nok,1\n\n"two\nlines",2\nbad,soon\n')
+        corpus = ingest(stream, format="csv")
+        assert [r.id for r in corpus.records] == ["2", "4"]
+        assert corpus.records[1].text == "two\nlines"
+        assert corpus.ingest_errors == (IngestError(6, "non-integer 'timestamp' value 'soon'"),)
 
     def test_csv_bad_timestamp_skipped(self):
         stream = io.StringIO("text,timestamp\nhello,soon\nbye,3\n")

@@ -45,6 +45,10 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError, match="line 3"):
             load_embeddings(io.StringIO("2 2\na 1 0\nb 0 1 7\n"))
 
+    def test_bad_row_after_blank_line_names_file_line(self):
+        with pytest.raises(ValueError, match="line 4: could not convert"):
+            load_embeddings(io.StringIO("2 2\n\na 1 2\nb x 3\n"))
+
     def test_duplicate_label_fatal(self):
         with pytest.raises(ValueError, match="duplicate label"):
             load_embeddings(io.StringIO("2 1\na 1\na 2\n"))
