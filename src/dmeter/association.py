@@ -153,7 +153,8 @@ def npmi(table: CooccurrenceTable, x: str, y: str, smoothing: float = 0.0) -> fl
         return -1.0
     if pxy >= 1.0:
         return 1.0
-    return math.log(pxy / (px * py)) / (-math.log(pxy))
+    # Capped: at p(x,y) = p(x) = p(y) rounding can land one ulp above 1.
+    return min(1.0, math.log(pxy / (px * py)) / (-math.log(pxy)))
 
 
 def top_npmi(

@@ -304,12 +304,13 @@ def _utf8_lines(stream, errors: list):
             yield line_no, line
 
 
-def _dedupe_id(rid: str, seen: set, line: int, errors: list) -> str | None:
+def _dedupe_id(rid: str, seen: set, line: int, errors: list) -> bool:
+    """Reserve rid for this line; False, with an error, when an earlier record holds it."""
     if rid in seen:
         errors.append(IngestError(line, f"duplicate record id {rid!r}"))
-        return None
+        return False
     seen.add(rid)
-    return rid
+    return True
 
 
 def _read_jsonl(stream, text_field, id_field, timestamp_field):
@@ -324,6 +325,10 @@ def _read_jsonl(stream, text_field, id_field, timestamp_field):
         except json.JSONDecodeError as exc:
             errors.append(IngestError(line_no, f"invalid JSON: {exc.msg}"))
             continue
+        except (ValueError, RecursionError):
+            # An integer past int's digit limit, or nesting past the recursion limit.
+            errors.append(IngestError(line_no, "invalid JSON: number or nesting too large"))
+            continue
         if not isinstance(obj, dict):
             errors.append(IngestError(line_no, "record is not a JSON object"))
             continue
@@ -333,9 +338,6 @@ def _read_jsonl(stream, text_field, id_field, timestamp_field):
             continue
         rid = obj.get(id_field)
         rid = str(rid) if rid is not None else str(line_no)
-        rid = _dedupe_id(rid, seen, line_no, errors)
-        if rid is None:
-            continue
         attrs = obj.get("attributes")
         if attrs is not None:
             if not isinstance(attrs, dict) or not all(
@@ -351,7 +353,9 @@ def _read_jsonl(stream, text_field, id_field, timestamp_field):
         if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)):
             errors.append(IngestError(line_no, f"{timestamp_field!r} must be an integer"))
             continue
-        records.append(Record(id=rid, text=text, attributes=attrs, timestamp=ts))
+        # Reserve the id last, so a rejected line does not shadow a later valid one.
+        if _dedupe_id(rid, seen, line_no, errors):
+            records.append(Record(id=rid, text=text, attributes=attrs, timestamp=ts))
     return records, errors
 
 
@@ -364,6 +368,22 @@ def _read_plaintext(stream):
     return records, errors
 
 
+def _csv_rows(reader, errors: list):
+    """Yield (file line where the record starts, fields); a record the csv
+    module rejects, such as a field over its size limit, goes to errors."""
+    while True:
+        # reader.line_num counts file lines read, so a record starts one past the last.
+        line_no = reader.line_num + 1
+        try:
+            fields = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            errors.append(IngestError(line_no, f"malformed CSV record: {exc}"))
+            continue
+        yield line_no, fields
+
+
 def _read_csv(stream, text_field, id_field, timestamp_field):
     records: list[Record] = []
     errors: list[IngestError] = []
@@ -374,10 +394,7 @@ def _read_csv(stream, text_field, id_field, timestamp_field):
         return records, errors
     if text_field not in header:
         raise ValueError(f"csv has no {text_field!r} column (columns: {header})")
-    # reader.line_num counts file lines read, so a record starts one past the last.
-    next_line = reader.line_num + 1
-    for fields in reader:
-        line_no, next_line = next_line, reader.line_num + 1
+    for line_no, fields in _csv_rows(reader, errors):
         if not fields:  # a blank line
             continue
         if any(map(_NOT_UTF8.search, fields)):
@@ -389,9 +406,6 @@ def _read_csv(stream, text_field, id_field, timestamp_field):
             errors.append(IngestError(line_no, f"missing {text_field!r} value"))
             continue
         rid = row.get(id_field) or str(line_no)
-        rid = _dedupe_id(rid, seen, line_no, errors)
-        if rid is None:
-            continue
         ts = None
         raw_ts = row.get(timestamp_field)
         if raw_ts not in (None, ""):
@@ -400,5 +414,6 @@ def _read_csv(stream, text_field, id_field, timestamp_field):
             except ValueError:
                 errors.append(IngestError(line_no, f"non-integer {timestamp_field!r} value {raw_ts!r}"))
                 continue
-        records.append(Record(id=rid, text=text, timestamp=ts))
+        if _dedupe_id(rid, seen, line_no, errors):
+            records.append(Record(id=rid, text=text, timestamp=ts))
     return records, errors

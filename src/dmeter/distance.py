@@ -121,7 +121,8 @@ def kl_divergence(p: Distribution, q: Distribution, smoothing: float = 1e-9) -> 
         if q_mass == 0.0:
             return math.inf
         terms.append(p_i * math.log(p_i * q_total / q_mass))
-    return math.fsum(terms)
+    # KL >= 0 (Gibbs' inequality); a negative sum, as for p = q, is rounding.
+    return max(0.0, math.fsum(terms))
 
 
 def emd_1d(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -1,7 +1,8 @@
 """Diversity indices over frequency tables, labeled subsets, and embeddings.
 
 Gini and Shannon indices over any FrequencyTable, the Vendi score (effective
-number of distinct items from a similarity kernel's eigenvalue spectrum),
+number of distinct items from a similarity kernel's eigenvalue spectrum, or
+from the Gram of an embedding's unit rows),
 distinct-n lexical diversity, embedding dispersion around the centroid, and
 categorical subset diversity over record attributes.
 """
@@ -84,18 +85,31 @@ def shannon_entropy(ft: FrequencyTable) -> float:
     return -math.fsum((c / total) * math.log(c / total) for c in ft.entries.values())
 
 
-def vendi_score(kernel: SimilarityKernel | np.ndarray) -> float:
+def vendi_score(kernel: SimilarityKernel | EmbeddingMatrix | np.ndarray) -> float:
     """Effective number of distinct items: exp of the Shannon entropy of the
     eigenvalues of kernel/n.
 
     1.0 when all items are identical, n when all are mutually orthogonal.
     The kernel must be positive semidefinite within tolerance; eigenvalues of
     kernel/n below -1e-8 are an error, tiny ones are clamped to zero.
+
+    An EmbeddingMatrix stands for the cosine kernel U Uᵀ of its unit rows U.
+    Its non-zero eigenvalues are those of the Gram UᵀU, so the smaller of the
+    two (d x d when n > d) is decomposed: O(n·d²) time and O(n·d) memory, and
+    no n x n kernel is formed (Friedman & Dieng, The Vendi Score, 2022).
     """
-    if not isinstance(kernel, SimilarityKernel):
-        kernel = SimilarityKernel(kernel)
-    n = kernel.n
-    lam = np.linalg.eigvalsh(kernel.matrix) / n
+    if isinstance(kernel, EmbeddingMatrix):
+        n = kernel.n
+        if n < 1:
+            raise ValueError("kernel must be at least 1x1")
+        unit = unit_rows(kernel)
+        gram = unit.T @ unit if n > kernel.dim else unit @ unit.T
+    else:
+        if not isinstance(kernel, SimilarityKernel):
+            kernel = SimilarityKernel(kernel)
+        n = kernel.n
+        gram = kernel.matrix
+    lam = np.linalg.eigvalsh(gram) / n
     if lam[0] < -_PSD_TOL:
         raise KernelInvalidError(
             f"kernel is not positive semidefinite: eigenvalue {lam[0] * n:.3e} "

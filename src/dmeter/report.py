@@ -240,7 +240,7 @@ def _add_diversity(b, corpus, cfg, tok, emb, emb_source):
                 f"{emb.n} rows exceed the eigen-decomposition cap of {cfg['vendi_cap']}; "
                 "sample the embeddings first"
             )
-        return diversity.vendi_score(diversity.kernel_from_embeddings(emb))
+        return diversity.vendi_score(emb)
 
     b.add("vendi_score", "effective-items", dict(emb_params, similarity="cosine"),
           _vendi, provenance="external-model", skip=no_emb)

@@ -135,6 +135,23 @@ class TestIngestJsonl:
         assert len(corpus.ingest_errors) == 1
         assert "duplicate" in corpus.ingest_errors[0].reason
 
+    def test_rejected_line_does_not_reserve_its_id(self):
+        stream = io.StringIO(
+            '{"id": "a", "text": "x", "timestamp": "soon"}\n'
+            '{"id": "a", "text": "y", "timestamp": 3}\n'
+        )
+        corpus = ingest(stream)
+        assert [(r.id, r.text) for r in corpus.records] == [("a", "y")]
+        assert corpus.ingest_errors == (IngestError(1, "'timestamp' must be an integer"),)
+
+    @pytest.mark.parametrize("line", ['{"text": "x", "id": ' + "1" * 5000 + "}", "[" * 100_000],
+                             ids=["integer-too-long", "nesting-too-deep"])
+    def test_unparseable_json_skipped_and_named(self, line):
+        corpus = ingest(io.StringIO(line + '\n{"id": "b", "text": "fine"}\n'))
+        assert [r.id for r in corpus.records] == ["b"]
+        assert corpus.ingest_errors == (
+            IngestError(1, "invalid JSON: number or nesting too large"),)
+
     def test_attributes_and_timestamp_parsed(self):
         stream = io.StringIO(
             '{"id": "r1", "text": "a", "attributes": {"lang": "en"}, "timestamp": 99}\n'
@@ -219,6 +236,23 @@ class TestIngestOtherFormats:
         assert [r.id for r in corpus.records] == ["2", "4"]
         assert corpus.records[1].text == "two\nlines"
         assert corpus.ingest_errors == (IngestError(6, "non-integer 'timestamp' value 'soon'"),)
+
+    def test_csv_rejected_row_does_not_reserve_its_id(self):
+        stream = io.StringIO("id,text,timestamp\na,x,soon\na,y,3\n")
+        corpus = ingest(stream, format="csv")
+        assert [(r.id, r.text) for r in corpus.records] == [("a", "y")]
+        assert corpus.ingest_errors == (IngestError(2, "non-integer 'timestamp' value 'soon'"),)
+
+    @pytest.mark.parametrize("text, newline", [
+        ('text\n"' + "x" * 200_000 + '"\nok\n', ""),
+        # A caller's stream that does not split lines at a lone carriage return.
+        ("text\na\rb\nok\n", "\n"),
+    ], ids=["field-over-size-limit", "carriage-return-in-unquoted-field"])
+    def test_csv_record_the_csv_module_rejects_skipped_and_named(self, text, newline):
+        corpus = ingest(io.StringIO(text, newline=newline), format="csv")
+        assert [r.id for r in corpus.records] == ["3"]
+        assert [e.line for e in corpus.ingest_errors] == [2]
+        assert corpus.ingest_errors[0].reason.startswith("malformed CSV record: ")
 
     def test_csv_bad_timestamp_skipped(self):
         stream = io.StringIO("text,timestamp\nhello,soon\nbye,3\n")

@@ -1,9 +1,12 @@
 """Diversity indices: Gini, Shannon, Vendi, distinct-n, dispersion, subsets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmeter.corpus import Corpus, FrequencyTable, Record
 from dmeter.diversity import (
@@ -158,6 +161,63 @@ class TestVendiScore:
     def test_accepts_wrapped_kernel(self):
         k = SimilarityKernel(np.eye(3))
         assert vendi_score(k) == pytest.approx(3.0, abs=1e-9)
+
+
+@st.composite
+def embeddings_with_structure(draw):
+    """n in [1, 40] rows of dimension d in [1, 12]: small-integer combinations
+    of a few basis rows (rank deficient), drawn with repeats from a pool
+    (duplicate rows), sometimes with one row zeroed."""
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    rank, pool_size = draw(st.integers(1, d)), draw(st.integers(1, n))
+    small = st.integers(-3, 3)
+    basis = draw(st.lists(st.lists(small, min_size=d, max_size=d), min_size=rank, max_size=rank))
+    weights = draw(st.lists(st.lists(small, min_size=rank, max_size=rank),
+                            min_size=pool_size, max_size=pool_size))
+    pool = np.array(weights, dtype=np.float64) @ np.array(basis, dtype=np.float64)
+    matrix = pool[draw(st.lists(st.integers(0, pool_size - 1), min_size=n, max_size=n))]
+    zero_row = draw(st.none() | st.integers(0, n - 1))
+    if zero_row is not None:
+        matrix[zero_row] = 0.0
+    return EmbeddingMatrix([f"r{i}" for i in range(n)], matrix)
+
+
+class TestVendiScoreOverEmbeddings:
+    """The Gram route over unit rows against the n x n cosine kernel it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(emb=embeddings_with_structure())
+    def test_matches_cosine_kernel_route(self, emb):
+        if np.any(np.linalg.norm(emb.matrix, axis=1) == 0.0):
+            with pytest.raises(UndefinedValueError) as via_kernel:
+                vendi_score(kernel_from_embeddings(emb))
+            with pytest.raises(UndefinedValueError) as via_gram:
+                vendi_score(emb)
+            assert str(via_gram.value) == str(via_kernel.value)
+            return
+        got = vendi_score(emb)
+        assert got == pytest.approx(vendi_score(kernel_from_embeddings(emb)), rel=1e-9)
+        assert 1.0 - 1e-9 <= got <= emb.n + 1e-9
+
+    def test_empty_matrix_is_an_argument_error_on_both_routes(self):
+        emb = EmbeddingMatrix([], np.empty((0, 3)))
+        with pytest.raises(ValueError, match="at least 1x1"):
+            vendi_score(kernel_from_embeddings(emb))
+        with pytest.raises(ValueError, match="at least 1x1"):
+            vendi_score(emb)
+
+    def test_memory_stays_linear_in_n(self):
+        # An n x n float64 kernel at n=20,000 would need 3.2 GB.
+        rng = np.random.default_rng(5)
+        emb = EmbeddingMatrix([f"r{i}" for i in range(20_000)], rng.standard_normal((20_000, 8)))
+        tracemalloc.start()
+        try:
+            got = vendi_score(emb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert 1.0 <= got <= 8.0 + 1e-9
 
 
 class TestNgramDiversity:

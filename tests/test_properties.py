@@ -1,11 +1,20 @@
-"""Property tests for the report format: the canonical-JSON writer, the
-non-finite encoding and the blocking-flag rule that decides comparability."""
+"""Property tests for the report format (the canonical-JSON writer, the
+non-finite encoding and the blocking-flag rule that decides comparability),
+for the bounds of association and distance measures, and for ingest on
+arbitrary bytes."""
 
+import json
 import math
+import os
+import tempfile
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dmeter.association import build_cooccurrence, npmi, top_npmi
+from dmeter.corpus import FORMATS, Corpus, IngestError, Record, ingest
+from dmeter.distance import Distribution, emd_discrete, kl_divergence
 from dmeter.report import (
     SCHEMA_VERSION,
     MeasurementReport,
@@ -116,3 +125,84 @@ def test_self_compare_is_zero_except_blocked_entries(entries):
 def test_blocking_rule_on_known_flags():
     assert all(is_blocking(f) for f in BLOCKING)
     assert not any(is_blocking(f) for f in INFORMATIONAL)
+
+
+# --- association and distance bounds ---------------------------------------------
+
+words = st.lists(st.sampled_from("abcdef"), max_size=6)
+smoothing = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
+
+
+@settings(deadline=None)
+@given(st.lists(words, min_size=1, max_size=12), smoothing,
+       st.sampled_from(["document", "window"]), st.integers(1, 4))
+@example([[], ["a", "b"], ["a", "b"]], 0.5, "document", 1)  # 1 + 2**-52 without the cap
+def test_npmi_and_top_npmi_lie_in_unit_interval(docs, alpha, mode, window):
+    corpus = Corpus([Record(id=str(i), text=" ".join(d)) for i, d in enumerate(docs)])
+    table = build_cooccurrence(corpus, context_mode=mode, window_size=window)
+    terms = sorted(table.term_counts)
+    for i, x in enumerate(terms):
+        for y in terms[i + 1:]:
+            assert -1.0 <= npmi(table, x, y, alpha) <= 1.0
+        assert all(-1.0 <= score <= 1.0 for _, score, _ in top_npmi(table, x, 10, alpha))
+
+
+@st.composite
+def distributions(draw, support=st.sampled_from("abcdefgh")):
+    items = draw(st.lists(support, min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(0, 20), min_size=len(items), max_size=len(items)))
+    if not any(weights):
+        weights[0] = 1
+    return Distribution.from_counts(dict(zip(items, weights)))
+
+
+@settings(deadline=None)
+@given(distributions(), distributions(), st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, 1.0]))
+def test_kl_divergence_is_non_negative(p, q, alpha):
+    assert kl_divergence(p, q, alpha) >= 0.0
+    assert kl_divergence(p, p, alpha) >= 0.0
+
+
+@settings(deadline=None)
+@given(distributions(st.integers(-5, 5)), distributions(st.integers(-5, 5)),
+       st.sampled_from([lambda a, b: abs(a - b), lambda a, b: (a - b) ** 2,
+                        lambda a, b: float(a != b)]))
+def test_emd_discrete_is_symmetric_under_a_symmetric_cost(p, q, cost):
+    # Equal up to rounding: HiGHS sums the objective in an order that depends
+    # on which side is the rows, and test_distance pins emd_discrete to that
+    # objective bit for bit, so the last bits may differ.
+    assert emd_discrete(p, q, cost) == pytest.approx(emd_discrete(q, p, cost),
+                                                     rel=1e-12, abs=1e-15)
+
+
+# --- ingest on arbitrary bytes ------------------------------------------------------
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+json_line = st.fixed_dictionaries(
+    {}, optional={"id": json_value, "text": json_value, "timestamp": json_value,
+                  "attributes": json_value},
+).map(lambda obj: json.dumps(obj).encode("ascii"))
+any_line = st.one_of(st.binary(max_size=60), json_line,
+                     st.sampled_from([b"", b'"', b'"a,b', b"a,1", b'{"text": "t", "id": "1"}']))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(FORMATS), st.lists(any_line, max_size=8),
+       st.sampled_from([b"\n", b"\r\n", b"\r"]))
+def test_ingest_never_raises_on_arbitrary_line_bytes(fmt, lines, newline):
+    header = b"id,text,timestamp" + newline if fmt == "csv" else b""
+    data = header + newline.join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        corpus = ingest(path, format=fmt)
+    n_lines = len(data.splitlines())
+    assert all(isinstance(e, IngestError) and 1 <= e.line <= n_lines
+               for e in corpus.ingest_errors)
+    assert corpus.n_records + len(corpus.ingest_errors) <= n_lines
