@@ -384,12 +384,18 @@ def _csv_rows(reader, errors: list):
         yield line_no, fields
 
 
+_CSV_INTEGER = re.compile("[+-]?[0-9]+")
+
+
 def _read_csv(stream, text_field, id_field, timestamp_field):
     records: list[Record] = []
     errors: list[IngestError] = []
     seen: set[str] = set()
     reader = csv.reader(stream)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV header: {exc}") from None
     if header is None:
         return records, errors
     if text_field not in header:
@@ -409,8 +415,12 @@ def _read_csv(stream, text_field, id_field, timestamp_field):
         ts = None
         raw_ts = row.get(timestamp_field)
         if raw_ts not in (None, ""):
+            # An optional sign and ASCII digits only, as JSONL takes only JSON
+            # integers: int() alone would also take "1_000", " 7 " and "٣".
             try:
-                ts = int(raw_ts)
+                if not _CSV_INTEGER.fullmatch(raw_ts):
+                    raise ValueError(raw_ts)
+                ts = int(raw_ts)  # raises past the interpreter's digit limit
             except ValueError:
                 errors.append(IngestError(line_no, f"non-integer {timestamp_field!r} value {raw_ts!r}"))
                 continue

@@ -14,9 +14,12 @@ from typing import Callable, Hashable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import UndefinedValueError
-from .vectors import EmbeddingMatrix, euclidean, cosine_distance
+# euclidean and cosine_distance stay importable from here: bench/layers.py
+# counts ground-cost calls through these names.
+from .vectors import EmbeddingMatrix, euclidean, cosine_distance  # noqa: F401
 
 EMD_SUPPORT_CAP = 2000
+_CHUNK_CELLS = 4_000_000  # floats of row differences held at once in WMD's euclidean costs
 
 
 class Distribution:
@@ -73,23 +76,39 @@ class Distribution:
 def levenshtein(a: Sequence, b: Sequence) -> int:
     """Minimum insertions + deletions + substitutions converting a to b.
 
-    Accepts strings or any item sequences (tokens).
+    Accepts strings or any item sequences (tokens).  Items are matched by hash
+    and equality, so they must be hashable.  Myers' bit-vector algorithm (JACM
+    1999) as Hyyrö (2001) explains it: the DP column over the shorter sequence
+    is held as two bit vectors of its +1 and -1 vertical steps, one bit per
+    item, and a Python int is a bit vector of any width.
     """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
+    m = len(b)
+    if not m:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(
-                prev[j] + 1,          # delete from a
-                cur[j - 1] + 1,       # insert into a
-                prev[j - 1] + (ca != cb),
-            ))
-        prev = cur
-    return prev[-1]
+    peq: dict = {}  # item -> bit j set where b[j] == item
+    for j, item in enumerate(b):
+        peq[item] = peq.get(item, 0) | (1 << j)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for item in a:
+        eq = peq.get(item, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & mask)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # The carried-in 1: row 0 of the DP rises by one per item of a.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def kl_divergence(p: Distribution, q: Distribution, smoothing: float = 1e-9) -> float:
@@ -139,17 +158,7 @@ def emd_1d(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.mean(np.abs(xs_sorted - ys_sorted)))
 
 
-def emd_discrete(p: Distribution, q: Distribution, cost: Callable[[Hashable, Hashable], float]) -> float:
-    """Exact minimum-cost flow moving distribution p onto distribution q.
-
-    Minimizes sum f_ij * cost(p_i, q_j) over flows f >= 0 whose row sums are
-    p and column sums are q.  Solved as a linear program; supports are capped
-    at EMD_SUPPORT_CAP points each because the solve is exact, not approximate.
-    """
-    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
-    from scipy.sparse import coo_matrix  # deferred along with it
-
-    n, m = len(p), len(q)
+def _check_support_sizes(n: int, m: int) -> None:
     if n == 0 or m == 0:
         raise ValueError("distributions must have non-empty support")
     if n > EMD_SUPPORT_CAP or m > EMD_SUPPORT_CAP:
@@ -158,13 +167,40 @@ def emd_discrete(p: Distribution, q: Distribution, cost: Callable[[Hashable, Has
             "sample or aggregate the distributions first"
         )
 
-    c = np.empty(n * m, dtype=np.float64)
-    for i, pi in enumerate(p.support):
-        for j, qj in enumerate(q.support):
-            cij = float(cost(pi, qj))
-            if not math.isfinite(cij) or cij < 0:
-                raise ValueError(f"cost({pi!r}, {qj!r}) = {cij}; must be finite and non-negative")
-            c[i * m + j] = cij
+
+def emd_discrete(
+    p: Distribution,
+    q: Distribution,
+    cost: Callable[[Hashable, Hashable], float] | np.ndarray,
+) -> float:
+    """Exact minimum-cost flow moving distribution p onto distribution q.
+
+    Minimizes sum f_ij * cost_ij over flows f >= 0 whose row sums are p and
+    column sums are q.  cost is either a callable cost(p_item, q_item), which
+    fills the n×m cost array once, or that array itself, with [i, j] the cost
+    from p.support[i] to q.support[j].  Every cost must be finite and
+    non-negative.  Solved as a linear program; supports are capped at
+    EMD_SUPPORT_CAP points each because the solve is exact, not approximate.
+    """
+    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
+    from scipy.sparse import coo_matrix  # deferred along with it
+
+    n, m = len(p), len(q)
+    _check_support_sizes(n, m)
+    if callable(cost):
+        c = np.array([[float(cost(x, y)) for y in q.support] for x in p.support])
+    else:
+        c = np.asarray(cost, dtype=np.float64)
+        if c.shape != (n, m):
+            raise ValueError(f"cost array has shape {c.shape}; expected {(n, m)}")
+    bad = np.flatnonzero(~(np.isfinite(c) & (c >= 0)))
+    if bad.size:
+        i, j = divmod(int(bad[0]), m)
+        raise ValueError(
+            f"cost({p.support[i]!r}, {q.support[j]!r}) = {float(c[i, j])}; "
+            "must be finite and non-negative"
+        )
+    c = c.ravel()
 
     # Equality constraints: row sums = p (n rows), column sums = q (m rows).
     # Drop the final (redundant) column constraint to keep the system full rank.
@@ -203,7 +239,6 @@ def word_movers_distance(
     """
     if ground_cost not in ("euclidean", "cosine"):
         raise ValueError(f"unknown ground cost {ground_cost!r}")
-    dist_fn = euclidean if ground_cost == "euclidean" else cosine_distance
 
     def bag(doc):
         kept = Counter()
@@ -225,5 +260,41 @@ def word_movers_distance(
     q = Distribution.from_counts(bag_b)
     if bag_a == bag_b:
         return WmdResult(0.0, dropped_a, dropped_b)
-    distance = emd_discrete(p, q, lambda x, y: dist_fn(emb.vector(x), emb.vector(y)))
-    return WmdResult(distance, dropped_a, dropped_b)
+    _check_support_sizes(len(p), len(q))  # before the costs, which take time past the cap
+    rows_a = np.array([emb.vector(tok) for tok in p.support])
+    rows_b = np.array([emb.vector(tok) for tok in q.support])
+    if ground_cost == "euclidean":
+        costs = _euclidean_costs(rows_a, rows_b)
+    else:
+        costs = _cosine_costs(rows_a, rows_b)
+    return WmdResult(emd_discrete(p, q, costs), dropped_a, dropped_b)
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum over k of x[..., k] * y[..., k], broadcast over the leading axes.
+
+    Each entry is one BLAS dot, as u @ v and np.linalg.norm take in vectors,
+    so the bits match theirs; A @ B.T and einsum sum in other orders."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _euclidean_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """euclidean(a[i], b[j]) for every row pair, as an n×m array, with the
+    row differences formed a block of rows at a time."""
+    costs = np.empty((len(a), len(b)))
+    step = max(1, _CHUNK_CELLS // b.size)
+    for start in range(0, len(a), step):
+        diff = a[start:start + step, None] - b[None]
+        costs[start:start + step] = np.sqrt(_dots(diff, diff))
+    return costs
+
+
+def _cosine_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """cosine_distance(a[i], b[j]) for every row pair, as an n×m array."""
+    norms_a, norms_b = np.sqrt(_dots(a, a)), np.sqrt(_dots(b, b))
+    if (norms_a == 0.0).any() or (norms_b == 0.0).any():
+        raise UndefinedValueError("cosine similarity undefined for zero-norm vector")
+    sim = _dots(a[:, None], b[None]) / (norms_a[:, None] * norms_b[None])
+    # min(1, max(-1, sim)) as cosine_similarity clamps it (a NaN becomes -1 there too).
+    sim = np.where(sim > -1.0, sim, -1.0)
+    return 1.0 - np.where(sim < 1.0, sim, 1.0)

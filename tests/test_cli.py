@@ -115,6 +115,15 @@ class TestMeasure:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_csv_header_the_csv_module_rejects_is_one_fatal_line(self, tmp_path, capsys):
+        p = tmp_path / "c.csv"
+        p.write_text('"' + "x" * 200_000 + '",text\n1,ok\n', encoding="utf-8")
+        code = main(["measure", "--input", str(p), "--format", "csv",
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: malformed CSV header: field larger than field limit (131072)"]
+
     def test_missing_input_flag(self, capsys):
         assert main(["measure"]) == 1
         assert "--input is required" in capsys.readouterr().err

@@ -254,6 +254,18 @@ class TestIngestOtherFormats:
         assert [e.line for e in corpus.ingest_errors] == [2]
         assert corpus.ingest_errors[0].reason.startswith("malformed CSV record: ")
 
+    def test_csv_header_the_csv_module_rejects_is_a_value_error(self):
+        stream = io.StringIO('"' + "x" * 200_000 + '",text\n1,ok\n')
+        with pytest.raises(ValueError, match="^malformed CSV header: field larger than"):
+            ingest(stream, format="csv")
+
+    @pytest.mark.parametrize("raw", ["1_000", " 7 ", "7 ", "+-1", "1.0", "\u0663", "0x10", "-"])
+    def test_csv_timestamp_must_be_sign_and_ascii_digits(self, raw):
+        stream = io.StringIO(f"text,timestamp\nbad,{raw}\nok,-12\nfine,+007\n")
+        corpus = ingest(stream, format="csv")
+        assert [(r.text, r.timestamp) for r in corpus.records] == [("ok", -12), ("fine", 7)]
+        assert corpus.ingest_errors == (IngestError(2, f"non-integer 'timestamp' value {raw!r}"),)
+
     def test_csv_bad_timestamp_skipped(self):
         stream = io.StringIO("text,timestamp\nhello,soon\nbye,3\n")
         corpus = ingest(stream, format="csv")

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from dmeter.distance import (
     word_movers_distance,
 )
 from dmeter.errors import UndefinedValueError
-from dmeter.vectors import EmbeddingMatrix, euclidean
+from dmeter.vectors import EmbeddingMatrix, cosine_distance, euclidean
 
 
 # --- independent oracles --------------------------------------------------------
@@ -37,6 +38,26 @@ def recursive_edit_distance(a: str, b: str) -> int:
         recursive_edit_distance(a, b[1:]) + 1,
         recursive_edit_distance(a[1:], b[1:]) + (a[0] != b[0]),
     )
+
+
+def dp_levenshtein(a, b) -> int:
+    """Oracle: the O(|a|*|b|) dynamic program, one row at a time; how
+    levenshtein computed before it used bit vectors."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(
+                prev[j] + 1,          # delete from a
+                cur[j - 1] + 1,       # insert into a
+                prev[j - 1] + (ca != cb),
+            ))
+        prev = cur
+    return prev[-1]
 
 
 def enumerate_transport_cost(supply, demand, cost_matrix):
@@ -117,6 +138,46 @@ class TestLevenshtein:
             assert dab == levenshtein(b, a)
             assert dab <= levenshtein(a, c) + levenshtein(c, b)
             assert abs(len(a) - len(b)) <= dab <= max(len(a), len(b), 0)
+
+
+# Few distinct items, so that matches are common; two of them outside the BMP.
+_CHARS = "ab\u00e9\U0001f600\U0001d11e"
+_WORDS = ["the", "cat", "sat", "on", "mat"]
+
+
+@st.composite
+def _sequence_pairs(draw):
+    """Two strings or two token lists, up to 200 items: random, or one an edit
+    of the other, so that both long shared runs and scattered matches occur."""
+    items = draw(st.sampled_from([st.text(alphabet=_CHARS, max_size=200),
+                                  st.lists(st.sampled_from(_WORDS), max_size=200),
+                                  st.text(alphabet=_CHARS, min_size=60, max_size=200)]))
+    a = draw(items)
+    if draw(st.booleans()):
+        return a, draw(items)
+    cut = draw(st.integers(0, len(a)))
+    return a, a[:cut] + draw(items)[:3] + a[cut + draw(st.integers(0, 3)):]
+
+
+@pytest.mark.parametrize("a, b", [
+    ("", ""), ("", "ab"), ("a", ""), ("a", "a"), ("a", "b"), ("abc", "abc"),
+    (["x"], ["y"]), ("\U0001f600", "\U0001f600a"), ("ab" * 40, "ba" * 40),
+    ("a" * 64, "a" * 65), ("ab" * 65, "b" * 129), (list("xyz" * 50), list("zyx" * 45)),
+])
+def test_levenshtein_matches_dp_oracle_on_edge_cases(a, b):
+    assert levenshtein(a, b) == levenshtein(b, a) == dp_levenshtein(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sequence_pairs())
+def test_levenshtein_matches_dp_oracle(pair):
+    a, b = pair
+    assert levenshtein(a, b) == levenshtein(b, a) == dp_levenshtein(a, b)
+
+
+def test_levenshtein_unhashable_items_rejected():
+    with pytest.raises(TypeError, match="unhashable"):
+        levenshtein([["a"], ["b"]], [["a"]])
 
 
 # --- distributions --------------------------------------------------------------
@@ -324,6 +385,12 @@ class TestWordMoversDistance:
         want = enumerate_transport_cost(supply, demand, cost)
         assert got == pytest.approx(want, abs=1e-9)
 
+    def test_support_cap_enforced(self):
+        words = [f"w{i}" for i in range(2001)]
+        emb = EmbeddingMatrix(words, np.arange(4002.0).reshape(2001, 2))
+        with pytest.raises(ValueError, match="2001x1 exceed the exact-solver cap"):
+            word_movers_distance(words, ["w0"], emb)
+
     def test_unknown_ground_cost_rejected(self):
         with pytest.raises(ValueError, match="unknown ground cost"):
             word_movers_distance(["cat"], ["dog"], toy_embedding(), ground_cost="manhattan")
@@ -364,3 +431,96 @@ def test_emd_matches_looped_constraint_solve(p_counts, q_counts, seed):
     res = linprog(costs.ravel(), A_eq=looped_transport_constraints(len(p), len(q)), b_eq=b_eq,
                   bounds=(0, None), method="highs")
     assert emd_discrete(p, q, cost) == float(res.fun)
+
+
+# --- cost arrays against the per-pair cost callbacks they replaced --------------
+
+
+_BAD_COSTS = (-1.0, -1e-300, math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=6),
+       st.lists(st.integers(1, 5), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.integers(0, 35), st.sampled_from(_BAD_COSTS)), max_size=2))
+def test_emd_cost_array_matches_cost_callable(p_counts, q_counts, seed, bad):
+    p = Distribution.from_counts({f"p{i}": c for i, c in enumerate(p_counts)})
+    q = Distribution.from_counts({f"q{j}": c for j, c in enumerate(q_counts)})
+    costs = np.random.default_rng(seed).uniform(0.0, 3.0, size=(len(p), len(q)))
+    costs[0, 0] = -0.0  # non-negative, like 0.0
+    for cell, value in bad:
+        costs.flat[cell % costs.size] = value
+    row = {item: i for i, item in enumerate(p.support)}
+    column = {item: j for j, item in enumerate(q.support)}
+
+    def cost(a, b):
+        return float(costs[row[a], column[b]])
+
+    outcomes = []
+    for route in (cost, costs):
+        try:
+            outcomes.append(emd_discrete(p, q, route))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    if bad:
+        first = min(cell % costs.size for cell, _ in bad)
+        i, j = divmod(first, len(q))
+        assert outcomes[0] == (f"cost({p.support[i]!r}, {q.support[j]!r}) = "
+                               f"{float(costs[i, j])}; must be finite and non-negative")
+
+
+def test_emd_cost_array_shape_checked():
+    p = Distribution(["a", "b"], [0.5, 0.5])
+    q = Distribution(["c"], [1.0])
+    with pytest.raises(ValueError, match=r"cost array has shape \(1, 2\); expected \(2, 1\)"):
+        emd_discrete(p, q, np.ones((1, 2)))
+
+
+def callback_wmd(doc_a, doc_b, emb, ground_cost):
+    """Oracle: word mover's distance with the ground cost called once per
+    support pair, as word_movers_distance computed it before it built the cost
+    array in one operation."""
+    dist_fn = euclidean if ground_cost == "euclidean" else cosine_distance
+    bag_a = Counter(t for t in doc_a if t in emb)
+    bag_b = Counter(t for t in doc_b if t in emb)
+    if bag_a == bag_b:
+        return 0.0
+    p, q = Distribution.from_counts(bag_a), Distribution.from_counts(bag_b)
+    return emd_discrete(p, q, lambda x, y: dist_fn(emb.vector(x), emb.vector(y)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UndefinedValueError as exc:
+        return f"undefined: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 70), st.integers(3, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e3]), st.booleans(), st.booleans(),
+       st.sampled_from(["euclidean", "cosine"]))
+def test_wmd_matches_callback_reference(dim, n_words, seed, scale, zero_row, parallel,
+                                        ground_cost):
+    # Exact ==: each array entry is the same BLAS dot as in the callback.  Up
+    # to 70 dimensions, so the dot kernel's unrolled blocks and tails both run.
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n_words, dim)) * scale
+    if parallel:  # cosines that round past -1 and 1, which both routes clamp
+        vectors[1:3] = vectors[0] * rng.uniform(0.1, 10.0, size=(2, 1)) * [[-1.0], [1.0]]
+    if zero_row:  # a zero-norm row: cosine is undefined whenever it is in a support
+        vectors[-1] = 0.0
+    words = [f"w{i}" for i in range(n_words)]
+    emb = EmbeddingMatrix(words, vectors)
+    # Single words first: each distance is then one ground cost.
+    docs = [(["w0"], ["w1"]), (["w0"], ["w2"])] + [
+        tuple([str(rng.choice(words))]
+              + list(rng.choice(words + ["oov"], size=int(rng.integers(0, 25))))
+              for _ in range(2))
+        for _ in range(3)
+    ]
+    for doc_a, doc_b in docs:
+        got = _outcome(lambda: word_movers_distance(doc_a, doc_b, emb, ground_cost).distance)
+        assert got == _outcome(callback_wmd, doc_a, doc_b, emb, ground_cost)
