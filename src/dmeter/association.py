@@ -6,9 +6,11 @@ document or window containing both), which keeps nPMI's [-1, 1] bounds exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -43,28 +45,74 @@ class CooccurrenceTable:
 
     def co_terms(self, term: str) -> list[str]:
         """Terms that co-occur with `term` at least once, sorted."""
-        out = []
+        return list(self._co_term_index.get(term, ()))
+
+    @cached_property
+    def _co_term_index(self) -> dict:
+        """term -> its sorted co-terms, built from pair_counts on first use."""
+        index: dict = {}
         for a, b in self.pair_counts:
-            if a == term:
-                out.append(b)
-            elif b == term:
-                out.append(a)
-        return sorted(out)
+            index.setdefault(a, []).append(b)
+            index.setdefault(b, []).append(a)
+        for co in index.values():
+            co.sort()
+        return index
 
 
-def _contexts(corpus: Corpus, context_mode: str, window_size: int | None):
-    if context_mode == "document":
-        yield from corpus.iter_record_tokens()
-        return
-    w = window_size
-    for toks in corpus.iter_record_tokens():
-        if not toks:
-            continue
-        if len(toks) <= w:
-            yield toks
-        else:
-            for i in range(len(toks) - w + 1):
-                yield toks[i : i + w]
+def _contexts(ranks: np.ndarray, offsets: np.ndarray, window_size: int | None):
+    """Sorted distinct term ranks of each context: every record when
+    window_size is None, else every sliding window, where a non-empty record
+    shorter than the window is one context."""
+    ranks = ranks.tolist()
+    bounds = offsets.tolist()
+    for start, end in zip(bounds, bounds[1:]):
+        if window_size is None:
+            yield sorted(set(ranks[start:end]))
+        elif end > start:
+            for i in range(start, max(start, end - window_size) + 1):
+                yield sorted(set(ranks[i : min(end, i + window_size)]))
+
+
+def _count_sets(contexts, target_ranks: set | None):
+    """Context count, and contexts holding each term and each sorted pair;
+    with targets, only pairs touching one."""
+    n_contexts = 0
+    term_counts: Counter = Counter()
+    pair_counts: Counter = Counter()
+    for present in contexts:
+        n_contexts += 1
+        term_counts.update(present)
+        pairs = itertools.combinations(present, 2)
+        if target_ranks is not None:
+            pairs = [p for p in pairs if p[0] in target_ranks or p[1] in target_ranks]
+        pair_counts.update(pairs)
+    return n_contexts, term_counts, pair_counts
+
+
+def _document_target_counts(ranks: np.ndarray, offsets: np.ndarray, n_terms: int,
+                            target_ranks: set):
+    """_count_sets over whole records with targets, as array operations: a
+    term's count is its number of distinct (record, term) pairs, and each
+    target's pairs are the terms of the records that hold it."""
+    n_records = offsets.size - 1
+    records = np.repeat(np.arange(n_records), np.diff(offsets))
+    # Distinct (record, term) codes by one sort: a bare np.unique hashes,
+    # which on this many codes takes tens of times longer.
+    codes = np.sort(records * n_terms + ranks)
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    records, present = codes // n_terms, codes % n_terms
+    term_counts = np.bincount(present, minlength=n_terms)
+    pair_counts = {}
+    for t in sorted(target_ranks):
+        holds = np.zeros(n_records, dtype=bool)
+        holds[records[present == t]] = True
+        co = np.bincount(present[holds[records]], minlength=n_terms)
+        co[t] = 0
+        ys = np.flatnonzero(co)
+        pairs = zip(np.minimum(ys, t).tolist(), np.maximum(ys, t).tolist())
+        pair_counts.update(zip(pairs, co[ys].tolist()))
+    nonzero = np.flatnonzero(term_counts)
+    return n_records, dict(zip(nonzero.tolist(), term_counts[nonzero].tolist())), pair_counts
 
 
 def build_cooccurrence(
@@ -93,21 +141,27 @@ def build_cooccurrence(
         if not target_set:
             raise ValueError("target set is empty")
 
-    pair_counts: Counter = Counter()
-    term_counts: Counter = Counter()
-    n_contexts = 0
-    for ctx in _contexts(corpus, context_mode, window_size):
-        n_contexts += 1
-        present = sorted(set(ctx))
-        term_counts.update(present)
-        # present is sorted, so (x, y) is already the pair key.
-        for i, x in enumerate(present):
-            for y in present[i + 1 :]:
-                if target_set is None or x in target_set or y in target_set:
-                    pair_counts[(x, y)] += 1
+    # Count over term ranks, in which a sorted pair of ranks is a sorted pair of terms.
+    vocab = corpus.vocabulary
+    order = sorted(range(len(vocab)), key=vocab.__getitem__)
+    terms = [vocab[i] for i in order]
+    rank = np.empty(len(vocab), dtype=np.int64)
+    rank[order] = np.arange(len(vocab))
+    ranks, offsets = rank[corpus.token_ids], corpus.record_offsets
+    target_ranks = None
+    if target_set is not None:
+        target_ranks = {r for r, term in enumerate(terms) if term in target_set}
+
+    if context_mode == "document" and target_ranks is not None:
+        n_contexts, term_counts, pair_counts = _document_target_counts(
+            ranks, offsets, len(terms), target_ranks)
+    else:
+        window = window_size if context_mode == "window" else None
+        n_contexts, term_counts, pair_counts = _count_sets(
+            _contexts(ranks, offsets, window), target_ranks)
     return CooccurrenceTable(
-        pair_counts=dict(pair_counts),
-        term_counts=dict(term_counts),
+        pair_counts={(terms[a], terms[b]): c for (a, b), c in pair_counts.items()},
+        term_counts={terms[r]: c for r, c in sorted(term_counts.items())},
         n_contexts=n_contexts,
         context_mode=context_mode,
         window_size=window_size if context_mode == "window" else None,

@@ -18,8 +18,22 @@ from .report import DEFAULT_CONFIG, METRIC_FAMILIES, canonical_json, is_blocking
 from .vectors import load_embeddings
 
 
+def _logger():
+    """The "dmeter" logger; unless it has handlers already, one is added that
+    writes each bare message to sys.stderr as it is at that moment."""
+    import logging  # deferred: only a run with something to report pays for the import
+
+    log = logging.getLogger("dmeter")
+    if not log.handlers:
+        class StderrHandler(logging.StreamHandler):
+            stream = property(lambda self: sys.stderr, lambda self, _: None)
+
+        log.addHandler(StderrHandler())
+    return log
+
+
 def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    _logger().error("error: %s", message)
     return 1
 
 
@@ -66,7 +80,7 @@ def _ingest_from(args, cfg):
     tokenizer = _tokenizer_from(args, cfg)
     corpus = ingest(args.input, format=fmt, tokenizer_config=tokenizer)
     for err in corpus.ingest_errors:
-        print(f"ingest: skipped line {err.line}: {err.reason}", file=sys.stderr)
+        _logger().warning("ingest: skipped line %d: %s", err.line, err.reason)
     return corpus
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
-import itertools
 import json
 import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
+
+import numpy as np
 
 TOKENIZER_MODES = ("unicode-word", "whitespace", "character")
 
@@ -53,13 +54,18 @@ DEFAULT_TOKENIZER = TokenizerConfig()
 
 def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
     """Split text into tokens per the config.  Empty text gives an empty list."""
+    fold_each = config.case_fold
+    if fold_each and text.isascii():
+        # ASCII lowercasing only turns letters into letters, so folding the
+        # text before the split gives the tokens folding each one after does.
+        text, fold_each = text.lower(), False
     if config.mode == "unicode-word":
         tokens = _WORD_RE.findall(text)
     elif config.mode == "whitespace":
         tokens = text.split()
     else:  # character
         tokens = [ch for ch in text if not ch.isspace()]
-    if config.case_fold:
+    if fold_each:
         tokens = [t.lower() for t in tokens]
     return tokens
 
@@ -106,6 +112,14 @@ class FrequencyTable:
     def from_items(cls, items: Iterable[Hashable]) -> "FrequencyTable":
         return cls(Counter(items))
 
+    @classmethod
+    def _of_positive(cls, entries: dict, total: int) -> "FrequencyTable":
+        """A table over counts already known to be positive ints summing to total."""
+        table = cls.__new__(cls)
+        table._entries = entries
+        table._total = total
+        return table
+
     @property
     def entries(self) -> Mapping[Hashable, int]:
         return self._entries
@@ -138,6 +152,11 @@ class FrequencyTable:
         return f"FrequencyTable({len(self._entries)} items, total={self._total})"
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _normalize_for_fingerprint(text: str) -> str:
     # NFC + trim trailing whitespace: stable identity across encodings.
     return unicodedata.normalize("NFC", text).rstrip()
@@ -154,7 +173,12 @@ def _record_fingerprint_payload(record: Record) -> bytes:
 
 
 class Corpus:
-    """Immutable snapshot of records with token streams and frequency tables."""
+    """Immutable snapshot of records with token streams and frequency tables.
+
+    Tokens are stored once, as integer ids: a flat int32 array indexing
+    vocabulary (first-occurrence order) and int64 record offsets.  The text
+    layers read these arrays; iter_record_tokens() rebuilds string tuples.
+    """
 
     def __init__(
         self,
@@ -172,11 +196,23 @@ class Corpus:
                 raise ValueError(f"duplicate record id {r.id!r}")
             seen_ids.add(r.id)
 
-        self._record_tokens = tuple(tuple(tokenize(r.text, tokenizer_config)) for r in self._records)
-
-        self._token_counts = FrequencyTable(Counter(itertools.chain.from_iterable(self._record_tokens)))
+        # One flat token stream; each record's tokens are ids[offsets[i]:offsets[i + 1]].
+        stream: list[str] = []
+        lengths = []
+        for r in self._records:
+            toks = tokenize(r.text, tokenizer_config)
+            stream.extend(toks)
+            lengths.append(len(toks))
+        counts = Counter(stream)
         # Counter keeps first-occurrence order, so its keys are the vocabulary.
-        self._vocabulary = tuple(self._token_counts)
+        self._vocabulary = tuple(counts)
+        self._token_index = {t: i for i, t in enumerate(self._vocabulary)}
+        self._token_ids = _frozen(np.fromiter(map(self._token_index.__getitem__, stream),
+                                              dtype=np.int32, count=len(stream)))
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        self._offsets = _frozen(offsets)
+        self._token_counts = FrequencyTable._of_positive(dict(counts), len(stream))
 
         h = hashlib.sha256()
         for r in self._records:
@@ -219,8 +255,28 @@ class Corpus:
     def total_tokens(self) -> int:
         return self._token_counts.total
 
+    @property
+    def token_ids(self) -> np.ndarray:
+        """Every token in record order, as an int32 index into vocabulary (read-only)."""
+        return self._token_ids
+
+    @property
+    def record_offsets(self) -> np.ndarray:
+        """n_records + 1 int64 bounds: record i's tokens are
+        token_ids[record_offsets[i]:record_offsets[i + 1]] (read-only)."""
+        return self._offsets
+
+    def token_id(self, token: str) -> int | None:
+        """token's index into vocabulary; None when the corpus never has it."""
+        return self._token_index.get(token)
+
     def iter_record_tokens(self) -> Iterator[tuple[str, ...]]:
-        return iter(self._record_tokens)
+        """Each record's tokens as a tuple, rebuilt from the id store."""
+        vocab = self._vocabulary
+        ids = self._token_ids.tolist()
+        bounds = self._offsets.tolist()
+        for start, end in zip(bounds, bounds[1:]):
+            yield tuple(map(vocab.__getitem__, ids[start:end]))
 
     def ngram_counts(self, n: int) -> FrequencyTable:
         if n not in self._ngram_cache:
@@ -240,18 +296,47 @@ class Corpus:
 def ngrams(corpus: Corpus, n: int) -> FrequencyTable:
     """Count n-grams within record boundaries (no cross-record n-grams).
 
-    n=1 keys are plain tokens; n>=2 keys are token tuples.  Total n-grams
-    per record = max(0, token count - n + 1).
+    n=1 keys are plain tokens; n>=2 keys are token tuples, in the order of
+    their first occurrence.  Total n-grams per record = max(0, token count - n + 1).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n == 1:
         return corpus.token_counts
-    counts: Counter = Counter()
-    for toks in corpus.iter_record_tokens():
-        if len(toks) >= n:
-            counts.update(zip(*(toks[i:] for i in range(n))))
-    return FrequencyTable(counts)
+    ids, offsets = corpus.token_ids, corpus.record_offsets
+    lengths = np.diff(offsets)
+    if not lengths.size or n > lengths.max():
+        return FrequencyTable({})
+    # A window starting at position i stays inside its record when i + n <= the record's end.
+    n_windows = ids.size - n + 1
+    ends = np.repeat(offsets[1:], lengths)[:n_windows]
+    starts = np.flatnonzero(np.arange(n_windows) + n <= ends)
+    codes = _window_codes(ids, len(corpus.vocabulary), n, starts)
+    # return_index sorts stably, so first is each code's first window.
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first, counts = starts[first[order]], counts[order]
+    vocab = np.array(corpus.vocabulary, dtype=object)
+    keys = zip(*(vocab[ids[first + k]].tolist() for k in range(n)))
+    return FrequencyTable._of_positive(dict(zip(keys, counts.tolist())), int(starts.size))
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _window_codes(ids: np.ndarray, n_types: int, n: int, starts: np.ndarray) -> np.ndarray:
+    """One int64 per n-token window, equal exactly when the windows are.
+
+    Each step appends a token as one more base-n_types digit; when the next
+    digit would overflow, the codes are first replaced by their ranks, which
+    are below the window count.
+    """
+    codes = ids[starts].astype(np.int64)
+    for k in range(1, n):
+        if int(codes.max()) + 1 > _INT64_MAX // n_types:
+            codes = np.unique(codes, return_inverse=True)[1].astype(np.int64)
+        codes = codes * n_types + ids[starts + k]
+    return codes
 
 
 # --- ingestion ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from .errors import UndefinedValueError
 # euclidean and cosine_distance stay importable from here: bench/layers.py
 # counts ground-cost calls through these names.
 from .vectors import EmbeddingMatrix, euclidean, cosine_distance  # noqa: F401
+from .vectors import _ZERO_NORM, _peak_scaled, _suspect
 
 EMD_SUPPORT_CAP = 2000
 _CHUNK_CELLS = 4_000_000  # floats of row differences held at once in WMD's euclidean costs
@@ -291,10 +292,19 @@ def _euclidean_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _cosine_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """cosine_distance(a[i], b[j]) for every row pair, as an n×m array."""
-    norms_a, norms_b = np.sqrt(_dots(a, a)), np.sqrt(_dots(b, b))
-    if (norms_a == 0.0).any() or (norms_b == 0.0).any():
-        raise UndefinedValueError("cosine similarity undefined for zero-norm vector")
-    sim = _dots(a[:, None], b[None]) / (norms_a[:, None] * norms_b[None])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norms_a, norms_b = np.sqrt(_dots(a, a)), np.sqrt(_dots(b, b))
+        dots = _dots(a[:, None], b[None])
+        sim = dots / (norms_a[:, None] * norms_b[None])
+    # The pairs cosine_similarity recomputes on peak-scaled rows.
+    redo = _suspect(norms_a[:, None], dots) | _suspect(norms_b[None], dots)
+    if redo.any():
+        if not (a.any(axis=1).all() and b.any(axis=1).all()):
+            raise UndefinedValueError(_ZERO_NORM)
+        a, b = _peak_scaled(a), _peak_scaled(b)
+        norms_a, norms_b = np.sqrt(_dots(a, a)), np.sqrt(_dots(b, b))
+        scaled = _dots(a[:, None], b[None]) / (norms_a[:, None] * norms_b[None])
+        sim = np.where(redo, scaled, sim)
     # min(1, max(-1, sim)) as cosine_similarity clamps it (a NaN becomes -1 there too).
     sim = np.where(sim > -1.0, sim, -1.0)
     return 1.0 - np.where(sim < 1.0, sim, 1.0)

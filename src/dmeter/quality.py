@@ -113,14 +113,26 @@ def flesch_score(text: str) -> float:
     sentences split on ./!/? runs followed by whitespace or end of text, and
     an unterminated trailing segment counting as a sentence when it has words.
     """
+    return _flesch_score(text, count_syllables)
+
+
+def _flesch_score(text: str, syllables_of) -> float:
     words = _WORD_RE.findall(text)
     if not words:
         raise UndefinedValueError("no words; readability undefined")
     sentences = _split_sentences(text)
     if not sentences:
         raise UndefinedValueError("no sentences; readability undefined")
-    syllables = sum(count_syllables(w) for w in words)
+    syllables = sum(map(syllables_of, words))
     return 206.835 - 1.015 * (len(words) / len(sentences)) - 84.6 * (syllables / len(words))
+
+
+class _SyllableCache(dict):
+    """word -> count_syllables(word), each word counted once."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = count = count_syllables(word)
+        return count
 
 
 @dataclass(frozen=True)
@@ -143,9 +155,10 @@ def flesch_reading_ease(corpus: Corpus) -> FleschReport:
     """
     per_record = {}
     skipped = []
+    syllables_of = _SyllableCache().__getitem__
     for record in corpus.records:
         try:
-            per_record[record.id] = flesch_score(record.text)
+            per_record[record.id] = _flesch_score(record.text, syllables_of)
         except UndefinedValueError:
             skipped.append(record.id)
     if not per_record:

@@ -14,6 +14,8 @@ import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import density, diversity, quality, tendency
 from .corpus import Corpus
 from .errors import MeasurementError, UndefinedValueError
@@ -141,7 +143,7 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
         "record_length_tokens",
         "tokens/record",
         {"tokenizer": tok},
-        lambda: asdict(tendency.summarize([len(t) for t in corpus.iter_record_tokens()])),
+        lambda: asdict(tendency.summarize(np.diff(corpus.record_offsets).tolist())),
     )
     b.add(
         "token_count_stats",

@@ -6,7 +6,6 @@ All logs are natural; entropy-adjacent quantities are in nats.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import Counter
@@ -122,9 +121,10 @@ def timestamp_gaps(corpus: Corpus) -> list[float]:
 def token_recurrence_gaps(corpus: Corpus, token: str) -> list[float]:
     """Gaps between successive occurrences of a token in the concatenated
     record-order token stream."""
-    stream = itertools.chain.from_iterable(corpus.iter_record_tokens())
-    positions = [i for i, t in enumerate(stream) if t == token]
-    return [float(b - a) for a, b in zip(positions, positions[1:])]
+    tid = corpus.token_id(token)
+    if tid is None:
+        return []
+    return np.diff(np.flatnonzero(corpus.token_ids == tid)).astype(np.float64).tolist()
 
 
 # --- Zipf fit -----------------------------------------------------------------
@@ -287,12 +287,13 @@ def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
     contexts: dict = {}
     if order == 2:
         # BOS precedes each record's first token; every token but a record's last is a context.
-        nonempty = [toks for toks in corpus.iter_record_tokens() if toks]
-        starts = Counter(toks[0] for toks in nonempty)
-        ends = Counter(toks[-1] for toks in nonempty)
+        vocab, ids, offsets = corpus.vocabulary, corpus.token_ids, corpus.record_offsets
+        nonempty = np.diff(offsets) > 0
+        starts = Counter(map(vocab.__getitem__, ids[offsets[:-1][nonempty]].tolist()))
+        ends = Counter(map(vocab.__getitem__, ids[offsets[1:][nonempty] - 1].tolist()))
         bigram = dict(corpus.ngram_counts(2).entries)
         bigram.update(((BOS, tok), count) for tok, count in starts.items())
-        contexts = dict(Counter(unigram) + Counter({BOS: len(nonempty)}) - ends)
+        contexts = dict(Counter(unigram) + Counter({BOS: int(nonempty.sum())}) - ends)
     return NgramLM(
         order=order,
         smoothing=float(smoothing),
@@ -354,21 +355,64 @@ def perplexity(lm: NgramLM, corpus: Corpus) -> PerplexityResult:
         raise ValueError(
             f"tokenizer mismatch: model {lm.tokenizer_config} vs corpus {corpus.tokenizer_config}"
         )
+    return _aggregate(_logprob_rows(lm, corpus), "perplexity undefined for a corpus with no tokens")
+
+
+def _logprob_rows(lm: NgramLM, corpus: Corpus) -> dict:
+    """{record id: (total log-probability, n_tokens)} for each non-empty record."""
+    logprobs = _token_logprobs(lm, corpus)
+    bounds = corpus.record_offsets.tolist()
     rows = {}
-    for record, toks in zip(corpus.records, corpus.iter_record_tokens()):
-        if not toks:
-            continue
-        logprob = 0.0
-        prev = BOS
-        for tok in toks:
-            p = lm.prob(tok, prev) if lm.order == 2 else lm.prob(tok)
-            if p <= 0.0:
-                logprob = -math.inf
-                break
-            logprob += math.log(p)
-            prev = tok
-        rows[record.id] = (logprob, len(toks))
-    return _aggregate(rows, "perplexity undefined for a corpus with no tokens")
+    for record, start, end in zip(corpus.records, bounds, bounds[1:]):
+        if end > start:
+            # accumulate adds left to right, as a per-token loop does; sum and
+            # reduceat add pairwise, so their last bits differ.
+            rows[record.id] = (float(np.add.accumulate(logprobs[start:end])[-1]), end - start)
+    return rows
+
+
+def _token_logprobs(lm: NgramLM, corpus: Corpus) -> np.ndarray:
+    """ln lm.prob of every corpus token in its record context, in token
+    order; -inf where the probability is zero.
+
+    Each distinct (context, token) outcome is looked up in the model once,
+    and math.log runs once per distinct probability, so every value is the
+    one NgramLM.prob and math.log give for that token.
+    """
+    if lm.order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {lm.order}")
+    vocab, ids = corpus.vocabulary, corpus.token_ids
+    n_types = len(vocab)
+    # Model key ids: a corpus type is itself when the model knows it, else OOV.
+    keys = (*vocab, OOV, BOS)
+    known = np.fromiter((t in lm.vocab for t in vocab), dtype=bool, count=n_types)
+    tokens = np.where(known, np.arange(n_types), n_types)[ids]
+    alpha = lm.smoothing
+    spread = alpha * (lm.vocab_size + 1)  # alpha times the vocab + OOV bins
+    if lm.order == 1:
+        outcome = tokens
+        outcome_keys = np.arange(n_types + 1)
+        counts = [lm.unigram_counts.get(keys[k], 0) for k in outcome_keys.tolist()]
+        dens = np.full(outcome_keys.size, lm.total_tokens + spread)
+    else:
+        offsets = corpus.record_offsets
+        contexts = np.empty_like(tokens)
+        contexts[1:] = tokens[:-1]
+        contexts[offsets[:-1][np.diff(offsets) > 0]] = n_types + 1  # BOS
+        outcome_keys, outcome = np.unique(contexts * (n_types + 2) + tokens, return_inverse=True)
+        ctx_keys, tok_keys = np.divmod(outcome_keys, n_types + 2)
+        get = lm.bigram_counts.get
+        counts = [get((keys[c], keys[t]), 0) for c, t in zip(ctx_keys.tolist(), tok_keys.tolist())]
+        distinct_ctx, ctx_of = np.unique(ctx_keys, return_inverse=True)
+        get = lm.context_counts.get
+        dens = np.array([get(keys[c], 0) for c in distinct_ctx.tolist()], dtype=np.float64)
+        dens = (dens + spread)[ctx_of]
+    nums = np.array(counts, dtype=np.float64) + alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probs = np.where(dens == 0.0, 0.0, nums / dens)
+    distinct, which = np.unique(probs, return_inverse=True)
+    logs = np.array([-math.inf if p <= 0.0 else math.log(p) for p in distinct.tolist()])
+    return logs[which][outcome]
 
 
 def perplexity_from_logprobs(source, corpus: Corpus | None = None) -> PerplexityResult:

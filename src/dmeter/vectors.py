@@ -130,31 +130,72 @@ def euclidean(u, v) -> float:
     return float(np.linalg.norm(u - v))
 
 
+# Below this a norm's square is subnormal or 0: digits are lost, or all of them.
+_NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _suspect(norm, dot):
+    """True where a cosine built from these norms and dot product may be
+    wrong: a norm underflowed or overflowed, or the dot product overflowed.
+    (With both norms above the floor, a dot that underflows to 0 is below
+    one ulp of the cosine.)"""
+    return ~((norm >= _NORM_FLOOR) & (norm < np.inf)) | ~np.isfinite(dot)
+
+
+def _peak_scaled(rows: np.ndarray) -> np.ndarray:
+    """rows divided by their largest absolute entry, along the last axis.
+
+    Norms and dot products of the results lie within a few orders of 1, so
+    they neither overflow nor underflow to 0, and cosines do not change."""
+    return rows / np.max(np.abs(rows), axis=-1, keepdims=True)
+
+
+_ZERO_NORM = "cosine similarity undefined for zero-norm vector"
+
+
 def cosine_similarity(u, v) -> float:
     """cos of the angle between u and v, clamped to [-1, 1] against rounding.
 
-    A zero-norm input has no direction, so no defined similarity.
+    A zero-norm input has no direction, so no defined similarity.  When a
+    norm underflows or overflows, or the dot product overflows, for non-zero
+    inputs, all three are recomputed on the inputs scaled by their largest
+    absolute entries.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise UndefinedValueError("cosine similarity undefined for zero-norm vector")
-    return float(min(1.0, max(-1.0, float(u @ v) / (nu * nv))))
+    with np.errstate(over="ignore"):
+        nu, nv, dot = np.linalg.norm(u), np.linalg.norm(v), u @ v
+    if _suspect(nu, dot) or _suspect(nv, dot):
+        if not u.any() or not v.any():
+            raise UndefinedValueError(_ZERO_NORM)
+        u, v = _peak_scaled(u), _peak_scaled(v)
+        nu, nv, dot = np.linalg.norm(u), np.linalg.norm(v), u @ v
+    return float(min(1.0, max(-1.0, float(dot) / (nu * nv))))
 
 
 def unit_rows(emb: EmbeddingMatrix) -> np.ndarray:
-    """Rows scaled to unit L2 norm; a zero-norm row has no direction, so no cosine."""
-    norms = np.linalg.norm(emb.matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
+    """Rows scaled to unit L2 norm; a zero-norm row has no direction, so no cosine.
+
+    A non-zero row whose norm underflows or overflows is scaled by its
+    largest absolute entry first."""
+    matrix = emb.matrix
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+    redo = np.flatnonzero(_suspect(norms, 0.0))
+    if not redo.size:
+        return matrix / norms[:, None]
+    zero = redo[~matrix[redo].any(axis=1)]
     if zero.size:
         raise UndefinedValueError(
             f"cosine similarity undefined for zero-norm row {emb.labels[zero[0]]!r}"
         )
-    return emb.matrix / norms[:, None]
+    norms[redo] = 1.0
+    unit = matrix / norms[:, None]
+    scaled = _peak_scaled(matrix[redo])
+    unit[redo] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return unit
 
 
 def cosine_distance(u, v) -> float:

@@ -524,3 +524,26 @@ def test_wmd_matches_callback_reference(dim, n_words, seed, scale, zero_row, par
     for doc_a, doc_b in docs:
         got = _outcome(lambda: word_movers_distance(doc_a, doc_b, emb, ground_cost).distance)
         assert got == _outcome(callback_wmd, doc_a, doc_b, emb, ground_cost)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_wmd_cosine_over_rows_whose_dots_overflow_or_underflow(dim, seed):
+    # Each row scaled far from 1: the array route and the callback agree, and
+    # both give the cosine distances of the unscaled rows.
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((6, dim))
+    scales = rng.choice([1e-200, 1e-160, 1.0, 1e160, 1e200], size=(6, 1))
+    words = [f"w{i}" for i in range(6)]
+    extreme, plain = EmbeddingMatrix(words, vectors * scales), EmbeddingMatrix(words, vectors)
+    doc_a, doc_b = list(rng.choice(words, size=4)), list(rng.choice(words, size=3))
+    got = word_movers_distance(doc_a, doc_b, extreme, "cosine").distance
+    assert got == callback_wmd(doc_a, doc_b, extreme, "cosine")
+    assert got == pytest.approx(word_movers_distance(doc_a, doc_b, plain, "cosine").distance,
+                                rel=1e-9, abs=1e-12)
+
+
+def test_wmd_cosine_of_overflowing_rows_is_their_angle():
+    emb = EmbeddingMatrix(["x", "y"], [[1e200, 0.0], [1e200, 1e200]])
+    assert word_movers_distance(["x"], ["y"], emb, "cosine").distance == pytest.approx(
+        1.0 - math.sqrt(0.5))

@@ -323,3 +323,12 @@ class TestSubsetDiversity:
         rep = subset_diversity(recs, "k")
         assert rep.proportions == {"v": 1.0}
         assert rep.entropy == 0.0
+
+
+def test_vendi_over_rows_whose_norms_overflow_or_underflow():
+    rows = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 3.0]])
+    plain = vendi_score(EmbeddingMatrix(["a", "b", "c"], rows))
+    assert plain == pytest.approx(1.8898815748423097)
+    for scales in ([[1e200], [1e200], [1.0]], [[1e-200], [1.0], [1e-200]]):
+        extreme = EmbeddingMatrix(["a", "b", "c"], rows * np.array(scales))
+        assert vendi_score(extreme) == pytest.approx(plain, rel=1e-12)

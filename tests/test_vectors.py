@@ -15,6 +15,7 @@ from dmeter.vectors import (
     euclidean,
     load_embeddings,
     save_embeddings,
+    unit_rows,
 )
 
 
@@ -148,3 +149,54 @@ class TestCosine:
             got = cosine_similarity(u, v)
             np.testing.assert_allclose(got, naive_cosine(u, v), atol=1e-12)
             assert -1.0 <= got <= 1.0
+
+
+class TestCosineAtExtremeScales:
+    """Norms and dots that overflow or underflow are recomputed on rows
+    scaled by their largest absolute entry; every other value is unchanged."""
+
+    SCALES = (1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200)
+
+    def test_overflowed_dot_is_not_a_distance_of_two(self):
+        assert cosine_similarity([1e200, 0], [1e200, 1e200]) == pytest.approx(math.sqrt(0.5))
+        assert cosine_similarity([1e200, 0], [-1e200, -1e200]) == pytest.approx(-math.sqrt(0.5))
+
+    def test_underflowed_norm_is_not_zero_norm(self):
+        assert cosine_similarity([1e-200, 0], [1e-200, 1e-200]) == pytest.approx(math.sqrt(0.5))
+        assert cosine_similarity([1e-200, 0], [1e200, 0]) == 1.0
+        with pytest.raises(UndefinedValueError):
+            cosine_similarity([0.0, 0.0], [1e-200, 0])
+
+    def test_scaled_inputs_keep_their_cosine(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            u, v = rng.standard_normal((2, 7))
+            a, b = rng.choice(self.SCALES, size=2)
+            assert cosine_similarity(a * u, b * v) == pytest.approx(
+                cosine_similarity(u, v), rel=1e-12, abs=1e-15)
+
+    def test_well_scaled_inputs_take_the_plain_formula(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            u, v = rng.standard_normal((2, 5)) * rng.choice([1e-100, 1.0, 1e100])
+            plain = float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+            assert cosine_similarity(u, v) == min(1.0, max(-1.0, plain))
+
+    def test_unit_rows_of_extreme_rows(self):
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((40, 6))
+        scales = rng.choice(self.SCALES, size=(40, 1))
+        got = unit_rows(EmbeddingMatrix([f"r{i}" for i in range(40)], rows * scales))
+        want = rows / np.linalg.norm(rows, axis=1)[:, None]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert np.all(np.linalg.norm(got, axis=1) == pytest.approx(1.0))
+
+    def test_unit_rows_unchanged_when_well_scaled(self):
+        rows = np.random.default_rng(9).standard_normal((30, 4))
+        got = unit_rows(EmbeddingMatrix([f"r{i}" for i in range(30)], rows))
+        assert np.array_equal(got, rows / np.linalg.norm(rows, axis=1)[:, None])
+
+    def test_unit_rows_still_rejects_a_zero_row(self):
+        emb = EmbeddingMatrix(["tiny", "zero"], [[1e-200, 0.0], [0.0, 0.0]])
+        with pytest.raises(UndefinedValueError, match="'zero'"):
+            unit_rows(emb)
