@@ -172,8 +172,8 @@ def build_cooccurrence(
 # term's presence in a context is a binary event, so the two-outcome
 # normalizer keeps p(x,y) <= min(p(x), p(y)) and the nPMI bounds exact.
 def _probs(table: CooccurrenceTable, x: str, y: str, smoothing: float):
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    if not 0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
     if smoothing == 0:
         missing = [t for t in (x, y) if t not in table.term_counts]
         if missing:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 
 from . import association, quality, report
-from .corpus import FORMATS, TokenizerConfig, ingest, tokenize
+from .corpus import FORMATS, TokenizerConfig, ingest, read_lines, tokenize
 from .report import DEFAULT_CONFIG, METRIC_FAMILIES, canonical_json, is_blocking
 from .vectors import load_embeddings
 
@@ -105,7 +106,9 @@ def _config_section(cfg, section: str, defaults: dict, cli_keys=()) -> dict:
                 f"unknown [{section}] config key {key!r}; valid keys: {sorted(defaults)}"
             )
         default = defaults[key]
-        out[key] = raw if default is None else type(default)(raw)
+        value = out[key] = raw if default is None else type(default)(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"[{section}] config key {key!r} must be finite, got {raw!r}")
     return out
 
 
@@ -148,7 +151,7 @@ def cmd_measure(args) -> int:
 
         embeddings = None
         if args.embeddings:
-            embeddings = load_embeddings(args.embeddings)
+            embeddings = _read_side_file(load_embeddings, args.embeddings)
 
         rep = report.assemble_report(
             corpus,
@@ -196,18 +199,24 @@ def cmd_compare(args) -> int:
 
 
 def _read_targets(path: str, tokenizer: TokenizerConfig) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
     targets = []
-    for line in lines:
+    for _, line in read_lines(path):
         term = line.strip()
         if not term or term.startswith("#"):
             continue
         toks = tokenize(term, tokenizer)
         targets.append(toks[0] if len(toks) == 1 else term)
     if not targets:
-        raise ValueError(f"target file {path!r} contains no terms")
+        raise ValueError("contains no terms")
     return targets
+
+
+def _read_side_file(read, path: str, *args):
+    """read(path, *args), with the path put before a ValueError's message."""
+    try:
+        return read(path, *args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_assoc(args) -> int:
@@ -216,7 +225,7 @@ def cmd_assoc(args) -> int:
         if not args.targets:
             raise ValueError("--targets is required")
         tokenizer = _tokenizer_from(args, cfg)
-        targets = _read_targets(args.targets, tokenizer)
+        targets = _read_side_file(_read_targets, args.targets, tokenizer)
         corpus = _ingest_from(args, cfg)
 
         opts = {**_ASSOC_DEFAULTS, **_config_section(cfg, "assoc", _ASSOC_DEFAULTS)}

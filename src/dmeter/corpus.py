@@ -361,12 +361,7 @@ def ingest(
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; choose from {FORMATS}")
 
-    if hasattr(source, "read"):
-        opened = contextlib.nullcontext(source)
-    else:
-        # A byte that is not UTF-8 becomes a lone surrogate; readers skip its line.
-        opened = open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
-    with opened as stream:
+    with _open_text(source) as stream:
         if format == "jsonl":
             records, errors = _read_jsonl(stream, text_field, id_field, timestamp_field)
         elif format == "plaintext":
@@ -376,17 +371,42 @@ def ingest(
     return Corpus(records, tokenizer_config, ingest_errors=errors)
 
 
+def _open_text(source):
+    """A text stream as it is; a path opened as read_lines describes."""
+    if hasattr(source, "read"):
+        return contextlib.nullcontext(source)
+    return open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
+
+
 _NOT_UTF8 = re.compile("[\ud800-\udfff]")
 _NOT_UTF8_REASON = "line is not valid UTF-8"
 
 
-def _utf8_lines(stream, errors: list):
-    """Number the lines of stream, diverting those that are not valid UTF-8 to errors."""
-    for line_no, line in enumerate(stream, start=1):
-        if _NOT_UTF8.search(line):
-            errors.append(IngestError(line_no, _NOT_UTF8_REASON))
-        else:
-            yield line_no, line
+def read_lines(source, skipped: list | None = None) -> Iterator[tuple[int, str]]:
+    """Yield (file line number, line with its ending) for a path or text stream.
+
+    A path is read as UTF-8, lines ending only at \\n, \\r\\n or \\r, and a line
+    that is not valid UTF-8 (a byte read as a lone surrogate) raises ValueError
+    naming it, or, given a skipped list, is recorded there and passed over."""
+    with _open_text(source) as stream:
+        for line_no, line in enumerate(stream, start=1):
+            if line.isascii() or not _NOT_UTF8.search(line):  # isascii() is O(1)
+                yield line_no, line
+            elif skipped is None:
+                raise ValueError(f"line {line_no}: not valid UTF-8")
+            else:
+                skipped.append(IngestError(line_no, _NOT_UTF8_REASON))
+
+
+def decode_json_line(line: str):
+    """json.loads(line), raising ValueError("invalid JSON: ...") for a line it rejects."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError):
+        # An integer past int's digit limit, or nesting past the recursion limit.
+        raise ValueError("invalid JSON: number or nesting too large") from None
 
 
 def _dedupe_id(rid: str, seen: set, line: int, errors: list) -> bool:
@@ -402,17 +422,13 @@ def _read_jsonl(stream, text_field, id_field, timestamp_field):
     records: list[Record] = []
     errors: list[IngestError] = []
     seen: set[str] = set()
-    for line_no, line in _utf8_lines(stream, errors):
+    for line_no, line in read_lines(stream, errors):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(IngestError(line_no, f"invalid JSON: {exc.msg}"))
-            continue
-        except (ValueError, RecursionError):
-            # An integer past int's digit limit, or nesting past the recursion limit.
-            errors.append(IngestError(line_no, "invalid JSON: number or nesting too large"))
+            obj = decode_json_line(line)
+        except ValueError as exc:
+            errors.append(IngestError(line_no, str(exc)))
             continue
         if not isinstance(obj, dict):
             errors.append(IngestError(line_no, "record is not a JSON object"))
@@ -448,7 +464,7 @@ def _read_plaintext(stream):
     errors: list[IngestError] = []
     records = [
         Record(id=str(line_no), text=line.rstrip("\n").rstrip("\r"))
-        for line_no, line in _utf8_lines(stream, errors)
+        for line_no, line in read_lines(stream, errors)
     ]
     return records, errors
 

@@ -120,8 +120,8 @@ def kl_divergence(p: Distribution, q: Distribution, smoothing: float = 1e-9) -> 
     some q mass 0 where p > 0, the divergence is infinite; math.inf is
     returned rather than raising, so callers can flag it.
     """
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    if not 0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
     union = list(p.support)
     seen = set(union)
     union.extend(item for item in q.support if item not in seen)

@@ -6,7 +6,6 @@ All logs are natural; entropy-adjacent quantities are in nats.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -14,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FrequencyTable
+from .corpus import Corpus, FrequencyTable, decode_json_line, read_lines
 from .errors import UndefinedValueError
 
 # --- summary statistics -------------------------------------------------------
@@ -277,8 +276,8 @@ def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if smoothing < 0:
-        raise ValueError(f"smoothing must be >= 0, got {smoothing}")
+    if not 0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
     if corpus.n_records == 0:
         raise ValueError("cannot train on an empty corpus")
 
@@ -423,33 +422,43 @@ def perplexity_from_logprobs(source, corpus: Corpus | None = None) -> Perplexity
     When a corpus is given, every line's id must belong to it, and a file
     that leaves some of its records out is flagged partial-coverage.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-
     known_ids = {r.id for r in corpus.records} if corpus is not None else None
     rows = {}
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in read_lines(source):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-            rid = str(obj["id"])
-            logprob = float(obj["logprob"])
-            n = int(obj["n_tokens"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            rid, logprob, n = _logprob_row(line)
+            if known_ids is not None and rid not in known_ids:
+                raise ValueError(f"unknown record id {rid!r}")
+            if rid in rows:
+                raise ValueError(f"duplicate record id {rid!r}")
+        except ValueError as exc:
             raise ValueError(f"logprob file line {line_no}: {exc}") from None
-        if n < 1:
-            raise ValueError(f"logprob file line {line_no}: n_tokens must be >= 1")
-        if logprob > 0:
-            raise ValueError(f"logprob file line {line_no}: logprob must be <= 0")
-        if known_ids is not None and rid not in known_ids:
-            raise ValueError(f"logprob file line {line_no}: unknown record id {rid!r}")
-        if rid in rows:
-            raise ValueError(f"logprob file line {line_no}: duplicate record id {rid!r}")
         rows[rid] = (logprob, n)
     partial = known_ids is not None and len(rows) < len(known_ids)
     return _aggregate(rows, "logprob file contains no records", provenance="external-model",
                       extra_flags=("partial-coverage",) if partial else ())
+
+
+def _logprob_row(line: str) -> tuple[str, float, int]:
+    """(id, logprob, n_tokens) from one logprob file line; ValueError saying what is wrong."""
+    obj = decode_json_line(line)
+    try:
+        rid, logprob, n = str(obj["id"]), obj["logprob"], obj["n_tokens"]
+    except (KeyError, TypeError):
+        raise ValueError('a line must be an object with "id", "logprob" and "n_tokens"') from None
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n_tokens must be a JSON integer, got {n!r}")
+    if n < 1:
+        raise ValueError("n_tokens must be >= 1")
+    if isinstance(logprob, bool) or not isinstance(logprob, (int, float)):
+        raise ValueError(f"logprob must be a JSON number, got {logprob!r}")
+    if not logprob <= 0:  # also refuses NaN
+        raise ValueError(f"logprob must be <= 0, got {logprob!r}")
+    try:
+        float(n)  # _aggregate divides by n as a float
+        logprob = float(logprob)
+    except OverflowError:
+        raise ValueError("n_tokens and logprob must fit in a float") from None
+    return rid, logprob, n

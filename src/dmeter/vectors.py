@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .corpus import read_lines
 from .errors import UndefinedValueError
 
 
@@ -78,13 +79,7 @@ class EmbeddingMatrix:
 
 def load_embeddings(source) -> EmbeddingMatrix:
     """Parse the labeled-vector text format from a path or stream."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    # Number the file lines before dropping blank ones, so errors name file lines.
-    lines = [(i, ln) for i, ln in enumerate(lines, start=1) if ln.strip()]
+    lines = [(i, ln) for i, ln in read_lines(source) if ln.strip()]
     if not lines:
         raise ValueError("empty embedding file")
     header_line = lines[0][1]
@@ -110,6 +105,9 @@ def load_embeddings(source) -> EmbeddingMatrix:
             matrix[row] = [float(x) for x in parts[1:]]
         except ValueError as exc:
             raise ValueError(f"line {i}: {exc}") from None
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"line {lines[1 + int(finite.argmin())][0]}: non-finite value")
     return EmbeddingMatrix(labels, matrix)
 
 

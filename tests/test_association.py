@@ -178,6 +178,14 @@ class TestPmiNpmi:
             pmi(t, "x", "y", smoothing=-0.1)
         with pytest.raises(ValueError, match="absent"):
             pmi(t, "x", "zzz")
+
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    @pytest.mark.parametrize("measure", [pmi, npmi, lambda t, x, y, smoothing: top_npmi(
+        t, x, smoothing=smoothing)], ids=["pmi", "npmi", "top_npmi"])
+    def test_non_finite_smoothing_rejected(self, measure, smoothing):
+        t = build_cooccurrence(corpus_of(["x y", "x z"]))
+        with pytest.raises(ValueError, match="smoothing must be a finite number >= 0"):
+            measure(t, "x", "y", smoothing=smoothing)
         with pytest.raises(ValueError, match="itself"):
             npmi(t, "x", "x")
 

@@ -199,6 +199,37 @@ class TestMeasure:
         assert parsed == {k: "text" if v is None else v for k, v in DEFAULT_CONFIG.items()}
         assert all(type(parsed[k]) is type(v) for k, v in DEFAULT_CONFIG.items() if v is not None)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("command, section, key", [
+        ("measure", "measure", "lm_smoothing"), ("assoc", "assoc", "smoothing"),
+    ])
+    def test_non_finite_float_config_value_fatal(self, corpus_path, tmp_path, capsys,
+                                                 command, section, key, value):
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        targets = tmp_path / "targets.txt"
+        targets.write_text("fox\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        code = main([command, "--input", corpus_path, "--config", str(ini), "--out", str(out)]
+                    + (["--targets", str(targets)] if command == "assoc" else []))
+        assert code == 1
+        assert (f"error: [{section}] config key {key!r} must be finite, got {value!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, reason", [
+        (b"2 4\na 1 0 0 0\n\nb 0 1 nan 0\n", "line 4: non-finite value"),
+        (b"2 4\na 1 0 0 0\nb\xff 0 1 0 0\n", "line 3: not valid UTF-8"),
+    ], ids=["non-finite", "not-utf8"])
+    def test_bad_embedding_file_names_path_and_line(self, corpus_path, tmp_path, capsys,
+                                                     body, reason):
+        emb = tmp_path / "emb.vec"
+        emb.write_bytes(body)
+        code = main(["measure", "--input", corpus_path, "--embeddings", str(emb),
+                     "--out", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert f"error: {emb}: {reason}" in capsys.readouterr().err
+
     def test_lm_config_applies(self, corpus_path, tmp_path):
         out = tmp_path / "rep.json"
         ini = tmp_path / "c.ini"
@@ -348,6 +379,13 @@ class TestAssoc:
         code = main(["assoc", "--input", corpus_path, "--targets", str(targets)])
         assert code == 0
         assert "fox" in capsys.readouterr().out  # folded by the default tokenizer
+
+    def test_target_line_not_utf8_names_path_and_line(self, corpus_path, tmp_path, capsys):
+        targets = tmp_path / "targets.txt"
+        targets.write_bytes(b"fox\r\n# note\rdog\xff\n")
+        code = main(["assoc", "--input", corpus_path, "--targets", str(targets)])
+        assert code == 1
+        assert f"error: {targets}: line 3: not valid UTF-8" in capsys.readouterr().err
 
 
 class TestDedup:

@@ -247,6 +247,13 @@ class TestKlDivergence:
         with pytest.raises(ValueError):
             kl_divergence(p, p, smoothing=-1e-3)
 
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    def test_non_finite_smoothing_rejected(self, smoothing):
+        p = Distribution(["a"], [1.0])
+        q = Distribution(["a", "b"], [0.5, 0.5])
+        with pytest.raises(ValueError, match="smoothing must be a finite number >= 0"):
+            kl_divergence(p, q, smoothing=smoothing)
+
 
 # --- earth mover's distance -----------------------------------------------------
 

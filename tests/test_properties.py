@@ -1,7 +1,8 @@
 """Property tests for the report format (the canonical-JSON writer, the
 non-finite encoding and the blocking-flag rule that decides comparability),
-for the bounds of association and distance measures, and for ingest on
-arbitrary bytes."""
+for the bounds of association and distance measures, for ingest on
+arbitrary bytes, and for the line reader that ingest shares with the
+logprob, embedding and target files."""
 
 import json
 import math
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmeter.association import build_cooccurrence, npmi, top_npmi
-from dmeter.corpus import FORMATS, Corpus, IngestError, Record, ingest
+from dmeter.cli import _read_targets
+from dmeter.corpus import DEFAULT_TOKENIZER, FORMATS, Corpus, IngestError, Record, ingest
 from dmeter.distance import Distribution, emd_discrete, kl_divergence
 from dmeter.report import (
     SCHEMA_VERSION,
@@ -25,6 +27,8 @@ from dmeter.report import (
     parse_report,
     serialize_report,
 )
+from dmeter.tendency import perplexity_from_logprobs
+from dmeter.vectors import load_embeddings
 
 BLOCKING = ("error:internal", "error:argument", "skipped:no-embeddings",
             "infinite", "negative-infinite", "undefined")
@@ -206,3 +210,68 @@ def test_ingest_never_raises_on_arbitrary_line_bytes(fmt, lines, newline):
     assert all(isinstance(e, IngestError) and 1 <= e.line <= n_lines
                for e in corpus.ingest_errors)
     assert corpus.n_records + len(corpus.ingest_errors) <= n_lines
+
+
+# --- one line reader for the corpus and the side files -------------------------------
+
+# str.splitlines() also ends a line at each of these; a file dmeter reads does not.
+SPLITLINES_ONLY = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+side_rows = st.lists(st.tuples(st.text(st.sampled_from(SPLITLINES_ONLY), max_size=3),
+                               st.sampled_from(["\n", "\r\n", "\r"])), min_size=1, max_size=6)
+
+
+def _side_files(rows):
+    """(line, ending) pairs of a target, a logprob and an embedding file with
+    one line per row, each holding the row's separators."""
+    keys = [f"r{i}{seps}x" for i, (seps, _) in enumerate(rows)]
+    ends = [end for _, end in rows]
+    return {
+        "targets": list(zip(keys, ends)),
+        "logprobs": [(json.dumps({"id": k, "logprob": -1.0, "n_tokens": 1}, ensure_ascii=False), e)
+                     for k, e in zip(keys, ends)],
+        "embeddings": [(f"{len(rows)} 1", "\n")]
+                      + [(f"r{i}{seps} {i}", e) for i, (seps, e) in enumerate(rows)],
+    }
+
+
+def _embedding_rows(path):
+    emb = load_embeddings(path)
+    return [(label, float(row[0])) for label, row in zip(emb.labels, emb.matrix)]
+
+
+SIDE_READERS = {
+    "targets": lambda path: _read_targets(path, DEFAULT_TOKENIZER),
+    "logprobs": lambda path: list(perplexity_from_logprobs(path).per_record),
+    "embeddings": _embedding_rows,
+}
+# What each side reader makes of the lines ingest(format="plaintext") reads.
+FROM_PLAINTEXT = {
+    "targets": lambda texts: texts,
+    "logprobs": lambda texts: [json.loads(t)["id"] for t in texts],
+    "embeddings": lambda texts: [(t.split()[0], float(t.split()[1])) for t in texts[1:]],
+}
+
+
+@settings(deadline=None)
+@given(side_rows, st.integers(0, 10))
+@example([("\u2028", "\n"), ("\x85\x0c", "\r\n"), ("\x0b\x1c\x1d\x1e\u2029", "\r")], 1)
+@example([("\u2028", "\n")], 0)
+def test_side_readers_see_the_lines_ingest_sees(rows, bad):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, lines in _side_files(rows).items():
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write("".join(t + e for t, e in lines).encode("utf-8"))
+            plain = ingest(path, format="plaintext")
+            assert len(plain.records) == len(lines)
+            texts = [r.text for r in plain.records]
+            assert SIDE_READERS[name](path) == FROM_PLAINTEXT[name](texts)
+
+            # A byte that is not UTF-8 on one line: each reader names the line ingest names.
+            k = bad % len(lines)
+            with open(path, "wb") as fh:
+                fh.write(b"".join((b"\xff" if i == k else b"") + (t + e).encode("utf-8")
+                                  for i, (t, e) in enumerate(lines)))
+            assert [e.line for e in ingest(path, format="plaintext").ingest_errors] == [k + 1]
+            with pytest.raises(ValueError, match=f"^line {k + 1}: not valid UTF-8$"):
+                SIDE_READERS[name](path)

@@ -247,6 +247,11 @@ class TestNgramLM:
         with pytest.raises(ValueError, match="empty"):
             train_lm(corpus_of([]))
 
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    def test_non_finite_smoothing_rejected(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing must be a finite number >= 0"):
+            train_lm(corpus_of(["a b"]), smoothing=smoothing)
+
 
 class TestPerplexity:
     def test_uniform_vocabulary_gives_vocab_size(self):
@@ -374,6 +379,59 @@ class TestPerplexityFromLogprobs:
                  {"id": "2", "logprob": -1.0, "n_tokens": 1}]
         assert perplexity_from_logprobs(self.lines(rows), corpus).flags == ()
         assert perplexity_from_logprobs(self.lines(rows[:1])).flags == ()
+
+    @pytest.mark.parametrize("field, raw, reason", [
+        ("n_tokens", "true", "n_tokens must be a JSON integer, got True"),
+        ("n_tokens", "2.7", "n_tokens must be a JSON integer, got 2.7"),
+        ("n_tokens", '"2"', "n_tokens must be a JSON integer, got '2'"),
+        ("n_tokens", "1e999", "n_tokens must be a JSON integer, got inf"),
+        ("n_tokens", "9" * 400, "n_tokens and logprob must fit in a float"),
+        ("logprob", "false", "logprob must be a JSON number, got False"),
+        ("logprob", "NaN", "logprob must be <= 0, got nan"),
+        ("logprob", '"-1"', "logprob must be a JSON number, got '-1'"),
+        ("logprob", "1e999", "logprob must be <= 0, got inf"),
+        ("logprob", "-" + "9" * 400, "n_tokens and logprob must fit in a float"),
+    ], ids=["n_tokens-true", "n_tokens-2.7", "n_tokens-string", "n_tokens-1e999",
+            "n_tokens-400-digits", "logprob-false", "logprob-NaN", "logprob-string",
+            "logprob-1e999", "logprob-400-digits"])
+    def test_field_types_checked_and_named(self, field, raw, reason):
+        fields = {"logprob": "-1.0", "n_tokens": "1", field: raw}
+        line = '{"id": "b", "logprob": %(logprob)s, "n_tokens": %(n_tokens)s}' % fields
+        source = io.StringIO('{"id": "a", "logprob": -1.0, "n_tokens": 1}\n' + line + "\n")
+        with pytest.raises(ValueError) as info:
+            perplexity_from_logprobs(source)
+        assert str(info.value) == f"logprob file line 2: {reason}"
+
+    def test_negative_infinite_logprob_is_an_infinite_result(self):
+        result = perplexity_from_logprobs(io.StringIO(
+            '{"id": "a", "logprob": -Infinity, "n_tokens": 2}\n'
+            '{"id": "b", "logprob": -1, "n_tokens": 1}\n'))
+        assert result.perplexity == math.inf
+        assert result.flags == ("infinite",)
+        assert result.per_record["b"] == (math.e, 1)
+
+    @pytest.mark.parametrize("line, reason", [
+        ("[" * 100_000 + "]" * 100_000, "invalid JSON: number or nesting too large"),
+        ('{"id": "a", "logprob": ' + "1" * 5000 + "}", "invalid JSON: number or nesting too large"),
+        ('{"id": "a",', "invalid JSON: Expecting property name enclosed in double quotes"),
+    ], ids=["deep-nesting", "too-many-digits", "truncated"])
+    def test_invalid_json_reasons_match_the_jsonl_reader(self, line, reason):
+        source = io.StringIO('{"id": "a", "logprob": -1.0, "n_tokens": 1}\n\n' + line + "\n")
+        with pytest.raises(ValueError) as info:
+            perplexity_from_logprobs(source)
+        assert str(info.value) == f"logprob file line 3: {reason}"
+
+    def test_id_with_a_raw_line_separator_is_one_line(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"id": "a\u2028b", "logprob": -2.0, "n_tokens": 2}\n', encoding="utf-8")
+        assert list(perplexity_from_logprobs(path).per_record) == ["a\u2028b"]
+
+    def test_line_not_utf8_named(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_bytes(b'{"id": "a", "logprob": -1.0, "n_tokens": 1}\n'
+                         b'{"id": "b\xff", "logprob": -1.0, "n_tokens": 1}\n')
+        with pytest.raises(ValueError, match="^line 2: not valid UTF-8$"):
+            perplexity_from_logprobs(path)
 
 
 # --- bigram tables against the per-token loop they replaced ---------------------

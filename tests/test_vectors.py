@@ -58,6 +58,24 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError, match="non-finite"):
             load_embeddings(io.StringIO("1 2\na 1 inf\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_its_file_line(self, value):
+        with pytest.raises(ValueError, match="^line 4: non-finite value$"):
+            load_embeddings(io.StringIO(f"2 2\na 1 0\n\nb {value} 1\n"))
+
+    def test_line_separator_inside_a_row_is_whitespace(self, tmp_path):
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1\u20280\nb 0\x0c1\n", encoding="utf-8")
+        emb = load_embeddings(path)
+        assert emb.labels == ("a", "b")
+        np.testing.assert_array_equal(emb.matrix, [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_line_not_utf8_named(self, tmp_path):
+        path = tmp_path / "emb.vec"
+        path.write_bytes(b"2 2\na 1 0\nb\xff 0 1\n")
+        with pytest.raises(ValueError, match="^line 3: not valid UTF-8$"):
+            load_embeddings(path)
+
     def test_write_read_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(42)
         matrix = rng.standard_normal((1000, 50))
