@@ -424,18 +424,21 @@ def perplexity_from_logprobs(source, corpus: Corpus | None = None) -> Perplexity
     """
     known_ids = {r.id for r in corpus.records} if corpus is not None else None
     rows = {}
-    for line_no, line in read_lines(source):
-        if not line.strip():
-            continue
-        try:
-            rid, logprob, n = _logprob_row(line)
-            if known_ids is not None and rid not in known_ids:
-                raise ValueError(f"unknown record id {rid!r}")
-            if rid in rows:
-                raise ValueError(f"duplicate record id {rid!r}")
-        except ValueError as exc:
-            raise ValueError(f"logprob file line {line_no}: {exc}") from None
-        rows[rid] = (logprob, n)
+    try:  # read_lines names a line that is not valid UTF-8 itself
+        for line_no, line in read_lines(source):
+            if not line.strip():
+                continue
+            try:
+                rid, logprob, n = _logprob_row(line)
+                if known_ids is not None and rid not in known_ids:
+                    raise ValueError(f"unknown record id {rid!r}")
+                if rid in rows:
+                    raise ValueError(f"duplicate record id {rid!r}")
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+            rows[rid] = (logprob, n)
+    except ValueError as exc:
+        raise ValueError(f"logprob file {exc}") from None
     partial = known_ids is not None and len(rows) < len(known_ids)
     return _aggregate(rows, "logprob file contains no records", provenance="external-model",
                       extra_flags=("partial-coverage",) if partial else ())

@@ -82,7 +82,7 @@ def load_embeddings(source) -> EmbeddingMatrix:
     lines = [(i, ln) for i, ln in read_lines(source) if ln.strip()]
     if not lines:
         raise ValueError("empty embedding file")
-    header_line = lines[0][1]
+    header_line = lines[0][1].rstrip("\r\n")
     header = header_line.split()
     if len(header) != 2:
         raise ValueError(f"header must be 'n d', got {header_line!r}")

@@ -273,5 +273,6 @@ def test_side_readers_see_the_lines_ingest_sees(rows, bad):
                 fh.write(b"".join((b"\xff" if i == k else b"") + (t + e).encode("utf-8")
                                   for i, (t, e) in enumerate(lines)))
             assert [e.line for e in ingest(path, format="plaintext").ingest_errors] == [k + 1]
-            with pytest.raises(ValueError, match=f"^line {k + 1}: not valid UTF-8$"):
+            prefix = "logprob file " if name == "logprobs" else ""
+            with pytest.raises(ValueError, match=f"^{prefix}line {k + 1}: not valid UTF-8$"):
                 SIDE_READERS[name](path)

@@ -430,7 +430,7 @@ class TestPerplexityFromLogprobs:
         path = tmp_path / "scores.jsonl"
         path.write_bytes(b'{"id": "a", "logprob": -1.0, "n_tokens": 1}\n'
                          b'{"id": "b\xff", "logprob": -1.0, "n_tokens": 1}\n')
-        with pytest.raises(ValueError, match="^line 2: not valid UTF-8$"):
+        with pytest.raises(ValueError, match="^logprob file line 2: not valid UTF-8$"):
             perplexity_from_logprobs(path)
 
 

@@ -76,6 +76,16 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError, match="^line 3: not valid UTF-8$"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("header, reason", [
+        (" 1 2 3 ", "header must be 'n d', got ' 1 2 3 '"),
+        ("1 x", "header must be two integers, got '1 x'"),
+    ])
+    def test_header_error_quotes_the_line_without_its_ending(self, header, reason, ending):
+        with pytest.raises(ValueError) as info:
+            load_embeddings(io.StringIO(header + ending + "a 1 0" + ending, newline=""))
+        assert str(info.value) == reason
+
     def test_write_read_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(42)
         matrix = rng.standard_normal((1000, 50))
