@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import association, quality, report
-from .corpus import FORMATS, TokenizerConfig, ingest, read_lines, tokenize
+from .corpus import DEFAULT_TOKENIZER, FORMATS, TokenizerConfig, ingest, read_lines, tokenize
 from .report import DEFAULT_CONFIG, METRIC_FAMILIES, canonical_json, is_blocking
 from .vectors import load_embeddings
 
@@ -58,20 +58,15 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
 
 
 def _tokenizer_from(args, cfg) -> TokenizerConfig:
-    """Flag value wins over [tokenizer] config section.
+    """Flag value wins over [tokenizer] config section, which is checked either way.
 
     Flag syntax: a mode name, optionally suffixed ':nofold' to keep case.
     """
-    mode = cfg.get("tokenizer", "mode", fallback="unicode-word")
-    case_fold = cfg.getboolean("tokenizer", "case_fold", fallback=True)
+    settings = _config_section(cfg, "tokenizer", DEFAULT_TOKENIZER.as_dict())
     spec = getattr(args, "tokenizer", None)
     if spec:
-        if spec.endswith(":nofold"):
-            spec, case_fold = spec[: -len(":nofold")], False
-        else:
-            case_fold = True
-        mode = spec
-    return TokenizerConfig(mode=mode, case_fold=case_fold)
+        settings = {"mode": spec.removesuffix(":nofold"), "case_fold": not spec.endswith(":nofold")}
+    return TokenizerConfig(**settings)
 
 
 def _ingest_from(args, cfg):
@@ -90,12 +85,13 @@ _DEDUP_DEFAULTS = {"normalization": "exact", "top_cap": 10}
 
 
 def _config_section(cfg, section: str, defaults: dict, cli_keys=()) -> dict:
-    """The keys set in one INI section, typed like their defaults (None: str).
+    """defaults, with each key one INI section sets typed like its default
+    (None: str; a bool is read with getboolean).
 
     A key outside defaults and cli_keys (which the CLI reads itself) is fatal,
     unless the section only inherits it from [DEFAULT].
     """
-    out = {}
+    out = dict(defaults)
     if not cfg.has_section(section):
         return out
     for key, raw in cfg.items(section):
@@ -106,7 +102,10 @@ def _config_section(cfg, section: str, defaults: dict, cli_keys=()) -> dict:
                 f"unknown [{section}] config key {key!r}; valid keys: {sorted(defaults)}"
             )
         default = defaults[key]
-        value = out[key] = raw if default is None else type(default)(raw)
+        if isinstance(default, bool):
+            value = out[key] = cfg.getboolean(section, key)
+        else:
+            value = out[key] = raw if default is None else type(default)(raw)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"[{section}] config key {key!r} must be finite, got {raw!r}")
     return out
@@ -228,7 +227,7 @@ def cmd_assoc(args) -> int:
         targets = _read_side_file(_read_targets, args.targets, tokenizer)
         corpus = _ingest_from(args, cfg)
 
-        opts = {**_ASSOC_DEFAULTS, **_config_section(cfg, "assoc", _ASSOC_DEFAULTS)}
+        opts = _config_section(cfg, "assoc", _ASSOC_DEFAULTS)
         table = association.build_cooccurrence(
             corpus, targets=targets, context_mode=opts["context_mode"],
             window_size=opts["window_size"] or None,
@@ -274,7 +273,7 @@ def cmd_dedup(args) -> int:
     try:
         cfg = _load_config(args.config)
         corpus = _ingest_from(args, cfg)
-        opts = {**_DEDUP_DEFAULTS, **_config_section(cfg, "dedup", _DEDUP_DEFAULTS)}
+        opts = _config_section(cfg, "dedup", _DEDUP_DEFAULTS)
         rep = quality.find_duplicates(corpus, opts["normalization"], opts["top_cap"])
         entropy = quality.redundancy_entropy(rep)
     except (OSError, ValueError) as exc:

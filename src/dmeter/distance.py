@@ -17,10 +17,9 @@ from .errors import UndefinedValueError
 # euclidean and cosine_distance stay importable from here: bench/layers.py
 # counts ground-cost calls through these names.
 from .vectors import EmbeddingMatrix, euclidean, cosine_distance  # noqa: F401
-from .vectors import _ZERO_NORM, _peak_scaled, _suspect
+from .vectors import cosine_matrix, euclidean_matrix
 
 EMD_SUPPORT_CAP = 2000
-_CHUNK_CELLS = 4_000_000  # floats of row differences held at once in WMD's euclidean costs
 
 
 class Distribution:
@@ -265,46 +264,8 @@ def word_movers_distance(
     rows_a = np.array([emb.vector(tok) for tok in p.support])
     rows_b = np.array([emb.vector(tok) for tok in q.support])
     if ground_cost == "euclidean":
-        costs = _euclidean_costs(rows_a, rows_b)
+        costs = euclidean_matrix(rows_a, rows_b)
     else:
-        costs = _cosine_costs(rows_a, rows_b)
+        costs = 1.0 - cosine_matrix(rows_a, rows_b)
     return WmdResult(emd_discrete(p, q, costs), dropped_a, dropped_b)
 
-
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sum over k of x[..., k] * y[..., k], broadcast over the leading axes.
-
-    Each entry is one BLAS dot, as u @ v and np.linalg.norm take in vectors,
-    so the bits match theirs; A @ B.T and einsum sum in other orders."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _euclidean_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """euclidean(a[i], b[j]) for every row pair, as an n×m array, with the
-    row differences formed a block of rows at a time."""
-    costs = np.empty((len(a), len(b)))
-    step = max(1, _CHUNK_CELLS // b.size)
-    for start in range(0, len(a), step):
-        diff = a[start:start + step, None] - b[None]
-        costs[start:start + step] = np.sqrt(_dots(diff, diff))
-    return costs
-
-
-def _cosine_costs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """cosine_distance(a[i], b[j]) for every row pair, as an n×m array."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        norms_a, norms_b = np.sqrt(_dots(a, a)), np.sqrt(_dots(b, b))
-        dots = _dots(a[:, None], b[None])
-        sim = dots / (norms_a[:, None] * norms_b[None])
-    # The pairs cosine_similarity recomputes on peak-scaled rows.
-    redo = _suspect(norms_a[:, None], dots) | _suspect(norms_b[None], dots)
-    if redo.any():
-        if not (a.any(axis=1).all() and b.any(axis=1).all()):
-            raise UndefinedValueError(_ZERO_NORM)
-        a, b = _peak_scaled(a), _peak_scaled(b)
-        norms_a, norms_b = np.sqrt(_dots(a, a)), np.sqrt(_dots(b, b))
-        scaled = _dots(a[:, None], b[None]) / (norms_a[:, None] * norms_b[None])
-        sim = np.where(redo, scaled, sim)
-    # min(1, max(-1, sim)) as cosine_similarity clamps it (a NaN becomes -1 there too).
-    sim = np.where(sim > -1.0, sim, -1.0)
-    return 1.0 - np.where(sim < 1.0, sim, 1.0)

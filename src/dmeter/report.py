@@ -138,6 +138,13 @@ class _ReportBuilder:
         self.measurements[name] = entry
 
 
+def _fields(result, *names):
+    """(the named fields of a library result, its flags), as _ReportBuilder.add
+    takes them; one name gives that field's value rather than a dict."""
+    value = {n: getattr(result, n) for n in names} if len(names) > 1 else getattr(result, names[0])
+    return value, getattr(result, "flags", ())
+
+
 def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> None:
     b.add(
         "record_length_tokens",
@@ -154,17 +161,13 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
 
     def _zipf():
         fit = tendency.zipf_fit(corpus.token_counts, cfg["zipf_method"])
-        return (
-            {"alpha": fit.alpha, "ks_distance": fit.ks_distance, "n_ranks": fit.n_ranks},
-            fit.flags,
-        )
+        return _fields(fit, "alpha", "ks_distance", "n_ranks")
 
     b.add("zipf", "exponent", {"fit_method": cfg["zipf_method"], "tokenizer": tok}, _zipf)
 
     def _ppl():
         lm = tendency.train_lm(corpus, cfg["lm_order"], cfg["lm_smoothing"])
-        res = tendency.perplexity(lm, corpus)
-        return res.perplexity, res.flags
+        return _fields(tendency.perplexity(lm, corpus), "perplexity")
 
     b.add(
         "perplexity_self",
@@ -175,16 +178,11 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
 
     if cfg["perplexity_logprobs"]:
         path = cfg["perplexity_logprobs"]
-
-        def _ppl_ext():
-            res = tendency.perplexity_from_logprobs(path, corpus)
-            return res.perplexity, res.flags
-
         b.add(
             "perplexity_external",
             "perplexity",
             {"logprob_source": str(path)},
-            _ppl_ext,
+            lambda: _fields(tendency.perplexity_from_logprobs(path, corpus), "perplexity"),
             provenance="external-model",
         )
 
@@ -207,7 +205,7 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
         )
 
 
-def _add_diversity(b, corpus, cfg, tok, emb, emb_source):
+def _add_diversity(b, corpus, cfg, tok, emb, add_embedded):
     b.add("token_entropy", "nats", {"tokenizer": tok},
           lambda: diversity.shannon_entropy(corpus.token_counts))
     b.add("token_gini", "probability", {"tokenizer": tok},
@@ -222,19 +220,9 @@ def _add_diversity(b, corpus, cfg, tok, emb, emb_source):
 
     attribute = cfg["diversity_attribute"]
     if attribute:
-        def _subset():
-            rep = diversity.subset_diversity(corpus.records, attribute)
-            return {
-                "proportions": rep.proportions,
-                "entropy": rep.entropy,
-                "n_labeled": rep.n_labeled,
-                "n_unlabeled": rep.n_unlabeled,
-            }
-
-        b.add(f"subset_diversity_{attribute}", "nats", {"attribute": attribute}, _subset)
-
-    emb_params = {"embedding_source": emb_source}
-    no_emb = "no-embeddings" if emb is None else None
+        b.add(f"subset_diversity_{attribute}", "nats", {"attribute": attribute},
+              lambda: _fields(diversity.subset_diversity(corpus.records, attribute),
+                              "proportions", "entropy", "n_labeled", "n_unlabeled"))
 
     def _vendi():
         if emb.n > cfg["vendi_cap"]:
@@ -244,21 +232,12 @@ def _add_diversity(b, corpus, cfg, tok, emb, emb_source):
             )
         return diversity.vendi_score(emb)
 
-    b.add("vendi_score", "effective-items", dict(emb_params, similarity="cosine"),
-          _vendi, provenance="external-model", skip=no_emb)
-    b.add("embedding_dispersion", "distance", emb_params,
-          lambda: diversity.embedding_dispersion(emb), provenance="external-model", skip=no_emb)
+    add_embedded("vendi_score", "effective-items", {"similarity": "cosine"}, _vendi)
+    add_embedded("embedding_dispersion", "distance", {},
+                 lambda: diversity.embedding_dispersion(emb))
 
 
-def _add_density(b, cfg, emb, emb_source):
-    knn_params = {
-        "k": cfg["knn_k"],
-        "similarity": cfg["knn_similarity"],
-        "embedding_source": emb_source,
-    }
-    dd_params = {"volume_mode": cfg["volume_mode"], "embedding_source": emb_source}
-    no_emb = "no-embeddings" if emb is None else None
-
+def _add_density(cfg, emb, add_embedded):
     def _knn():
         k = min(cfg["knn_k"], emb.n - 1)
         rep = density.knn_density(emb, k, cfg["knn_similarity"])
@@ -267,18 +246,11 @@ def _add_density(b, cfg, emb, emb_source):
                 "per_point_max": max(rep.per_point_density),
                 "k_used": k}
 
-    b.add("knn_density", "similarity", knn_params, _knn, provenance="external-model", skip=no_emb)
-
-    def _dd():
-        res = density.data_density(emb, cfg["volume_mode"])
-        return (
-            {"density": res.density, "log_density": res.log_density,
-             "degenerate_dims": list(res.degenerate_dims)},
-            res.flags,
-        )
-
-    b.add("data_density", "points/volume", dd_params, _dd, provenance="external-model",
-          skip=no_emb)
+    add_embedded("knn_density", "similarity",
+                 {"k": cfg["knn_k"], "similarity": cfg["knn_similarity"]}, _knn)
+    add_embedded("data_density", "points/volume", {"volume_mode": cfg["volume_mode"]},
+                 lambda: _fields(density.data_density(emb, cfg["volume_mode"]),
+                                 "density", "log_density", "degenerate_dims"))
 
 
 def _add_quality(b, corpus, cfg):
@@ -287,12 +259,8 @@ def _add_quality(b, corpus, cfg):
         def _dups(norm=norm):
             rep = quality.find_duplicates(corpus, norm)
             reports[norm] = rep
-            return {
-                "n_records": rep.n_records,
-                "n_distinct": rep.n_distinct,
-                "duplicate_clusters": rep.duplicate_clusters,
-                "excess_duplicates": rep.excess_duplicates,
-            }
+            return _fields(rep, "n_records", "n_distinct", "duplicate_clusters",
+                           "excess_duplicates")
 
         name = "duplicates_exact" if norm == "exact" else "duplicates_normalized"
         b.add(name, "records", {"normalization": norm}, _dups)
@@ -364,12 +332,19 @@ def assemble_report(
 
     tok = corpus.tokenizer_config.as_dict()
     builder = _ReportBuilder()
+
+    def add_embedded(name, unit, params, compute):
+        """One entry computed from the embeddings: they are named in its params,
+        its provenance is external-model, and without them it is skipped."""
+        builder.add(name, unit, {**params, "embedding_source": emb_source}, compute,
+                    provenance="external-model", skip="no-embeddings" if emb is None else None)
+
     if "tendency" in selection:
         _add_tendency(builder, corpus, cfg, tok)
     if "diversity" in selection:
-        _add_diversity(builder, corpus, cfg, tok, emb, emb_source)
+        _add_diversity(builder, corpus, cfg, tok, emb, add_embedded)
     if "density" in selection:
-        _add_density(builder, cfg, emb, emb_source)
+        _add_density(cfg, emb, add_embedded)
     if "quality" in selection:
         _add_quality(builder, corpus, cfg)
 

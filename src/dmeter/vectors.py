@@ -148,29 +148,68 @@ def _peak_scaled(rows: np.ndarray) -> np.ndarray:
     return rows / np.max(np.abs(rows), axis=-1, keepdims=True)
 
 
-_ZERO_NORM = "cosine similarity undefined for zero-norm vector"
+_CHUNK_CELLS = 4_000_000  # floats of row differences held at once in euclidean_matrix
+
+
+def _pair_rows(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ValueError(f"need two 2-D arrays of rows of one length, got {a.shape} and {b.shape}")
+    return a, b
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sum over k of x[..., k] * y[..., k], broadcast over the leading axes.
+
+    Each entry is one BLAS dot, as u @ v and np.linalg.norm take in vectors,
+    so the bits match theirs; A @ B.T and einsum sum in other orders."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def euclidean_matrix(a, b) -> np.ndarray:
+    """euclidean(a[i], b[j]) for every row pair, as an n×m array, with the
+    row differences formed a block of rows at a time."""
+    a, b = _pair_rows(a, b)
+    costs = np.empty((len(a), len(b)))
+    step = max(1, _CHUNK_CELLS // max(1, b.size))
+    for start in range(0, len(a), step):
+        diff = a[start:start + step, None] - b[None]
+        costs[start:start + step] = np.sqrt(_dots(diff, diff))
+    return costs
+
+
+def cosine_matrix(a, b) -> np.ndarray:
+    """cos of the angle between a[i] and b[j] for every row pair, as an n×m
+    array, clamped to [-1, 1] against rounding (NaN becomes -1).
+
+    A zero-norm row has no direction, so no defined similarity.  Where a norm
+    underflows or overflows, or a dot product overflows, for non-zero rows,
+    all three are recomputed on the rows scaled by their largest absolute
+    entries.
+    """
+    a, b = _pair_rows(a, b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norms_a, norms_b = np.sqrt(_dots(a, a)), np.sqrt(_dots(b, b))
+        dots = _dots(a[:, None], b[None])
+        sim = dots / (norms_a[:, None] * norms_b[None])
+    redo = _suspect(norms_a[:, None], dots) | _suspect(norms_b[None], dots)
+    if redo.any():
+        if not (a.any(axis=1).all() and b.any(axis=1).all()):
+            raise UndefinedValueError("cosine similarity undefined for zero-norm vector")
+        a, b = _peak_scaled(a), _peak_scaled(b)
+        norms_a, norms_b = np.sqrt(_dots(a, a)), np.sqrt(_dots(b, b))
+        scaled = _dots(a[:, None], b[None]) / (norms_a[:, None] * norms_b[None])
+        sim = np.where(redo, scaled, sim)
+    sim = np.where(sim > -1.0, sim, -1.0)
+    return np.where(sim < 1.0, sim, 1.0)
 
 
 def cosine_similarity(u, v) -> float:
-    """cos of the angle between u and v, clamped to [-1, 1] against rounding.
-
-    A zero-norm input has no direction, so no defined similarity.  When a
-    norm underflows or overflows, or the dot product overflows, for non-zero
-    inputs, all three are recomputed on the inputs scaled by their largest
-    absolute entries.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    with np.errstate(over="ignore"):
-        nu, nv, dot = np.linalg.norm(u), np.linalg.norm(v), u @ v
-    if _suspect(nu, dot) or _suspect(nv, dot):
-        if not u.any() or not v.any():
-            raise UndefinedValueError(_ZERO_NORM)
-        u, v = _peak_scaled(u), _peak_scaled(v)
-        nu, nv, dot = np.linalg.norm(u), np.linalg.norm(v), u @ v
-    return float(min(1.0, max(-1.0, float(dot) / (nu * nv))))
+    """cosine_matrix of two 1-D vectors of one length, as a float."""
+    if np.ndim(u) != 1 or np.shape(u) != np.shape(v):
+        raise ValueError(f"need two 1-D vectors of one length, got {np.shape(u)} and {np.shape(v)}")
+    return float(cosine_matrix([u], [v])[0, 0])
 
 
 def unit_rows(emb: EmbeddingMatrix) -> np.ndarray:
