@@ -102,10 +102,13 @@ def _config_section(cfg, section: str, defaults: dict, cli_keys=()) -> dict:
                 f"unknown [{section}] config key {key!r}; valid keys: {sorted(defaults)}"
             )
         default = defaults[key]
-        if isinstance(default, bool):
-            value = out[key] = cfg.getboolean(section, key)
-        else:
-            value = out[key] = raw if default is None else type(default)(raw)
+        try:
+            if isinstance(default, bool):
+                value = out[key] = cfg.getboolean(section, key)
+            else:
+                value = out[key] = raw if default is None else type(default)(raw)
+        except ValueError as exc:
+            raise ValueError(f"[{section}] config key {key!r}: {exc}") from None
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"[{section}] config key {key!r} must be finite, got {raw!r}")
     return out

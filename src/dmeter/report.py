@@ -478,8 +478,12 @@ def compare(baseline: MeasurementReport, candidate: MeasurementReport) -> BatchD
         deltas = {}
         for fname in shared:
             absolute = c_fields[fname] - b_fields[fname]
-            relative = absolute / abs(b_fields[fname]) if b_fields[fname] != 0 else None
-            deltas[fname] = {"absolute": absolute, "relative": relative}
+            relative = absolute / abs(b_fields[fname]) if b_fields[fname] != 0 else math.inf
+            deltas[fname] = {"absolute": absolute,
+                             "relative": relative if math.isfinite(relative) else None}
+        if not all(math.isfinite(d["absolute"]) for d in deltas.values()):
+            entries[name] = {"comparable": False, "reason": "non-finite-delta", "deltas": {}}
+            continue
         entries[name] = {"comparable": True, "reason": None, "deltas": deltas}
         n_comparable += 1
 

@@ -254,18 +254,20 @@ class NgramLM:
         if token not in self.vocab:
             token = OOV
         if self.order == 1:
-            num = self.unigram_counts.get(token, 0) + alpha
-            den = self.total_tokens + alpha * bins
+            count, total = self.unigram_counts.get(token, 0), self.total_tokens
         else:
             if context is None:
                 raise ValueError("bigram model needs a context token")
             if context != BOS and context not in self.vocab:
                 context = OOV
-            num = self.bigram_counts.get((context, token), 0) + alpha
-            den = self.context_counts.get(context, 0) + alpha * bins
+            count = self.bigram_counts.get((context, token), 0)
+            total = self.context_counts.get(context, 0)
+        if math.isinf(alpha * bins):  # divide through by alpha, as _token_logprobs does
+            return (count / alpha + 1) / (total / alpha + bins)
+        den = total + alpha * bins
         if den == 0.0:
             return 0.0
-        return num / den
+        return (count + alpha) / den
 
 
 def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
@@ -386,13 +388,11 @@ def _token_logprobs(lm: NgramLM, corpus: Corpus) -> np.ndarray:
     keys = (*vocab, OOV, BOS)
     known = np.fromiter((t in lm.vocab for t in vocab), dtype=bool, count=n_types)
     tokens = np.where(known, np.arange(n_types), n_types)[ids]
-    alpha = lm.smoothing
-    spread = alpha * (lm.vocab_size + 1)  # alpha times the vocab + OOV bins
     if lm.order == 1:
         outcome = tokens
         outcome_keys = np.arange(n_types + 1)
         counts = [lm.unigram_counts.get(keys[k], 0) for k in outcome_keys.tolist()]
-        dens = np.full(outcome_keys.size, lm.total_tokens + spread)
+        totals = np.full(outcome_keys.size, float(lm.total_tokens))
     else:
         offsets = corpus.record_offsets
         contexts = np.empty_like(tokens)
@@ -404,11 +404,16 @@ def _token_logprobs(lm: NgramLM, corpus: Corpus) -> np.ndarray:
         counts = [get((keys[c], keys[t]), 0) for c, t in zip(ctx_keys.tolist(), tok_keys.tolist())]
         distinct_ctx, ctx_of = np.unique(ctx_keys, return_inverse=True)
         get = lm.context_counts.get
-        dens = np.array([get(keys[c], 0) for c in distinct_ctx.tolist()], dtype=np.float64)
-        dens = (dens + spread)[ctx_of]
-    nums = np.array(counts, dtype=np.float64) + alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probs = np.where(dens == 0.0, 0.0, nums / dens)
+        totals = np.array([get(keys[c], 0) for c in distinct_ctx.tolist()], dtype=np.float64)
+        totals = totals[ctx_of]
+    counts = np.array(counts, dtype=np.float64)
+    alpha, bins = lm.smoothing, lm.vocab_size + 1  # vocab plus the OOV bucket
+    if math.isinf(alpha * bins):  # alpha > 0 here: divide count and total through by it
+        probs = (counts / alpha + 1) / (totals / alpha + bins)
+    else:
+        dens = totals + alpha * bins
+        with np.errstate(divide="ignore", invalid="ignore"):
+            probs = np.where(dens == 0.0, 0.0, (counts + alpha) / dens)
     distinct, which = np.unique(probs, return_inverse=True)
     logs = np.array([-math.inf if p <= 0.0 else math.log(p) for p in distinct.tolist()])
     return logs[which][outcome]

@@ -455,3 +455,68 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+class TestConfigSections:
+    """Every section goes through one reader: unknown keys are fatal, values
+    take the type of their default, and a bad value names section and key."""
+
+    @pytest.mark.parametrize("command, section, key, value, reason", [
+        ("measure", "measure", "knn_k", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("measure", "tokenizer", "case_fold", "maybe", "Not a boolean: maybe"),
+        ("assoc", "assoc", "topk", "2.5", "invalid literal for int() with base 10: '2.5'"),
+    ])
+    def test_bad_value_names_section_and_key(self, corpus_path, tmp_path, capsys,
+                                             command, section, key, value, reason):
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        targets = tmp_path / "targets.txt"
+        targets.write_text("fox\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        code = main([command, "--input", corpus_path, "--config", str(ini), "--out", str(out)]
+                    + (["--targets", str(targets)] if command == "assoc" else []))
+        assert code == 1
+        assert f"error: [{section}] config key {key!r}: {reason}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [[], ["--tokenizer", "whitespace"]])
+    @pytest.mark.parametrize("command", ["measure", "dedup"])
+    def test_unknown_tokenizer_key_fatal_even_under_the_flag(self, corpus_path, tmp_path,
+                                                             capsys, command, flag):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[tokenizer]\ncasefold = false\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        code = main([command, "--input", corpus_path, "--config", str(ini), "--out", str(out)]
+                    + flag)
+        assert code == 1
+        assert "unknown [tokenizer] config key 'casefold'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, folded", [("false", False), ("no", False), ("off", False),
+                                             ("0", False), ("true", True), ("yes", True)])
+    def test_tokenizer_case_fold_read_as_a_boolean(self, tmp_path, raw, folded):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "a", "text": "The Cat"}\n{"id": "b", "text": "the cat"}\n',
+                          encoding="utf-8")
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[tokenizer]\ncase_fold = {raw}\n", encoding="utf-8")
+        out = tmp_path / "rep.json"
+        assert main(["measure", "--input", str(corpus), "--config", str(ini),
+                     "--metrics", "tendency", "--out", str(out)]) == 2  # no timestamps
+        rep = parse_report(str(out))
+        assert rep.tokenizer_config == {"mode": "unicode-word", "case_fold": folded}
+        assert rep.measurements["token_count_stats"]["value"]["count"] == (2 if folded else 4)
+
+    def test_huge_lm_smoothing_gives_vocabulary_plus_one(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text('{"id": "a", "text": "the cat sat"}\n{"id": "b", "text": "the dog"}\n',
+                          encoding="utf-8")
+        ini = tmp_path / "c.ini"
+        ini.write_text("[measure]\nlm_smoothing = 1e308\n", encoding="utf-8")
+        out = tmp_path / "rep.json"
+        assert main(["measure", "--input", str(corpus), "--config", str(ini),
+                     "--metrics", "tendency", "--out", str(out)]) == 2  # no timestamps
+        assert "perplexity_self: 5\n" in capsys.readouterr().out
+        entry = parse_report(str(out)).measurements["perplexity_self"]
+        assert entry["value"] == pytest.approx(5.0, rel=1e-12)
+        assert entry["flags"] == []

@@ -402,3 +402,44 @@ class TestNatsToBits:
         assert nats_to_bits(math.log(2)) == pytest.approx(1.0, abs=1e-12)
         assert nats_to_bits(0.0) == 0.0
         assert nats_to_bits(2 * math.log(2)) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestNonFiniteDeltas:
+    """A delta that overflows is reported, never serialized as a non-finite float."""
+
+    def test_subnormal_baseline_gives_null_relative_delta(self, tmp_path):
+        from dmeter.cli import main
+
+        dims = {"volume_mode": "bounding-box", "embedding_source": "e"}
+        base = handmade({"data_density": entry(
+            {"density": 5e-324, "log_density": -744.44, "degenerate_dims": []}, params=dims)})
+        cand = handmade({"data_density": entry(
+            {"density": 1.0, "log_density": 0.0, "degenerate_dims": []}, params=dims)})
+        e = compare(base, cand).entries["data_density"]
+        assert e["comparable"]
+        assert e["deltas"]["density"] == {"absolute": 1.0 - 5e-324, "relative": None}
+        assert e["deltas"]["log_density"]["relative"] == pytest.approx(1.0)
+        rows = [ln.split() for ln in format_delta_table(compare(base, cand)).splitlines()]
+        assert ["data_density", "density", "+1", "-", "ok"] in rows
+
+        paths = []
+        for name, rep in (("a.json", base), ("b.json", cand)):
+            paths.append(str(tmp_path / name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write(serialize_report(rep))
+        out = tmp_path / "d.json"
+        assert main(["compare", *paths, "--out", str(out)]) == 0
+        written = json.loads(out.read_text(encoding="utf-8"))
+        assert written["entries"]["data_density"]["deltas"]["density"]["relative"] is None
+
+    @pytest.mark.parametrize("b, c", [(1e308, -1e308), (-1e308, 1e308)])
+    def test_overflowing_absolute_delta_is_incomparable(self, b, c):
+        base = handmade({"m": entry({"x": b, "y": 1.0}), "ok": entry(1.0)})
+        cand = handmade({"m": entry({"x": c, "y": 2.0}), "ok": entry(2.0)})
+        delta = compare(base, cand)
+        assert delta.entries["m"] == {"comparable": False, "reason": "non-finite-delta",
+                                      "deltas": {}}
+        assert (delta.n_comparable, delta.n_incomparable) == (1, 1)
+        obj = json.loads(serialize_delta(delta))
+        assert obj["entries"]["m"]["reason"] == "non-finite-delta"
+        assert "incomparable (non-finite-delta)" in format_delta_table(delta)

@@ -460,3 +460,42 @@ def test_bigram_tables_match_per_token_oracle(records):
     bigram, contexts = per_token_bigram_tables(c)
     assert lm.bigram_counts == bigram
     assert lm.context_counts == contexts
+
+
+# --- smoothing so large that alpha * (vocab + 1) overflows ----------------------
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("smoothing", [1e308, 5e307, 1.7976931348623157e308])
+def test_huge_smoothing_gives_a_near_uniform_model(order, smoothing):
+    from dmeter.tendency import _token_logprobs
+
+    c = corpus_of(["the cat sat", "The dog"])
+    bins = len(c.vocabulary) + 1  # 4 types plus the OOV bucket
+    assert math.isinf(smoothing * bins)
+    lm = train_lm(c, order=order, smoothing=smoothing)
+    result = perplexity(lm, c)
+    assert result.perplexity == pytest.approx(bins, rel=1e-12)
+    assert result.flags == ()
+    # The per-token route and NgramLM.prob agree, token by token.
+    logprobs = _token_logprobs(lm, c).tolist()
+    want = []
+    for toks in c.iter_record_tokens():
+        prev = BOS
+        for tok in toks:
+            want.append(math.log(lm.prob(tok, prev if order == 2 else None)))
+            prev = tok
+    assert logprobs == want
+    assert lm.prob("unseen", "cat" if order == 2 else None) == pytest.approx(1 / bins, rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_large_finite_smoothing_keeps_the_plain_formula(order):
+    c = corpus_of(["the cat sat", "the dog"])
+    bins = len(c.vocabulary) + 1
+    for smoothing in (1e300, 3.5e307):
+        lm = train_lm(c, order=order, smoothing=smoothing)
+        context = "the" if order == 2 else None
+        total = lm.context_counts["the"] if order == 2 else lm.total_tokens
+        count = lm.bigram_counts[("the", "cat")] if order == 2 else lm.unigram_counts["cat"]
+        assert lm.prob("cat", context) == (count + smoothing) / (total + smoothing * bins)

@@ -5,14 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmeter.corpus import Corpus, Record
 from dmeter.errors import UndefinedValueError
 from dmeter.vectors import (
     EmbeddingMatrix,
     align_to_corpus,
+    cosine_matrix,
     cosine_similarity,
     euclidean,
+    euclidean_matrix,
     load_embeddings,
     save_embeddings,
     unit_rows,
@@ -228,3 +232,96 @@ class TestCosineAtExtremeScales:
         emb = EmbeddingMatrix(["tiny", "zero"], [[1e-200, 0.0], [0.0, 0.0]])
         with pytest.raises(UndefinedValueError, match="'zero'"):
             unit_rows(emb)
+
+
+# --- row-pair arrays against the scalar routes they replaced --------------------
+
+
+_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def scalar_cosine(u, v):
+    """Oracle: cosine_similarity as it was before it became the 1×1 case of
+    cosine_matrix, with its norm, rescaling and clamping rules inlined."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+
+    def suspect(norm, dot):
+        return ~((norm >= _FLOOR) & (norm < np.inf)) | ~np.isfinite(dot)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu, nv, dot = np.linalg.norm(u), np.linalg.norm(v), u @ v
+    if suspect(nu, dot) or suspect(nv, dot):
+        if not u.any() or not v.any():
+            raise UndefinedValueError("cosine similarity undefined for zero-norm vector")
+        u, v = u / np.max(np.abs(u)), v / np.max(np.abs(v))
+        nu, nv, dot = np.linalg.norm(u), np.linalg.norm(v), u @ v
+    return float(min(1.0, max(-1.0, float(dot) / (nu * nv))))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UndefinedValueError as exc:
+        return f"undefined: {exc}"
+
+
+_SCALES = (1e-200, 1e-160, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e160, 1e200)
+
+
+@st.composite
+def row_pairs(draw):
+    """Two row arrays of one width, each row scaled from 1e-200 to 1e200; some
+    rows parallel or antiparallel to another, and sometimes a zero row."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n, m, dim = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n + m, dim))
+    for i in draw(st.lists(st.integers(1, n + m - 1), max_size=3)):
+        rows[i] = rows[0] * draw(st.sampled_from([-1.0, 1.0]))
+    rows *= rng.choice(_SCALES, size=(n + m, 1))
+    if draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, n + m - 1))] = 0.0
+    return rows[:n], rows[n:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs())
+def test_cosine_matrix_matches_scalar_oracle(pair):
+    a, b = pair
+    want = [[_outcome(scalar_cosine, u, v) for v in b] for u in a]
+    if any(isinstance(x, str) for row in want for x in row):
+        # A zero row has no direction: the array route refuses the whole array.
+        with pytest.raises(UndefinedValueError, match="zero-norm"):
+            cosine_matrix(a, b)
+        assert not (a.any(axis=1).all() and b.any(axis=1).all())
+    else:
+        assert cosine_matrix(a, b).tolist() == want
+    for u, v in zip(a, b):
+        assert _outcome(cosine_similarity, u, v) == _outcome(scalar_cosine, u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_pairs())
+def test_euclidean_matrix_matches_euclidean(pair):
+    a, b = pair
+    with np.errstate(over="ignore"):  # rows near 1e200 apart overflow to inf on both routes
+        assert euclidean_matrix(a, b).tolist() == [[euclidean(u, v) for v in b] for u in a]
+
+
+@pytest.mark.parametrize("u, v", [
+    (1.0, 2.0), (np.float64(3.0), np.float64(4.0)), ([[1.0, 0.0]], [[0.0, 1.0]]),
+    (np.ones((2, 3)), np.ones((2, 3))), ([1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0], [[1.0, 2.0]]),
+])
+def test_cosine_similarity_needs_two_vectors_of_one_length(u, v):
+    with pytest.raises(ValueError, match=r"need two 1-D vectors of one length, got \("):
+        cosine_similarity(u, v)
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.ones(3), np.ones((2, 3))), (np.ones((2, 3)), np.ones((2, 4))), (np.ones((1, 2, 3)),) * 2,
+])
+@pytest.mark.parametrize("fn", [cosine_matrix, euclidean_matrix])
+def test_row_pair_arrays_need_two_2d_arrays_of_one_width(fn, a, b):
+    with pytest.raises(ValueError, match="need two 2-D arrays"):
+        fn(a, b)
