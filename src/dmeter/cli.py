@@ -85,8 +85,8 @@ _DEDUP_DEFAULTS = {"normalization": "exact", "top_cap": 10}
 
 
 def _config_section(cfg, section: str, defaults: dict, cli_keys=()) -> dict:
-    """defaults, with each key one INI section sets typed like its default
-    (None: str; a bool is read with getboolean).
+    """A copy of defaults with each key that one INI section sets, typed like
+    its default (None: str; a bool is read with getboolean).
 
     A key outside defaults and cli_keys (which the CLI reads itself) is fatal,
     unless the section only inherits it from [DEFAULT].
