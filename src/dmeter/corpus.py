@@ -172,6 +172,28 @@ def _record_fingerprint_payload(record: Record) -> bytes:
     return json.dumps(canon, sort_keys=True, ensure_ascii=False).encode("utf-8")
 
 
+# The string encoder json.dumps(..., ensure_ascii=False) uses.
+_json_str = json.encoder.encode_basestring
+
+
+def _fingerprint_payload(r: Record) -> bytes:
+    """_record_fingerprint_payload(r), written directly for a record of the
+    shape ingest makes: str id and text, str-to-str dict attributes or None,
+    int or None timestamp.  Keys go in sorted order, strings through json's
+    own encoder and the timestamp through int.__repr__, as json.dumps does.
+    Any other record goes through json.dumps."""
+    attrs, ts = r.attributes, r.timestamp
+    if not (type(r.id) is str and type(r.text) is str and (ts is None or type(ts) is int)
+            and (attrs is None or type(attrs) is dict and all(
+                type(k) is str and type(v) is str for k, v in attrs.items()))):
+        return _record_fingerprint_payload(r)
+    attrs_json = ("{" + ", ".join([f"{_json_str(k)}: {_json_str(attrs[k])}" for k in sorted(attrs)])
+                  + "}") if attrs else "null"
+    return (f'{{"attributes": {attrs_json}, "id": {_json_str(r.id)}, '
+            f'"text": {_json_str(_normalize_for_fingerprint(r.text))}, '
+            f'"timestamp": {"null" if ts is None else int.__repr__(ts)}}}').encode("utf-8")
+
+
 class Corpus:
     """Immutable snapshot of records with token streams and frequency tables.
 
@@ -216,7 +238,7 @@ class Corpus:
 
         h = hashlib.sha256()
         for r in self._records:
-            payload = _record_fingerprint_payload(r)
+            payload = _fingerprint_payload(r)
             h.update(len(payload).to_bytes(8, "big"))
             h.update(payload)
         self._fingerprint = h.hexdigest()

@@ -20,6 +20,7 @@ from .vectors import EmbeddingMatrix, euclidean, cosine_distance  # noqa: F401
 from .vectors import cosine_matrix, euclidean_matrix
 
 EMD_SUPPORT_CAP = 2000
+_HIGHS_LARGE_COST = 1e15
 
 
 class Distribution:
@@ -201,6 +202,11 @@ def emd_discrete(
             "must be finite and non-negative"
         )
     c = c.ravel()
+    # HiGHS reads a cost of 1e20 or more as infinite and fails on some near it.
+    # The optimum is linear in the costs, so large ones are solved scaled below
+    # 1 by a power of two, which is exact.
+    peak = c.max()
+    exponent = math.frexp(peak)[1] if peak >= _HIGHS_LARGE_COST else 0
 
     # Equality constraints: row sums = p (n rows), column sums = q (m rows).
     # Drop the final (redundant) column constraint to keep the system full rank.
@@ -211,10 +217,11 @@ def emd_discrete(
     a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n + m - 1, n * m))
     b_eq = np.concatenate([np.asarray(p.probs), np.asarray(q.probs[: m - 1])])
 
-    res = linprog(c, A_eq=a_eq.tocsr(), b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(np.ldexp(c, -exponent), A_eq=a_eq.tocsr(), b_eq=b_eq, bounds=(0, None),
+                  method="highs")
     if not res.success:
         raise RuntimeError(f"transport solve failed: {res.message}")
-    return float(res.fun)
+    return math.ldexp(res.fun, exponent)
 
 
 class WmdResult(NamedTuple):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import Corpus, FrequencyTable
 from .errors import KernelInvalidError, UndefinedValueError
-from .vectors import EmbeddingMatrix, unit_rows
+from .vectors import EmbeddingMatrix, overflow_safe_norms, unit_rows
 
 _SYMMETRY_TOL = 1e-9
 _PSD_TOL = 1e-8          # eigenvalues of kernel/n below -this are an error
@@ -142,8 +142,10 @@ def embedding_dispersion(emb: EmbeddingMatrix) -> float:
     """Mean euclidean distance of rows to their centroid; 0 iff all rows equal."""
     if emb.n < 2:
         raise ValueError(f"need at least 2 rows, got {emb.n}")
-    centroid = emb.matrix.mean(axis=0)
-    return float(np.mean(np.linalg.norm(emb.matrix - centroid, axis=1)))
+    diff = emb.matrix - emb.matrix.mean(axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(diff, axis=1)
+    return float(np.mean(overflow_safe_norms(diff, norms)))
 
 
 @dataclass(frozen=True)

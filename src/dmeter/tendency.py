@@ -151,6 +151,69 @@ def _zipf_cdf(alpha: float, n_ranks: int) -> np.ndarray:
     return cdf / cdf[-1]
 
 
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = 4 * _EPS,
+            maxiter: int = 100) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4) step for step as scipy.optimize.brentq
+    runs it, so the roots are the same floats: keep the bracket [xcur, xblk]
+    with |f(xcur)| smallest, try secant or inverse quadratic steps, and
+    bisect when a step is too long or progress too slow.  Stops when the
+    bracket's half-width is below (xtol + rtol * |xcur|) / 2.  A NaN from f
+    raises ValueError; no convergence in maxiter steps raises RuntimeError.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _mle_alpha(counts: np.ndarray) -> tuple[float, bool]:
     """Maximize the rank-distribution likelihood p_r = r^-alpha / H(alpha).
 
@@ -158,8 +221,6 @@ def _mle_alpha(counts: np.ndarray) -> tuple[float, bool]:
     decreases monotonically in alpha, so it has a unique root, bracketed on
     [floor, ceil] with boundary clamping.
     """
-    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
-
     ranks = np.arange(1, counts.size + 1, dtype=np.float64)
     log_ranks = np.log(ranks)
     target = float(np.dot(counts, log_ranks) / counts.sum())
@@ -173,7 +234,7 @@ def _mle_alpha(counts: np.ndarray) -> tuple[float, bool]:
         return _ALPHA_FLOOR, True
     if hi >= 0.0:
         return _ALPHA_CEIL, True
-    return float(brentq(score, _ALPHA_FLOOR, _ALPHA_CEIL, xtol=1e-12)), False
+    return _brentq(score, _ALPHA_FLOOR, _ALPHA_CEIL, xtol=1e-12), False
 
 
 def _regression_alpha(counts: np.ndarray) -> tuple[float, bool]:

@@ -125,7 +125,10 @@ def euclidean(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.linalg.norm(u - v))
+    diff = (u - v).reshape(1, -1)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(diff[0])
+    return float(overflow_safe_norms(diff, np.array([norm]))[0])
 
 
 # Below this a norm's square is subnormal or 0: digits are lost, or all of them.
@@ -146,6 +149,22 @@ def _peak_scaled(rows: np.ndarray) -> np.ndarray:
     Norms and dot products of the results lie within a few orders of 1, so
     they neither overflow nor underflow to 0, and cosines do not change."""
     return rows / np.max(np.abs(rows), axis=-1, keepdims=True)
+
+
+def overflow_safe_norms(diff: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """norms, the L2 norms of diff along its last axis, with each inf whose
+    differences are all finite recomputed (in place) from them scaled by
+    their largest absolute entry: a difference past about 1e154 overflows
+    when squared, though the norm need not.  Finite norms keep their bits."""
+    redo = np.isinf(norms)
+    if redo.any():
+        redo &= np.isfinite(diff).all(axis=-1)
+        rows = diff[redo]
+        peak = np.max(np.abs(rows), axis=-1)
+        scaled = rows / peak[:, None]
+        with np.errstate(over="ignore"):
+            norms[redo] = peak * np.sqrt(_dots(scaled, scaled))
+    return norms
 
 
 _CHUNK_CELLS = 4_000_000  # floats of row differences held at once in euclidean_matrix
@@ -175,7 +194,9 @@ def euclidean_matrix(a, b) -> np.ndarray:
     step = max(1, _CHUNK_CELLS // max(1, b.size))
     for start in range(0, len(a), step):
         diff = a[start:start + step, None] - b[None]
-        costs[start:start + step] = np.sqrt(_dots(diff, diff))
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(_dots(diff, diff))
+        costs[start:start + step] = overflow_safe_norms(diff, norms)
     return costs
 
 

@@ -448,13 +448,27 @@ class TestParser:
 
 def test_import_does_not_load_scipy_stats():
     # scipy.stats and scipy.optimize take most of a second to import; only
-    # spearman, the Zipf MLE and the exact EMD solve need them.
+    # spearman and the exact EMD solve need them.
     env = dict(os.environ, PYTHONPATH=str(Path(dmeter.__file__).parents[1]))
     modules = ("scipy.stats", "scipy.optimize", "scipy.sparse")
     code = f"import sys, dmeter.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_zipf_fit_does_not_load_scipy_optimize(corpus_path, tmp_path):
+    # The Zipf MLE finds its root with tendency._brentq, not scipy.optimize.
+    env = dict(os.environ, PYTHONPATH=str(Path(dmeter.__file__).parents[1]))
+    report = tmp_path / "report.json"
+    argv = ["measure", "--input", corpus_path, "--metrics", "tendency", "--out", str(report)]
+    code = (f"import sys, dmeter.cli; code = dmeter.cli.main({argv!r}); "
+            "print(code, 'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "0 False"
+    zipf = parse_report(str(report)).measurements["zipf"]
+    assert zipf["flags"] == [] and 0 < zipf["value"]["alpha"] < 50
 
 
 class TestConfigSections:

@@ -1,5 +1,6 @@
 """Ingestion, tokenization, n-gram counting, and fingerprint behavior."""
 
+import hashlib
 import io
 import json
 import time
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmeter.corpus
 from dmeter.corpus import (
     Corpus,
     FrequencyTable,
@@ -17,6 +19,8 @@ from dmeter.corpus import (
     ingest,
     ngrams,
     tokenize,
+    _fingerprint_payload,
+    _record_fingerprint_payload,
 )
 
 
@@ -363,6 +367,28 @@ class TestCorpusInvariants:
         b = Corpus([Record(id="1", text="café")])
         assert a.fingerprint == b.fingerprint
 
+    def test_ingest_shaped_records_are_fingerprinted_without_json(self, monkeypatch):
+        def json_route(record):
+            raise AssertionError(f"json route taken for {record!r}")
+
+        monkeypatch.setattr(dmeter.corpus, "_record_fingerprint_payload", json_route)
+        source = io.StringIO('{"id": "a", "text": "x", "attributes": {"k": "v"}, "timestamp": -3}\n'
+                             '{"text": "y"}\n')
+        assert len(ingest(source).fingerprint) == 64
+
+    def test_other_records_take_the_json_route(self, monkeypatch):
+        calls = []
+
+        def json_route(record):
+            calls.append(record)
+            return _record_fingerprint_payload(record)
+
+        monkeypatch.setattr(dmeter.corpus, "_record_fingerprint_payload", json_route)
+        int_id, bool_ts = Record(id=7, text="a"), Record(id="b", text="a", timestamp=True)
+        assert b'"id": 7,' in _fingerprint_payload(int_id)
+        assert b'"timestamp": true}' in _fingerprint_payload(bool_ts)
+        assert calls == [int_id, bool_ts]
+
     def test_duplicate_record_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate record id"):
             Corpus([Record(id="1", text="a"), Record(id="1", text="b")])
@@ -408,3 +434,39 @@ class TestFrequencyTable:
         assert table.total == sum(table.entries.values()) == 5
         assert table["x"] == 3
         assert table.get("missing") == 0
+
+
+# --- fingerprint payloads against json.dumps ------------------------------------
+
+# Characters json escapes or that NFC changes: quotes, backslash, controls,
+# line and paragraph separators, non-BMP, and decomposed forms.
+_fingerprint_text = st.lists(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "\u2029",
+                     "\U0001F600", "e\u0301", "A\u030a", "\u1100\u1161", "\ufeff", " "])
+    | st.characters(codec="utf-8"),
+    max_size=12,
+).map("".join)
+
+
+@st.composite
+def ingest_shaped_records(draw):
+    attributes = draw(st.none() | st.dictionaries(_fingerprint_text, _fingerprint_text, max_size=4))
+    if attributes:  # out of order, as a JSON object may list them
+        keys = draw(st.permutations(list(attributes)))
+        attributes = {k: attributes[k] for k in keys}
+    timestamp = draw(st.none() | st.integers(-2**70, 2**70)
+                     | st.sampled_from([0, -1, 10**30, -10**30]))
+    return Record(id=draw(_fingerprint_text), text=draw(_fingerprint_text),
+                  attributes=attributes, timestamp=timestamp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ingest_shaped_records(), max_size=5, unique_by=lambda r: r.id))
+def test_direct_fingerprint_payload_matches_json_dumps(records):
+    oracle = hashlib.sha256()
+    for record in records:
+        payload = _record_fingerprint_payload(record)
+        assert _fingerprint_payload(record) == payload
+        oracle.update(len(payload).to_bytes(8, "big"))
+        oracle.update(payload)
+    assert Corpus(records).fingerprint == oracle.hexdigest()

@@ -287,6 +287,14 @@ class TestEmdDiscrete:
         q = Distribution([7.5], [1.0])
         assert emd_discrete(p, q, lambda a, b: abs(a - b)) == pytest.approx(5.5, abs=1e-12)
 
+    def test_costs_highs_reads_as_infinite_are_solved_scaled(self):
+        rng = np.random.default_rng(7)
+        p, q = random_distribution(rng, 4), random_distribution(rng, 5)
+        costs = rng.uniform(0.0, 1.0, (4, 5))
+        want = emd_discrete(p, q, costs)
+        for scale in (1e15, 1e19, 1e20, 1e100, 1e308):
+            assert emd_discrete(p, q, costs * scale) == pytest.approx(want * scale, rel=1e-12)
+
     def test_negative_cost_rejected(self):
         p = Distribution(["a"], [1.0])
         q = Distribution(["b"], [1.0])
@@ -355,6 +363,14 @@ class TestWordMoversDistance:
         result = word_movers_distance(["cat"], ["stone"], emb)
         expected = euclidean(emb.vector("cat"), emb.vector("stone"))
         assert result.distance == pytest.approx(expected, abs=1e-12)
+
+    def test_euclidean_costs_past_1e154_stay_finite(self):
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        small = EmbeddingMatrix(["x", "y", "z"], rows)
+        huge = EmbeddingMatrix(["x", "y", "z"], rows * 1e200)
+        for a, b in ((["x"], ["y"]), (["x", "z"], ["y"]), (["x", "z"], ["y", "y", "x"])):
+            want = word_movers_distance(a, b, small).distance * 1e200
+            assert word_movers_distance(a, b, huge).distance == pytest.approx(want, rel=1e-12)
 
     def test_symmetry(self):
         emb = toy_embedding()

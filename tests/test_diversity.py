@@ -288,6 +288,12 @@ class TestEmbeddingDispersion:
         with pytest.raises(ValueError, match="at least 2"):
             embedding_dispersion(EmbeddingMatrix(["a"], [[1.0, 2.0]]))
 
+    def test_rows_past_1e154_from_the_centroid_stay_finite(self):
+        emb = EmbeddingMatrix(["a", "b", "c"], [[1e200, 0.0], [0.0, 1e200], [1.0, 2.0]])
+        centroid = emb.matrix.mean(axis=0)
+        want = np.mean([math.hypot(*(row - centroid)) for row in emb.matrix])
+        assert embedding_dispersion(emb) == pytest.approx(want, rel=1e-15)
+
 
 class TestSubsetDiversity:
     def records(self):

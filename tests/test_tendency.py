@@ -3,15 +3,18 @@
 import io
 import math
 import statistics
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
+from scipy.optimize import brentq as scipy_brentq
 
 from dmeter.corpus import Corpus, FrequencyTable, Record, TokenizerConfig
 from dmeter.errors import UndefinedValueError
+from dmeter import tendency
 from dmeter.tendency import (
     BOS,
     OOV,
@@ -202,6 +205,75 @@ class TestZipfFit:
         ft = FrequencyTable({"a": 70, "b": 30, "c": 15, "d": 8})
         a, b = zipf_fit(ft), zipf_fit(ft)
         assert a == b
+
+
+# --- Brent's method against scipy.optimize.brentq ---------------------------------
+
+
+def _fit_with_oracle(counts):
+    """_mle_alpha(counts), asserting that each root _brentq finds is the float
+    scipy.optimize.brentq finds for the same score and bracket."""
+    roots, brentq = [], tendency._brentq
+
+    def checked(f, a, b, **kw):
+        root = brentq(f, a, b, **kw)
+        assert root == scipy_brentq(f, a, b, **kw)
+        roots.append(root)
+        return root
+
+    with mock.patch.object(tendency, "_brentq", checked):
+        alpha, at_boundary = tendency._mle_alpha(np.asarray(counts, dtype=np.float64))
+    assert roots == ([] if at_boundary else [alpha])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.05, 4.0), st.integers(2, 400), st.integers(10, 200_000), st.integers(0, 2**32 - 1))
+def test_brentq_matches_scipy_on_zipf_multinomial_scores(alpha, n_ranks, n_draws, seed):
+    draws = np.random.default_rng(seed).multinomial(n_draws, zipf_pmf(alpha, n_ranks))
+    counts = np.sort(draws[draws > 0])[::-1]
+    if counts.size >= 2:
+        _fit_with_oracle(counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 10**9), min_size=2, max_size=300))
+def test_brentq_matches_scipy_on_drawn_count_scores(counts):
+    _fit_with_oracle(sorted(counts, reverse=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-5, 5), st.floats(0.05, 20), st.floats(0, 3), st.sampled_from([1.0, -1.0]),
+       st.floats(1e-3, 50), st.floats(1e-3, 50), st.sampled_from([2e-12, 1e-6, 1e-3, 0.1, 1.0]))
+# A short step accepted only because the bound is 3 * |sbis| - delta, not 3 * |sbis|.
+@example(-2.294735250267812, 18.171342202717756, 0.4867823639201748, 1.0, 30.720931011557052,
+         12.58629950411088, 1.0)
+def test_brentq_matches_scipy_on_bracketed_functions(root, slope, cubic, sign, below, above, xtol):
+    def f(x):
+        return sign * (math.tanh(slope * (x - root)) + cubic * (x - root) ** 3)
+
+    a, b = root - below, root + above
+    if f(a) != 0 and f(b) != 0 and (f(a) < 0) != (f(b) < 0):
+        assert tendency._brentq(f, a, b, xtol=xtol) == scipy_brentq(f, a, b, xtol=xtol)
+        assert tendency._brentq(f, b, a, xtol=xtol) == scipy_brentq(f, b, a, xtol=xtol)
+
+
+class TestBrentq:
+    def test_endpoint_root_returned_as_is(self):
+        assert tendency._brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+        assert tendency._brentq(lambda x: x - 3.0, 1.0, 3.0) == 3.0
+
+    def test_same_signs_rejected(self):
+        with pytest.raises(ValueError, match="different signs"):
+            tendency._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_raises_value_error(self):
+        with pytest.raises(ValueError, match="is NaN"):
+            tendency._brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0)
+
+    def test_no_convergence_raises_runtime_error(self):
+        for brentq in (tendency._brentq, scipy_brentq):
+            with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+                brentq(lambda x: x**3 - 2.0, 0.0, 10.0, maxiter=3)
 
 
 class TestNgramLM:

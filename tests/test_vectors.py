@@ -133,6 +133,14 @@ class TestEuclidean:
         with pytest.raises(ValueError, match="dimension mismatch"):
             euclidean([1, 2], [1, 2, 3])
 
+    def test_differences_past_1e154_are_rescaled_not_squared_to_inf(self):
+        assert euclidean([1e200], [0]) == 1e200
+        assert euclidean([3e200, 0.0], [0.0, -4e200]) == pytest.approx(5e200, rel=1e-15)
+        assert euclidean([[1e300, 1e300]], [[0.0, 0.0]]) == pytest.approx(math.sqrt(2.0) * 1e300)
+        with np.errstate(over="ignore"):  # the difference itself overflows
+            assert euclidean([1e308], [-1e308]) == math.inf
+            assert euclidean([1.7e308, 1.7e308], [0.0, 0.0]) == math.inf
+
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -305,8 +313,20 @@ def test_cosine_matrix_matches_scalar_oracle(pair):
 @given(row_pairs())
 def test_euclidean_matrix_matches_euclidean(pair):
     a, b = pair
-    with np.errstate(over="ignore"):  # rows near 1e200 apart overflow to inf on both routes
-        assert euclidean_matrix(a, b).tolist() == [[euclidean(u, v) for v in b] for u in a]
+    got = euclidean_matrix(a, b)
+    assert got.tolist() == [[euclidean(u, v) for v in b] for u in a]
+    assert np.isfinite(got).all()  # rows near 1e200 apart are rescaled, not squared to inf
+
+
+def test_euclidean_matrix_rescales_only_the_overflowed_entries():
+    a = np.array([[1e200, 0.0], [1.0, 2.0]])
+    b = np.array([[0.0, 1e200], [4.0, 6.0]])
+    got = euclidean_matrix(a, b)
+    assert got[0, 0] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert got[0, 1] == got[1, 0] == 1e200
+    assert got[1, 1] == 5.0
+    with np.errstate(over="ignore"):  # 1e308 - (-1e308) overflows before any norm
+        assert euclidean_matrix([[1e308], [1.0]], [[-1e308]]).tolist() == [[math.inf], [1e308]]
 
 
 @pytest.mark.parametrize("u, v", [
