@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import UndefinedValueError
+from .vectors import cosine_similarity
 
 CONTEXT_MODES = ("document", "window")
 
@@ -232,7 +233,7 @@ def top_npmi(
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson correlation, clamped to [-1, 1]."""
+    """Sample Pearson correlation: cosine_similarity of the centred samples."""
     xs = np.asarray(list(xs), dtype=np.float64)
     ys = np.asarray(list(ys), dtype=np.float64)
     if xs.size != ys.size:
@@ -241,11 +242,9 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError(f"need at least 2 pairs, got {xs.size}")
     xd = xs - xs.mean()
     yd = ys - ys.mean()
-    sx = math.sqrt(float(xd @ xd))
-    sy = math.sqrt(float(yd @ yd))
-    if sx == 0.0 or sy == 0.0:
+    if not (xd.any() and yd.any()):
         raise UndefinedValueError("correlation undefined for zero-variance input")
-    return float(min(1.0, max(-1.0, float(xd @ yd) / (sx * sy))))
+    return cosine_similarity(xd, yd)
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -76,8 +76,20 @@ class Record:
 
     id: str
     text: str
-    attributes: Mapping[str, str] | None = None
+    attributes: dict[str, str] | None = None
     timestamp: int | None = None
+
+    def __post_init__(self) -> None:
+        # Exact types, so that _fingerprint_payload is the one payload writer.
+        for name, value in (("id", self.id), ("text", self.text)):
+            if type(value) is not str:
+                raise TypeError(f"Record {name} must be a str, got {type(value).__name__}")
+        attrs, ts = self.attributes, self.timestamp
+        if attrs is not None and not (type(attrs) is dict and all(
+                type(k) is str and type(v) is str for k, v in attrs.items())):
+            raise TypeError("Record attributes must be None or a dict of str to str")
+        if ts is not None and type(ts) is not int:
+            raise TypeError(f"Record timestamp must be None or an int, got {type(ts).__name__}")
 
 
 @dataclass(frozen=True)
@@ -162,36 +174,19 @@ def _normalize_for_fingerprint(text: str) -> str:
     return unicodedata.normalize("NFC", text).rstrip()
 
 
-def _record_fingerprint_payload(record: Record) -> bytes:
-    canon = {
-        "id": record.id,
-        "text": _normalize_for_fingerprint(record.text),
-        "attributes": dict(sorted(record.attributes.items())) if record.attributes else None,
-        "timestamp": record.timestamp,
-    }
-    return json.dumps(canon, sort_keys=True, ensure_ascii=False).encode("utf-8")
-
-
-# The string encoder json.dumps(..., ensure_ascii=False) uses.
+# json's string encoder for output with ensure_ascii=False.
 _json_str = json.encoder.encode_basestring
 
 
 def _fingerprint_payload(r: Record) -> bytes:
-    """_record_fingerprint_payload(r), written directly for a record of the
-    shape ingest makes: str id and text, str-to-str dict attributes or None,
-    int or None timestamp.  Keys go in sorted order, strings through json's
-    own encoder and the timestamp through int.__repr__, as json.dumps does.
-    Any other record goes through json.dumps."""
+    """The record as the json module writes it with sorted keys and ensure_ascii
+    off: empty attributes as null, and the text normalized for fingerprinting."""
     attrs, ts = r.attributes, r.timestamp
-    if not (type(r.id) is str and type(r.text) is str and (ts is None or type(ts) is int)
-            and (attrs is None or type(attrs) is dict and all(
-                type(k) is str and type(v) is str for k, v in attrs.items()))):
-        return _record_fingerprint_payload(r)
     attrs_json = ("{" + ", ".join([f"{_json_str(k)}: {_json_str(attrs[k])}" for k in sorted(attrs)])
                   + "}") if attrs else "null"
     return (f'{{"attributes": {attrs_json}, "id": {_json_str(r.id)}, '
             f'"text": {_json_str(_normalize_for_fingerprint(r.text))}, '
-            f'"timestamp": {"null" if ts is None else int.__repr__(ts)}}}').encode("utf-8")
+            f'"timestamp": {"null" if ts is None else ts}}}').encode("utf-8")
 
 
 class Corpus:

@@ -164,24 +164,14 @@ def subset_diversity(records, attribute: str) -> SubsetDiversityReport:
 
     Unlabeled records are counted separately, never imputed.
     """
-    labeled: dict[str, int] = {}
-    n_labeled = 0
-    n_unlabeled = 0
-    for record in records:
-        attrs = record.attributes or {}
-        if attribute in attrs:
-            labeled[attrs[attribute]] = labeled.get(attrs[attribute], 0) + 1
-            n_labeled += 1
-        else:
-            n_unlabeled += 1
-    if n_labeled == 0:
+    attrs = [record.attributes or {} for record in records]
+    labels = FrequencyTable.from_items(a[attribute] for a in attrs if attribute in a)
+    if not labels.total:
         raise ValueError(f"attribute {attribute!r} is absent from all records")
-    proportions = {label: count / n_labeled for label, count in sorted(labeled.items())}
-    entropy = -math.fsum(p * math.log(p) for p in proportions.values() if p > 0)
     return SubsetDiversityReport(
         attribute=attribute,
-        proportions=proportions,
-        entropy=entropy,
-        n_labeled=n_labeled,
-        n_unlabeled=n_unlabeled,
+        proportions={label: labels[label] / labels.total for label in sorted(labels)},
+        entropy=shannon_entropy(labels),
+        n_labeled=labels.total,
+        n_unlabeled=len(attrs) - labels.total,
     )

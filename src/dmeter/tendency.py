@@ -310,8 +310,6 @@ class NgramLM:
 
     def prob(self, token: str, context: str | None = None) -> float:
         """p(token | context) for bigram order, p(token) for unigram."""
-        alpha = self.smoothing
-        bins = self.vocab_size + 1  # vocab plus the OOV bucket
         if token not in self.vocab:
             token = OOV
         if self.order == 1:
@@ -323,12 +321,18 @@ class NgramLM:
                 context = OOV
             count = self.bigram_counts.get((context, token), 0)
             total = self.context_counts.get(context, 0)
-        if math.isinf(alpha * bins):  # divide through by alpha, as _token_logprobs does
-            return (count / alpha + 1) / (total / alpha + bins)
-        den = total + alpha * bins
-        if den == 0.0:
-            return 0.0
-        return (count + alpha) / den
+        return float(_smoothed(self, np.float64(count), np.float64(total)))
+
+
+def _smoothed(lm: NgramLM, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """(count + alpha) / (total + alpha * bins) per element, 0 where the denominator is;
+    when alpha * bins overflows, alpha > 0 divides count and total first."""
+    alpha, bins = lm.smoothing, lm.vocab_size + 1  # vocab plus the OOV bucket
+    if math.isinf(alpha * bins):
+        return (counts / alpha + 1) / (totals / alpha + bins)
+    dens = totals + alpha * bins
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dens == 0.0, 0.0, (counts + alpha) / dens)
 
 
 def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
@@ -467,14 +471,7 @@ def _token_logprobs(lm: NgramLM, corpus: Corpus) -> np.ndarray:
         get = lm.context_counts.get
         totals = np.array([get(keys[c], 0) for c in distinct_ctx.tolist()], dtype=np.float64)
         totals = totals[ctx_of]
-    counts = np.array(counts, dtype=np.float64)
-    alpha, bins = lm.smoothing, lm.vocab_size + 1  # vocab plus the OOV bucket
-    if math.isinf(alpha * bins):  # alpha > 0 here: divide count and total through by it
-        probs = (counts / alpha + 1) / (totals / alpha + bins)
-    else:
-        dens = totals + alpha * bins
-        with np.errstate(divide="ignore", invalid="ignore"):
-            probs = np.where(dens == 0.0, 0.0, (counts + alpha) / dens)
+    probs = _smoothed(lm, np.array(counts, dtype=np.float64), totals)
     distinct, which = np.unique(probs, return_inverse=True)
     logs = np.array([-math.inf if p <= 0.0 else math.log(p) for p in distinct.tolist()])
     return logs[which][outcome]

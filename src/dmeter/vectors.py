@@ -120,15 +120,12 @@ def save_embeddings(emb: EmbeddingMatrix, path) -> None:
 
 
 def euclidean(u, v) -> float:
-    """L2 distance.  Shapes must match."""
+    """L2 distance: the 1×1 euclidean_matrix of u and v as rows.  Shapes must match."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    diff = (u - v).reshape(1, -1)
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(diff[0])
-    return float(overflow_safe_norms(diff, np.array([norm]))[0])
+    return float(euclidean_matrix(u.reshape(1, -1), v.reshape(1, -1))[0, 0])
 
 
 # Below this a norm's square is subnormal or 0: digits are lost, or all of them.
@@ -187,8 +184,8 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def euclidean_matrix(a, b) -> np.ndarray:
-    """euclidean(a[i], b[j]) for every row pair, as an n×m array, with the
-    row differences formed a block of rows at a time."""
+    """L2 distance between a[i] and b[j] for every row pair, as an n×m
+    array, with the row differences formed a block of rows at a time."""
     a, b = _pair_rows(a, b)
     costs = np.empty((len(a), len(b)))
     step = max(1, _CHUNK_CELLS // max(1, b.size))

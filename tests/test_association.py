@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from dmeter.association import (
@@ -297,3 +299,61 @@ class TestCorrelations:
         xs = list(rng.integers(0, 10, size=50).astype(float))
         ys = list(rng.integers(0, 10, size=50).astype(float))
         assert spearman(xs, ys) == pytest.approx(sps.spearmanr(xs, ys).statistic, abs=1e-12)
+
+
+def parent_pearson(xs, ys) -> float:
+    """pearson as it was before it became cosine_similarity of the centred
+    samples, kept as an oracle for samples far from float's limits."""
+    xs = np.asarray(list(xs), dtype=np.float64)
+    ys = np.asarray(list(ys), dtype=np.float64)
+    if xs.size != ys.size:
+        raise ValueError(f"length mismatch: {xs.size} vs {ys.size}")
+    if xs.size < 2:
+        raise ValueError(f"need at least 2 pairs, got {xs.size}")
+    xd = xs - xs.mean()
+    yd = ys - ys.mean()
+    sx = math.sqrt(float(xd @ xd))
+    sy = math.sqrt(float(yd @ yd))
+    if sx == 0.0 or sy == 0.0:
+        raise UndefinedValueError("correlation undefined for zero-variance input")
+    return float(min(1.0, max(-1.0, float(xd @ yd) / (sx * sy))))
+
+
+def _pearson_outcome(fn, xs, ys):
+    try:
+        return fn(xs, ys)
+    except UndefinedValueError as exc:
+        return f"undefined: {exc}"
+
+
+# Magnitudes from 1e-3 to 1e6, and 0: centred sums of squares stay far from
+# float's limits, where the oracle overflows or underflows.
+_in_range = (st.integers(-1000, 1000)
+             | st.floats(-1e6, 1e6).filter(lambda x: x == 0 or abs(x) >= 1e-3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_in_range, _in_range), min_size=2, max_size=40))
+def test_pearson_matches_the_oracle_in_range(pairs):
+    xs, ys = zip(*pairs)
+    assert _pearson_outcome(pearson, xs, ys) == _pearson_outcome(parent_pearson, xs, ys)
+
+
+class TestPearsonAtExtremeScales:
+    def test_huge_samples_do_not_overflow_to_minus_one(self):
+        xs = [1e200, -1e200, 0.0]
+        assert pearson(xs, xs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_tiny_samples_are_not_zero_variance(self):
+        # The squared deviations underflow to 0; the samples still vary.
+        r = pearson([1e-170, -1e-170, 0.0], [-1e-170, 1e-170, 0.0])
+        assert r == pytest.approx(-1.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+                    min_size=2, max_size=30),
+           st.integers(-900, 900))
+    def test_power_of_two_scale_leaves_the_correlation(self, pairs, k):
+        xs, ys = (np.array(col, dtype=np.float64) for col in zip(*pairs))
+        assume(len(set(xs)) > 1 and len(set(ys)) > 1)
+        assert abs(pearson(np.ldexp(xs, k), ys) - pearson(xs, ys)) <= 4 * math.ulp(1.0)

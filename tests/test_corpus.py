@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dmeter.corpus
 from dmeter.corpus import (
     Corpus,
     FrequencyTable,
@@ -20,7 +19,7 @@ from dmeter.corpus import (
     ngrams,
     tokenize,
     _fingerprint_payload,
-    _record_fingerprint_payload,
+    _normalize_for_fingerprint,
 )
 
 
@@ -367,27 +366,17 @@ class TestCorpusInvariants:
         b = Corpus([Record(id="1", text="café")])
         assert a.fingerprint == b.fingerprint
 
-    def test_ingest_shaped_records_are_fingerprinted_without_json(self, monkeypatch):
-        def json_route(record):
-            raise AssertionError(f"json route taken for {record!r}")
-
-        monkeypatch.setattr(dmeter.corpus, "_record_fingerprint_payload", json_route)
-        source = io.StringIO('{"id": "a", "text": "x", "attributes": {"k": "v"}, "timestamp": -3}\n'
-                             '{"text": "y"}\n')
-        assert len(ingest(source).fingerprint) == 64
-
-    def test_other_records_take_the_json_route(self, monkeypatch):
-        calls = []
-
-        def json_route(record):
-            calls.append(record)
-            return _record_fingerprint_payload(record)
-
-        monkeypatch.setattr(dmeter.corpus, "_record_fingerprint_payload", json_route)
-        int_id, bool_ts = Record(id=7, text="a"), Record(id="b", text="a", timestamp=True)
-        assert b'"id": 7,' in _fingerprint_payload(int_id)
-        assert b'"timestamp": true}' in _fingerprint_payload(bool_ts)
-        assert calls == [int_id, bool_ts]
+    @pytest.mark.parametrize("fields, message", [
+        ({"id": 7}, "id must be a str, got int"),
+        ({"text": b"a"}, "text must be a str, got bytes"),
+        ({"attributes": {"k": 1}}, "attributes must be None or a dict of str to str"),
+        ({"attributes": [("k", "v")]}, "attributes must be None or a dict of str to str"),
+        ({"timestamp": True}, "timestamp must be None or an int, got bool"),
+        ({"timestamp": 1.0}, "timestamp must be None or an int, got float"),
+    ])
+    def test_record_field_types_are_checked(self, fields, message):
+        with pytest.raises(TypeError, match=message):
+            Record(**{"id": "a", "text": "x", **fields})
 
     def test_duplicate_record_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate record id"):
@@ -446,6 +435,18 @@ _fingerprint_text = st.lists(
     | st.characters(codec="utf-8"),
     max_size=12,
 ).map("".join)
+
+
+def _record_fingerprint_payload(record: Record) -> bytes:
+    """The json.dumps payload writer the corpus module used before Record
+    checked its field types."""
+    canon = {
+        "id": record.id,
+        "text": _normalize_for_fingerprint(record.text),
+        "attributes": dict(sorted(record.attributes.items())) if record.attributes else None,
+        "timestamp": record.timestamp,
+    }
+    return json.dumps(canon, sort_keys=True, ensure_ascii=False).encode("utf-8")
 
 
 @st.composite

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dmeter.corpus import Corpus, FrequencyTable, Record
 from dmeter.diversity import (
     SimilarityKernel,
+    SubsetDiversityReport,
     embedding_dispersion,
     gini_diversity,
     kernel_from_embeddings,
@@ -329,6 +330,50 @@ class TestSubsetDiversity:
         rep = subset_diversity(recs, "k")
         assert rep.proportions == {"v": 1.0}
         assert rep.entropy == 0.0
+
+
+def parent_subset_diversity(records, attribute: str) -> SubsetDiversityReport:
+    """subset_diversity as it was before it took shannon_entropy of a
+    FrequencyTable, kept as an oracle."""
+    labeled: dict[str, int] = {}
+    n_labeled = 0
+    n_unlabeled = 0
+    for record in records:
+        attrs = record.attributes or {}
+        if attribute in attrs:
+            labeled[attrs[attribute]] = labeled.get(attrs[attribute], 0) + 1
+            n_labeled += 1
+        else:
+            n_unlabeled += 1
+    if n_labeled == 0:
+        raise ValueError(f"attribute {attribute!r} is absent from all records")
+    proportions = {label: count / n_labeled for label, count in sorted(labeled.items())}
+    entropy = -math.fsum(p * math.log(p) for p in proportions.values() if p > 0)
+    return SubsetDiversityReport(
+        attribute=attribute,
+        proportions=proportions,
+        entropy=entropy,
+        n_labeled=n_labeled,
+        n_unlabeled=n_unlabeled,
+    )
+
+
+_labels = st.sampled_from(["en", "de", "fr", "日本", "", "e\u0301"])
+_attributes = st.none() | st.dictionaries(st.sampled_from(["lang", "src"]), _labels, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_attributes, max_size=40))
+def test_subset_diversity_matches_the_counting_loop(attributes):
+    records = [Record(id=str(i), text="x", attributes=a) for i, a in enumerate(attributes)]
+    for attribute in ("lang", "src"):
+        try:
+            want = parent_subset_diversity(records, attribute)
+        except ValueError:
+            with pytest.raises(ValueError, match="absent from all records"):
+                subset_diversity(records, attribute)
+        else:
+            assert subset_diversity(iter(records), attribute) == want
 
 
 def test_vendi_over_rows_whose_norms_overflow_or_underflow():

@@ -19,8 +19,8 @@ import random
 from dmeter.cli import main
 
 _WORDS = ("the", "of", "and", "data", "set", "record", "measure", "token", "café", "naïve",
-          "straße", "über", "日本", "語", "δεδομένα", "corpus", "zipf", "rare", "word", "text",
-          "sample", "value", "mean", "noise", "long", "tail", "shift", "batch")
+          "straße", "über", "日本", "語", "δεδομένα", "corpus", "zipf", "rare", "word",
+          "text", "sample", "value", "mean", "noise", "long", "tail", "shift", "batch")
 _LANGS = ("en", "de", "fr", "日本")
 
 SETTINGS = """\

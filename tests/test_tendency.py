@@ -571,3 +571,52 @@ def test_large_finite_smoothing_keeps_the_plain_formula(order):
         total = lm.context_counts["the"] if order == 2 else lm.total_tokens
         count = lm.bigram_counts[("the", "cat")] if order == 2 else lm.unigram_counts["cat"]
         assert lm.prob("cat", context) == (count + smoothing) / (total + smoothing * bins)
+
+
+# --- NgramLM.prob against the scalar arithmetic it replaced ---------------------
+
+
+def parent_prob(self, token, context=None):
+    """NgramLM.prob as it was before it became the one-outcome case of the
+    array smoothing rule, kept as an oracle."""
+    alpha = self.smoothing
+    bins = self.vocab_size + 1  # vocab plus the OOV bucket
+    if token not in self.vocab:
+        token = OOV
+    if self.order == 1:
+        count, total = self.unigram_counts.get(token, 0), self.total_tokens
+    else:
+        if context is None:
+            raise ValueError("bigram model needs a context token")
+        if context != BOS and context not in self.vocab:
+            context = OOV
+        count = self.bigram_counts.get((context, token), 0)
+        total = self.context_counts.get(context, 0)
+    if math.isinf(alpha * bins):  # divide through by alpha, as _token_logprobs does
+        return (count / alpha + 1) / (total / alpha + bins)
+    den = total + alpha * bins
+    if den == 0.0:
+        return 0.0
+    return (count + alpha) / den
+
+
+_FLOAT_MAX = 1.7976931348623157e308
+_smoothings = (st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+                                1e308, _FLOAT_MAX])
+               | st.floats(0.0, _FLOAT_MAX))
+
+
+@settings(max_examples=500, deadline=None)
+@given(order=st.sampled_from([1, 2]), smoothing=_smoothings, count=st.integers(0, 10**6),
+       rest=st.integers(0, 10**7), vocab_size=st.integers(1, 10**6))
+@example(order=1, smoothing=0.0, count=0, rest=0, vocab_size=1)  # 0 / 0 is probability 0
+@example(order=2, smoothing=0.0, count=0, rest=0, vocab_size=3)
+def test_prob_matches_the_scalar_smoothing_oracle(order, smoothing, count, rest, vocab_size):
+    total = count + rest  # a model's count never exceeds its total
+    lm = tendency.NgramLM(order=order, smoothing=smoothing, vocab=frozenset({"a", "b"}),
+                          vocab_size=vocab_size, total_tokens=total,
+                          unigram_counts={"a": count}, bigram_counts={("b", "a"): count},
+                          context_counts={"b": total})
+    for token, context in [("a", "b"), ("zzz", "b"), ("a", "unseen"), ("a", BOS)]:
+        context = context if order == 2 else None
+        assert lm.prob(token, context) == parent_prob(lm, token, context)

@@ -18,6 +18,7 @@ from dmeter.vectors import (
     euclidean,
     euclidean_matrix,
     load_embeddings,
+    overflow_safe_norms,
     save_embeddings,
     unit_rows,
 )
@@ -345,3 +346,35 @@ def test_cosine_similarity_needs_two_vectors_of_one_length(u, v):
 def test_row_pair_arrays_need_two_2d_arrays_of_one_width(fn, a, b):
     with pytest.raises(ValueError, match="need two 2-D arrays"):
         fn(a, b)
+
+
+def parent_euclidean(u, v) -> float:
+    """euclidean as it was before it became the 1×1 case of euclidean_matrix,
+    kept as an oracle."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    diff = (u - v).reshape(1, -1)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(diff[0])
+    return float(overflow_safe_norms(diff, np.array([norm]))[0])
+
+
+@st.composite
+def same_shape_arrays(draw):
+    """Two arrays of one shape (0-d, empty, 1-D or 2-D), scaled by 10^-300..10^300."""
+    shape = draw(st.sampled_from([(), (0,), (1,), (3,), (17,), (2, 3), (4, 1), (0, 2)]))
+    seed, exponent = draw(st.integers(0, 2**32 - 1)), draw(st.integers(-300, 300))
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    return rng.standard_normal(shape) * scale, rng.standard_normal(shape) * scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(same_shape_arrays())
+def test_euclidean_matches_the_norm_oracle(pair):
+    u, v = pair
+    assert euclidean(u, v) == parent_euclidean(u, v)
+    assert euclidean(u.tolist(), v.tolist()) == parent_euclidean(u, v)
+
