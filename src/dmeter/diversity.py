@@ -138,14 +138,30 @@ def ngram_diversity(corpus: Corpus, n: int, denominator: str = "total-ngrams") -
     return len(counts) / len(corpus.vocabulary)
 
 
+def _dispersion(matrix: np.ndarray) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = matrix - matrix.mean(axis=0)
+        return float(np.mean(overflow_safe_norms(diff, np.linalg.norm(diff, axis=1))))
+
+
 def embedding_dispersion(emb: EmbeddingMatrix) -> float:
-    """Mean euclidean distance of rows to their centroid; 0 iff all rows equal."""
+    """Mean euclidean distance of rows to their centroid; 0 iff all rows equal.
+
+    When the centroid, a norm or their mean overflows, the rows are scaled
+    down by a power of two that keeps n·√d·max|entry| finite, and the result
+    is scaled back.  Finite results keep their bits."""
     if emb.n < 2:
         raise ValueError(f"need at least 2 rows, got {emb.n}")
-    diff = emb.matrix - emb.matrix.mean(axis=0)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(diff, axis=1)
-    return float(np.mean(overflow_safe_norms(diff, norms)))
+    value = _dispersion(emb.matrix)
+    if math.isfinite(value) or not np.isfinite(emb.matrix).all():
+        return value
+    # frexp exponents bound n·√d and max|entry| by powers of two.
+    shift = math.frexp(emb.n * math.sqrt(emb.dim))[1] + math.frexp(np.max(np.abs(emb.matrix)))[1]
+    shift -= 1022
+    try:
+        return math.ldexp(_dispersion(np.ldexp(emb.matrix, -shift)), shift)
+    except OverflowError:  # the distance itself is past float's range
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,8 @@ def find_duplicates(corpus: Corpus, normalization: str = "exact", top_cap: int =
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}; choose from {NORMALIZATIONS}")
+    if top_cap < 0:
+        raise ValueError(f"top_cap must be >= 0, got {top_cap}")
     if corpus.n_records == 0:
         raise ValueError("corpus is empty")
 

@@ -435,6 +435,17 @@ class TestDedup:
         assert main(["dedup", "--input", corpus_path, "--config", str(ini)]) == 1
         assert "unknown normalization" in capsys.readouterr().err
 
+    def test_negative_top_cap_fatal(self, corpus_path, tmp_path, capsys):
+        # dup[:-1] used to drop the last cluster while the count still named it
+        ini = tmp_path / "d.ini"
+        ini.write_text("[dedup]\ntop_cap = -1\n", encoding="utf-8")
+        out = tmp_path / "dedup.json"
+        assert main(["dedup", "--input", corpus_path, "--config", str(ini),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: top_cap must be >= 0, got -1"]
+        assert captured.out == "" and not out.exists()
+
 
 class TestParser:
     def test_missing_subcommand_exits(self):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -294,6 +295,27 @@ class TestEmbeddingDispersion:
         centroid = emb.matrix.mean(axis=0)
         want = np.mean([math.hypot(*(row - centroid)) for row in emb.matrix])
         assert embedding_dispersion(emb) == pytest.approx(want, rel=1e-15)
+
+    @staticmethod
+    def rows(*values):
+        return EmbeddingMatrix([f"p{i}" for i in range(len(values))], [[v] for v in values])
+
+    def test_equal_rows_whose_centroid_sum_overflows_have_zero_dispersion(self):
+        assert embedding_dispersion(self.rows(1.7e308, 1.7e308)) == 0.0
+
+    def test_rows_whose_centroid_sum_overflows_stay_finite(self):
+        xs = [Fraction(1.7e308), Fraction(1.7e308), Fraction(1.6e308)]
+        centroid = sum(xs) / 3
+        want = float(sum(abs(x - centroid) for x in xs) / 3)  # about 4.44e306
+        assert embedding_dispersion(self.rows(1.7e308, 1.7e308, 1.6e308)) == pytest.approx(
+            want, rel=1e-14)
+
+    def test_norms_whose_sum_overflows_keep_their_mean(self):
+        assert embedding_dispersion(self.rows(1.7e308, -1.7e308)) == 1.7e308
+
+    def test_a_distance_past_the_float_range_is_infinite(self):
+        emb = EmbeddingMatrix(["a", "b"], [[1.7e308] * 4, [-1.7e308] * 4])  # 3.4e308 each
+        assert embedding_dispersion(emb) == math.inf
 
 
 class TestSubsetDiversity:

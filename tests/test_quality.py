@@ -95,6 +95,12 @@ class TestFindDuplicates:
         assert rep.top_clusters[0][1] == 3
         assert rep.cluster_sizes == (3, 2, 2, 1)
 
+    def test_negative_top_cap_rejected(self):
+        texts = ["x", "x", "y", "y", "z"]
+        with pytest.raises(ValueError, match="top_cap must be >= 0, got -1"):
+            find_duplicates(corpus_of(texts), top_cap=-1)
+        assert find_duplicates(corpus_of(texts), top_cap=0).top_clusters == ()
+
     def test_clusters_ordered_by_size_then_fingerprint(self):
         rep = find_duplicates(corpus_of(["m", "m", "n", "n", "o"]))
         assert [c[1] for c in rep.top_clusters] == [2, 2]
