@@ -153,11 +153,11 @@ def embedding_dispersion(emb: EmbeddingMatrix) -> float:
     if emb.n < 2:
         raise ValueError(f"need at least 2 rows, got {emb.n}")
     value = _dispersion(emb.matrix)
-    if math.isfinite(value) or not np.isfinite(emb.matrix).all():
+    if math.isfinite(value):  # the rows are finite, so only an overflow lands here
         return value
-    # frexp exponents bound n·√d and max|entry| by powers of two.
-    shift = math.frexp(emb.n * math.sqrt(emb.dim))[1] + math.frexp(np.max(np.abs(emb.matrix)))[1]
-    shift -= 1022
+    # 2**shift is at least n·√d·max|entry| / 2**1022.
+    shift = (math.frexp(emb.n * math.sqrt(emb.dim))[1]
+             + math.frexp(np.max(np.abs(emb.matrix)))[1] - 1022)
     try:
         return math.ldexp(_dispersion(np.ldexp(emb.matrix, -shift)), shift)
     except OverflowError:  # the distance itself is past float's range

@@ -436,7 +436,7 @@ class TestDedup:
         assert "unknown normalization" in capsys.readouterr().err
 
     def test_negative_top_cap_fatal(self, corpus_path, tmp_path, capsys):
-        # dup[:-1] used to drop the last cluster while the count still named it
+        # a negative cap would slice clusters off the list while the count still names them
         ini = tmp_path / "d.ini"
         ini.write_text("[dedup]\ntop_cap = -1\n", encoding="utf-8")
         out = tmp_path / "dedup.json"
