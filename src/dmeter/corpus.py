@@ -361,15 +361,10 @@ def _window_codes(ids: np.ndarray, n_types: int, n: int, starts: np.ndarray) -> 
 FORMATS = ("jsonl", "plaintext", "csv")
 
 
-def ingest(
-    source,
-    format: str = "jsonl",
-    tokenizer_config: TokenizerConfig = DEFAULT_TOKENIZER,
-    text_field: str = "text",
-    id_field: str = "id",
-    timestamp_field: str = "timestamp",
-) -> Corpus:
-    """Read a file path or text stream into a Corpus.
+def ingest(source, format: str = "jsonl",
+           tokenizer_config: TokenizerConfig = DEFAULT_TOKENIZER) -> Corpus:
+    """Read a file path or text stream into a Corpus, taking each record's
+    "text", "id" and "timestamp" fields (and JSONL "attributes").
 
     Malformed records, and lines that are not valid UTF-8, are skipped and
     recorded (with their line number) in the returned corpus's ingest_errors;
@@ -380,11 +375,11 @@ def ingest(
 
     with _open_text(source) as stream:
         if format == "jsonl":
-            records, errors = _read_jsonl(stream, text_field, id_field, timestamp_field)
+            records, errors = _read_jsonl(stream)
         elif format == "plaintext":
             records, errors = _read_plaintext(stream)
         else:
-            records, errors = _read_csv(stream, text_field, id_field, timestamp_field)
+            records, errors = _read_csv(stream)
     return Corpus(records, tokenizer_config, ingest_errors=errors)
 
 
@@ -435,7 +430,7 @@ def _dedupe_id(rid: str, seen: set, line: int, errors: list) -> bool:
     return True
 
 
-def _read_jsonl(stream, text_field, id_field, timestamp_field):
+def _read_jsonl(stream):
     records: list[Record] = []
     errors: list[IngestError] = []
     seen: set[str] = set()
@@ -450,11 +445,11 @@ def _read_jsonl(stream, text_field, id_field, timestamp_field):
         if not isinstance(obj, dict):
             errors.append(IngestError(line_no, "record is not a JSON object"))
             continue
-        text = obj.get(text_field)
+        text = obj.get("text")
         if not isinstance(text, str):
-            errors.append(IngestError(line_no, f"missing or non-string {text_field!r} field"))
+            errors.append(IngestError(line_no, "missing or non-string 'text' field"))
             continue
-        rid = obj.get(id_field)
+        rid = obj.get("id")
         rid = str(rid) if rid is not None else str(line_no)
         attrs = obj.get("attributes")
         if attrs is not None:
@@ -467,9 +462,9 @@ def _read_jsonl(stream, text_field, id_field, timestamp_field):
         if any(map(_NOT_UTF8.search, [rid, text, *(attrs or {}), *(attrs or {}).values()])):
             errors.append(IngestError(line_no, _NOT_UTF8_REASON))
             continue
-        ts = obj.get(timestamp_field)
+        ts = obj.get("timestamp")
         if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)):
-            errors.append(IngestError(line_no, f"{timestamp_field!r} must be an integer"))
+            errors.append(IngestError(line_no, "'timestamp' must be an integer"))
             continue
         # Reserve the id last, so a rejected line does not shadow a later valid one.
         if _dedupe_id(rid, seen, line_no, errors):
@@ -505,7 +500,7 @@ def _csv_rows(reader, errors: list):
 _CSV_INTEGER = re.compile("[+-]?[0-9]+")
 
 
-def _read_csv(stream, text_field, id_field, timestamp_field):
+def _read_csv(stream):
     records: list[Record] = []
     errors: list[IngestError] = []
     seen: set[str] = set()
@@ -516,8 +511,8 @@ def _read_csv(stream, text_field, id_field, timestamp_field):
         raise ValueError(f"malformed CSV header: {exc}") from None
     if header is None:
         return records, errors
-    if text_field not in header:
-        raise ValueError(f"csv has no {text_field!r} column (columns: {header})")
+    if "text" not in header:
+        raise ValueError(f"csv has no 'text' column (columns: {header})")
     for line_no, fields in _csv_rows(reader, errors):
         if not fields:  # a blank line
             continue
@@ -525,13 +520,13 @@ def _read_csv(stream, text_field, id_field, timestamp_field):
             errors.append(IngestError(line_no, _NOT_UTF8_REASON))
             continue
         row = dict(zip(header, fields))
-        text = row.get(text_field)
+        text = row.get("text")
         if text is None:
-            errors.append(IngestError(line_no, f"missing {text_field!r} value"))
+            errors.append(IngestError(line_no, "missing 'text' value"))
             continue
-        rid = row.get(id_field) or str(line_no)
+        rid = row.get("id") or str(line_no)
         ts = None
-        raw_ts = row.get(timestamp_field)
+        raw_ts = row.get("timestamp")
         if raw_ts not in (None, ""):
             # An optional sign and ASCII digits only, as JSONL takes only JSON
             # integers: int() alone would also take "1_000", " 7 " and "٣".
@@ -540,7 +535,7 @@ def _read_csv(stream, text_field, id_field, timestamp_field):
                     raise ValueError(raw_ts)
                 ts = int(raw_ts)  # raises past the interpreter's digit limit
             except ValueError:
-                errors.append(IngestError(line_no, f"non-integer {timestamp_field!r} value {raw_ts!r}"))
+                errors.append(IngestError(line_no, f"non-integer 'timestamp' value {raw_ts!r}"))
                 continue
         if _dedupe_id(rid, seen, line_no, errors):
             records.append(Record(id=rid, text=text, timestamp=ts))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedValueError
-from .vectors import EmbeddingMatrix, unit_rows
+from .vectors import _CHUNK_CELLS, EmbeddingMatrix, unit_rows
 
 SIMILARITIES = ("cosine", "inverse-euclidean")
 VOLUME_MODES = ("bounding-box", "unit-hypercube")
@@ -24,7 +24,6 @@ at d=64 on a 2-vCPU Xeon it takes about 1.6 s at n=10,000 and 3.9 s at
 n=20,000, so about 25 s at this cap, and it grows fourfold per doubling past
 it.  Memory stays bounded (pairwise blocks of _CHUNK_CELLS floats), so the cap
 bounds time only."""
-_CHUNK_CELLS = 4_000_000  # pairwise-block budget: rows_per_chunk * n floats
 
 
 @dataclass(frozen=True)
@@ -116,22 +115,14 @@ def data_density(emb: EmbeddingMatrix, volume_mode: str = "bounding-box") -> Dat
     if n < 1:
         raise ValueError("need at least 1 point")
 
-    degenerate = []
-    flags = []
-    if volume_mode == "unit-hypercube":
-        log_volume = 0.0
-    else:
-        los = emb.matrix.min(axis=0)
-        his = emb.matrix.max(axis=0)
+    degenerate, flags, log_volume = [], [], 0.0
+    if volume_mode == "bounding-box":
+        los, his = emb.matrix.min(axis=0), emb.matrix.max(axis=0)
         extents = his - los
-        eps = np.finfo(np.float64).eps
-        log_volume = 0.0
-        for d in range(emb.dim):
-            ext = float(extents[d])
-            if ext == 0.0:
-                ext = eps * max(1.0, abs(float(his[d])))
-                degenerate.append(d)
-            log_volume += math.log(ext)
+        degenerate = np.flatnonzero(extents == 0.0).tolist()
+        extents[degenerate] = np.finfo(np.float64).eps * np.maximum(1.0, np.abs(his[degenerate]))
+        # Summed left to right, as a loop over dimensions adds.
+        log_volume = float(np.add.accumulate([0.0, *map(math.log, extents.tolist())])[-1])
         if degenerate:
             flags.append("degenerate-extent")
 

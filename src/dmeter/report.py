@@ -65,10 +65,6 @@ class MeasurementReport:
         return asdict(self)
 
 
-def nats_to_bits(value: float) -> float:
-    return value / math.log(2.0)
-
-
 def _default_created_at() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch is not None:
@@ -424,19 +420,32 @@ class BatchDelta:
 
 def _numeric_fields(value) -> dict:
     """name -> float for delta computation; scalar values map to {'value': x}."""
-    if isinstance(value, bool):
-        return {}
-    if isinstance(value, (int, float)):
-        return {"value": float(value)}
-    if isinstance(value, dict):
-        out = {}
-        for k, v in value.items():
-            if isinstance(v, bool):
-                continue
-            if isinstance(v, (int, float)):
-                out[k] = float(v)
-        return out
-    return {}
+    fields = value if isinstance(value, dict) else {"value": value}
+    return {k: float(v) for k, v in fields.items()
+            if isinstance(v, (int, float)) and not isinstance(v, bool)}
+
+
+def _entry_delta(b_entry: dict | None, c_entry: dict | None) -> tuple[str | None, dict]:
+    """(why the entry is incomparable, or None; its per-field deltas)."""
+    if b_entry is None or c_entry is None:
+        return ("missing-in-baseline" if b_entry is None else "missing-in-candidate"), {}
+    if b_entry.get("params") != c_entry.get("params"):
+        return "params-differ", {}
+    if any(is_blocking(f) for e in (b_entry, c_entry) for f in e.get("flags", ())):
+        return "value-flagged", {}
+    b_fields = _numeric_fields(b_entry.get("value"))
+    c_fields = _numeric_fields(c_entry.get("value"))
+    deltas = {}
+    for fname in sorted(set(b_fields) & set(c_fields)):
+        absolute = c_fields[fname] - b_fields[fname]
+        relative = absolute / abs(b_fields[fname]) if b_fields[fname] != 0 else math.inf
+        deltas[fname] = {"absolute": absolute,
+                         "relative": relative if math.isfinite(relative) else None}
+    if not deltas:
+        return "no-numeric-values", {}
+    if not all(math.isfinite(d["absolute"]) for d in deltas.values()):
+        return "non-finite-delta", {}
+    return None, deltas
 
 
 def compare(baseline: MeasurementReport, candidate: MeasurementReport) -> BatchDelta:
@@ -454,38 +463,11 @@ def compare(baseline: MeasurementReport, candidate: MeasurementReport) -> BatchD
         )
 
     entries: dict = {}
-    n_comparable = 0
-    names = sorted(set(baseline.measurements) | set(candidate.measurements))
-    for name in names:
-        b_entry = baseline.measurements.get(name)
-        c_entry = candidate.measurements.get(name)
-        if b_entry is None or c_entry is None:
-            reason = "missing-in-baseline" if b_entry is None else "missing-in-candidate"
-            entries[name] = {"comparable": False, "reason": reason, "deltas": {}}
-            continue
-        if b_entry.get("params") != c_entry.get("params"):
-            entries[name] = {"comparable": False, "reason": "params-differ", "deltas": {}}
-            continue
-        if any(is_blocking(f) for e in (b_entry, c_entry) for f in e.get("flags", ())):
-            entries[name] = {"comparable": False, "reason": "value-flagged", "deltas": {}}
-            continue
-        b_fields = _numeric_fields(b_entry.get("value"))
-        c_fields = _numeric_fields(c_entry.get("value"))
-        shared = sorted(set(b_fields) & set(c_fields))
-        if not shared:
-            entries[name] = {"comparable": False, "reason": "no-numeric-values", "deltas": {}}
-            continue
-        deltas = {}
-        for fname in shared:
-            absolute = c_fields[fname] - b_fields[fname]
-            relative = absolute / abs(b_fields[fname]) if b_fields[fname] != 0 else math.inf
-            deltas[fname] = {"absolute": absolute,
-                             "relative": relative if math.isfinite(relative) else None}
-        if not all(math.isfinite(d["absolute"]) for d in deltas.values()):
-            entries[name] = {"comparable": False, "reason": "non-finite-delta", "deltas": {}}
-            continue
-        entries[name] = {"comparable": True, "reason": None, "deltas": deltas}
-        n_comparable += 1
+    for name in sorted(set(baseline.measurements) | set(candidate.measurements)):
+        reason, deltas = _entry_delta(baseline.measurements.get(name),
+                                      candidate.measurements.get(name))
+        entries[name] = {"comparable": reason is None, "reason": reason, "deltas": deltas}
+    n_comparable = sum(e["comparable"] for e in entries.values())
 
     return BatchDelta(
         baseline_ref=baseline.corpus_fingerprint,
@@ -493,7 +475,7 @@ def compare(baseline: MeasurementReport, candidate: MeasurementReport) -> BatchD
         schema_version=baseline.schema_version,
         entries=entries,
         n_comparable=n_comparable,
-        n_incomparable=len(names) - n_comparable,
+        n_incomparable=len(entries) - n_comparable,
     )
 
 

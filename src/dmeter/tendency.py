@@ -310,18 +310,25 @@ class NgramLM:
 
     def prob(self, token: str, context: str | None = None) -> float:
         """p(token | context) for bigram order, p(token) for unigram."""
-        if token not in self.vocab:
-            token = OOV
-        if self.order == 1:
-            count, total = self.unigram_counts.get(token, 0), self.total_tokens
-        else:
-            if context is None:
-                raise ValueError("bigram model needs a context token")
-            if context != BOS and context not in self.vocab:
-                context = OOV
-            count = self.bigram_counts.get((context, token), 0)
-            total = self.context_counts.get(context, 0)
-        return float(_smoothed(self, np.float64(count), np.float64(total)))
+        if self.order != 1 and context is None:
+            raise ValueError("bigram model needs a context token")
+        return float(_outcome_probs(self, [token], [context])[0])
+
+
+def _outcome_probs(lm: NgramLM, tokens, contexts) -> np.ndarray:
+    """lm's probability of each token after its context (the context is
+    ignored at unigram order).  A token outside the vocabulary, and a context
+    other than BOS outside it, count as OOV."""
+    vocab = lm.vocab
+    tokens = [t if t in vocab else OOV for t in tokens]
+    if lm.order == 1:
+        counts = [lm.unigram_counts.get(t, 0) for t in tokens]
+        totals = [lm.total_tokens] * len(tokens)
+    else:
+        contexts = [c if c in vocab or c == BOS else OOV for c in contexts]
+        counts = [lm.bigram_counts.get(pair, 0) for pair in zip(contexts, tokens)]
+        totals = [lm.context_counts.get(c, 0) for c in contexts]
+    return _smoothed(lm, np.array(counts, dtype=np.float64), np.array(totals, dtype=np.float64))
 
 
 def _smoothed(lm: NgramLM, counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -333,6 +340,16 @@ def _smoothed(lm: NgramLM, counts: np.ndarray, totals: np.ndarray) -> np.ndarray
     dens = totals + alpha * bins
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(dens == 0.0, 0.0, (counts + alpha) / dens)
+
+
+def _contexts(corpus: Corpus) -> np.ndarray:
+    """Each token's context as an index into corpus.vocabulary: the token
+    before it, or len(vocabulary), standing for BOS, at a record's first token."""
+    ids, offsets = corpus.token_ids, corpus.record_offsets
+    contexts = np.empty(ids.size, dtype=np.int64)
+    contexts[1:] = ids[:-1]
+    contexts[offsets[:-1][np.diff(offsets) > 0]] = len(corpus.vocabulary)
+    return contexts
 
 
 def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
@@ -352,14 +369,13 @@ def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
     bigram: dict = {}
     contexts: dict = {}
     if order == 2:
-        # BOS precedes each record's first token; every token but a record's last is a context.
-        vocab, ids, offsets = corpus.vocabulary, corpus.token_ids, corpus.record_offsets
-        nonempty = np.diff(offsets) > 0
-        starts = Counter(map(vocab.__getitem__, ids[offsets[:-1][nonempty]].tolist()))
-        ends = Counter(map(vocab.__getitem__, ids[offsets[1:][nonempty] - 1].tolist()))
+        vocab, ctx = corpus.vocabulary, _contexts(corpus)
+        keys = (*vocab, BOS)
+        starts = Counter(map(vocab.__getitem__, corpus.token_ids[ctx == len(vocab)].tolist()))
         bigram = dict(corpus.ngram_counts(2).entries)
         bigram.update(((BOS, tok), count) for tok, count in starts.items())
-        contexts = dict(Counter(unigram) + Counter({BOS: int(nonempty.sum())}) - ends)
+        contexts = {keys[c]: n for c, n in enumerate(np.bincount(ctx, minlength=len(keys)).tolist())
+                    if n}
     return NgramLM(
         order=order,
         smoothing=float(smoothing),
@@ -448,30 +464,14 @@ def _token_logprobs(lm: NgramLM, corpus: Corpus) -> np.ndarray:
     if lm.order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {lm.order}")
     vocab, ids = corpus.vocabulary, corpus.token_ids
-    n_types = len(vocab)
-    # Model key ids: a corpus type is itself when the model knows it, else OOV.
-    keys = (*vocab, OOV, BOS)
-    known = np.fromiter((t in lm.vocab for t in vocab), dtype=bool, count=n_types)
-    tokens = np.where(known, np.arange(n_types), n_types)[ids]
     if lm.order == 1:
-        outcome = tokens
-        outcome_keys = np.arange(n_types + 1)
-        counts = [lm.unigram_counts.get(keys[k], 0) for k in outcome_keys.tolist()]
-        totals = np.full(outcome_keys.size, float(lm.total_tokens))
+        outcome, probs = ids, _outcome_probs(lm, vocab, None)
     else:
-        offsets = corpus.record_offsets
-        contexts = np.empty_like(tokens)
-        contexts[1:] = tokens[:-1]
-        contexts[offsets[:-1][np.diff(offsets) > 0]] = n_types + 1  # BOS
-        outcome_keys, outcome = np.unique(contexts * (n_types + 2) + tokens, return_inverse=True)
-        ctx_keys, tok_keys = np.divmod(outcome_keys, n_types + 2)
-        get = lm.bigram_counts.get
-        counts = [get((keys[c], keys[t]), 0) for c, t in zip(ctx_keys.tolist(), tok_keys.tolist())]
-        distinct_ctx, ctx_of = np.unique(ctx_keys, return_inverse=True)
-        get = lm.context_counts.get
-        totals = np.array([get(keys[c], 0) for c in distinct_ctx.tolist()], dtype=np.float64)
-        totals = totals[ctx_of]
-    probs = _smoothed(lm, np.array(counts, dtype=np.float64), totals)
+        keys = (*vocab, BOS)
+        outcome_keys, outcome = np.unique(_contexts(corpus) * len(keys) + ids, return_inverse=True)
+        ctx_keys, tok_keys = np.divmod(outcome_keys, len(keys))
+        probs = _outcome_probs(lm, map(keys.__getitem__, tok_keys.tolist()),
+                               map(keys.__getitem__, ctx_keys.tolist()))
     distinct, which = np.unique(probs, return_inverse=True)
     logs = np.array([-math.inf if p <= 0.0 else math.log(p) for p in distinct.tolist()])
     return logs[which][outcome]

@@ -6,18 +6,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmeter.corpus import Corpus, Record, TokenizerConfig
 from dmeter.report import (
     DEFAULT_CONFIG,
     METRIC_FAMILIES,
     SCHEMA_VERSION,
+    BatchDelta,
     MeasurementReport,
     assemble_report,
     compare,
     format_delta_table,
+    is_blocking,
+    _numeric_fields,
     _sanitize,
-    nats_to_bits,
     parse_report,
     serialize_delta,
     serialize_report,
@@ -397,13 +401,6 @@ class TestDeltaTable:
         assert len(starts) == 1
 
 
-class TestNatsToBits:
-    def test_conversion(self):
-        assert nats_to_bits(math.log(2)) == pytest.approx(1.0, abs=1e-12)
-        assert nats_to_bits(0.0) == 0.0
-        assert nats_to_bits(2 * math.log(2)) == pytest.approx(2.0, abs=1e-12)
-
-
 class TestNonFiniteDeltas:
     """A delta that overflows is reported, never serialized as a non-finite float."""
 
@@ -443,3 +440,94 @@ class TestNonFiniteDeltas:
         obj = json.loads(serialize_delta(delta))
         assert obj["entries"]["m"]["reason"] == "non-finite-delta"
         assert "incomparable (non-finite-delta)" in format_delta_table(delta)
+
+
+# --- compare against the per-reason branches it replaced ------------------------
+
+
+def parent_numeric_fields(value) -> dict:
+    """report._numeric_fields as it was before scalars and dicts shared one
+    filter, kept as an oracle."""
+    if isinstance(value, bool):
+        return {}
+    if isinstance(value, (int, float)):
+        return {"value": float(value)}
+    if isinstance(value, dict):
+        out = {}
+        for k, v in value.items():
+            if isinstance(v, bool):
+                continue
+            if isinstance(v, (int, float)):
+                out[k] = float(v)
+        return out
+    return {}
+
+
+def parent_compare(baseline, candidate):
+    """report.compare as it was before each entry's reason was decided once,
+    kept as an oracle (the schema-version check is unchanged and left out)."""
+    entries: dict = {}
+    n_comparable = 0
+    names = sorted(set(baseline.measurements) | set(candidate.measurements))
+    for name in names:
+        b_entry = baseline.measurements.get(name)
+        c_entry = candidate.measurements.get(name)
+        if b_entry is None or c_entry is None:
+            reason = "missing-in-baseline" if b_entry is None else "missing-in-candidate"
+            entries[name] = {"comparable": False, "reason": reason, "deltas": {}}
+            continue
+        if b_entry.get("params") != c_entry.get("params"):
+            entries[name] = {"comparable": False, "reason": "params-differ", "deltas": {}}
+            continue
+        if any(is_blocking(f) for e in (b_entry, c_entry) for f in e.get("flags", ())):
+            entries[name] = {"comparable": False, "reason": "value-flagged", "deltas": {}}
+            continue
+        b_fields = parent_numeric_fields(b_entry.get("value"))
+        c_fields = parent_numeric_fields(c_entry.get("value"))
+        shared = sorted(set(b_fields) & set(c_fields))
+        if not shared:
+            entries[name] = {"comparable": False, "reason": "no-numeric-values", "deltas": {}}
+            continue
+        deltas = {}
+        for fname in shared:
+            absolute = c_fields[fname] - b_fields[fname]
+            relative = absolute / abs(b_fields[fname]) if b_fields[fname] != 0 else math.inf
+            deltas[fname] = {"absolute": absolute,
+                             "relative": relative if math.isfinite(relative) else None}
+        if not all(math.isfinite(d["absolute"]) for d in deltas.values()):
+            entries[name] = {"comparable": False, "reason": "non-finite-delta", "deltas": {}}
+            continue
+        entries[name] = {"comparable": True, "reason": None, "deltas": deltas}
+        n_comparable += 1
+    return BatchDelta(
+        baseline_ref=baseline.corpus_fingerprint,
+        candidate_ref=candidate.corpus_fingerprint,
+        schema_version=baseline.schema_version,
+        entries=entries,
+        n_comparable=n_comparable,
+        n_incomparable=len(names) - n_comparable,
+    )
+
+
+_numbers = st.sampled_from([0, 1, -3, 0.0, -0.0, 2.5, 5e-324, 1e308, -1e308, 1.7976931348623157e308,
+                            math.inf, -math.inf, math.nan, True, False]) | st.floats()
+_values = (_numbers | st.none() | st.text(max_size=2) | st.lists(_numbers, max_size=2)
+           | st.dictionaries(st.sampled_from(["value", "mean", "n"]),
+                             _numbers | st.none() | st.lists(_numbers, max_size=1), max_size=3))
+_entries = st.builds(entry, _values, params=st.sampled_from([None, {"k": 1}, {"k": 2}]),
+                     flags=st.lists(st.sampled_from(["undefined", "undefined:mean", "infinite",
+                                                     "low-confidence", "error:argument",
+                                                     "skipped:no-embeddings"]),
+                                    max_size=2, unique=True))
+_measurements = st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e"]), _entries, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_measurements, _measurements)
+def test_compare_matches_the_per_reason_oracle(base, cand):
+    got = compare(handmade(base), handmade(cand, fingerprint="c" * 16))
+    want = parent_compare(handmade(base), handmade(cand, fingerprint="c" * 16))
+    # repr also tells -0.0 from 0.0 and keeps the entry order the delta table prints.
+    assert repr(got) == repr(want)
+    for value in (*base.values(), *cand.values()):
+        assert repr(_numeric_fields(value["value"])) == repr(parent_numeric_fields(value["value"]))

@@ -620,3 +620,75 @@ def test_prob_matches_the_scalar_smoothing_oracle(order, smoothing, count, rest,
     for token, context in [("a", "b"), ("zzz", "b"), ("a", "unseen"), ("a", BOS)]:
         context = context if order == 2 else None
         assert lm.prob(token, context) == parent_prob(lm, token, context)
+
+
+# --- NgramLM.prob and _token_logprobs against their own lookups -----------------
+
+
+def parent_lookup_prob(self, token, context=None):
+    """NgramLM.prob as it was before it became the one-outcome case of the
+    per-outcome lookup, kept as an oracle."""
+    if token not in self.vocab:
+        token = OOV
+    if self.order == 1:
+        count, total = self.unigram_counts.get(token, 0), self.total_tokens
+    else:
+        if context is None:
+            raise ValueError("bigram model needs a context token")
+        if context != BOS and context not in self.vocab:
+            context = OOV
+        count = self.bigram_counts.get((context, token), 0)
+        total = self.context_counts.get(context, 0)
+    return float(tendency._smoothed(self, np.float64(count), np.float64(total)))
+
+
+def parent_token_logprobs(lm, corpus):
+    """_token_logprobs as it was before it shared the per-outcome lookup with
+    NgramLM.prob and the BOS rule with train_lm, kept as an oracle."""
+    vocab, ids = corpus.vocabulary, corpus.token_ids
+    n_types = len(vocab)
+    keys = (*vocab, OOV, BOS)
+    known = np.fromiter((t in lm.vocab for t in vocab), dtype=bool, count=n_types)
+    tokens = np.where(known, np.arange(n_types), n_types)[ids]
+    if lm.order == 1:
+        outcome = tokens
+        outcome_keys = np.arange(n_types + 1)
+        counts = [lm.unigram_counts.get(keys[k], 0) for k in outcome_keys.tolist()]
+        totals = np.full(outcome_keys.size, float(lm.total_tokens))
+    else:
+        offsets = corpus.record_offsets
+        contexts = np.empty_like(tokens)
+        contexts[1:] = tokens[:-1]
+        contexts[offsets[:-1][np.diff(offsets) > 0]] = n_types + 1  # BOS
+        outcome_keys, outcome = np.unique(contexts * (n_types + 2) + tokens, return_inverse=True)
+        ctx_keys, tok_keys = np.divmod(outcome_keys, n_types + 2)
+        get = lm.bigram_counts.get
+        counts = [get((keys[c], keys[t]), 0) for c, t in zip(ctx_keys.tolist(), tok_keys.tolist())]
+        distinct_ctx, ctx_of = np.unique(ctx_keys, return_inverse=True)
+        get = lm.context_counts.get
+        totals = np.array([get(keys[c], 0) for c in distinct_ctx.tolist()], dtype=np.float64)
+        totals = totals[ctx_of]
+    probs = tendency._smoothed(lm, np.array(counts, dtype=np.float64), totals)
+    distinct, which = np.unique(probs, return_inverse=True)
+    logs = np.array([-math.inf if p <= 0.0 else math.log(p) for p in distinct.tolist()])
+    return logs[which][outcome]
+
+
+_WORDS = st.lists(st.sampled_from(["a", "b", "c", "d", "<bos>", "<oov>"]), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(train=st.lists(_WORDS, min_size=1, max_size=6), scored=st.lists(_WORDS, max_size=6),
+       order=st.sampled_from([1, 2]), smoothing=_smoothings)
+@example(train=[["a", "b"]], scored=[["c", "a"], [], ["b"]], order=2, smoothing=0.0)
+@example(train=[[]], scored=[["a"]], order=1, smoothing=0.0)
+def test_lookups_match_their_parent_oracles(train, scored, order, smoothing):
+    config = TokenizerConfig(mode="whitespace", case_fold=False)
+    lm = train_lm(corpus_of([" ".join(t) for t in train], tokenizer_config=config), order, smoothing)
+    for words in (train, scored):  # a model scores its own corpus, or one it never saw
+        c = corpus_of([" ".join(t) for t in words] or [""], tokenizer_config=config)
+        assert tendency._token_logprobs(lm, c).tolist() == parent_token_logprobs(lm, c).tolist()
+    outcomes = [*"abcdz", "<bos>", BOS, OOV]
+    for token in outcomes:
+        for context in ([None] if order == 1 else outcomes):
+            assert lm.prob(token, context) == parent_lookup_prob(lm, token, context)
