@@ -232,6 +232,18 @@ def top_npmi(
     return rows[:k]
 
 
+def _deviations(xs: np.ndarray) -> np.ndarray:
+    """xs minus its mean.  When the sum or a deviation overflows, finite xs
+    are first scaled by a power of two, which leaves a correlation unchanged;
+    other samples keep their bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviations = xs - xs.mean()
+    if not np.isfinite(deviations).all() and np.isfinite(xs).all():
+        xs = np.ldexp(xs, -(xs.size.bit_length() + 1))  # a sum of n entries stays below max/2
+        deviations = xs - xs.mean()
+    return deviations
+
+
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson correlation: cosine_similarity of the centred samples."""
     xs = np.asarray(list(xs), dtype=np.float64)
@@ -240,8 +252,7 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {xs.size} vs {ys.size}")
     if xs.size < 2:
         raise ValueError(f"need at least 2 pairs, got {xs.size}")
-    xd = xs - xs.mean()
-    yd = ys - ys.mean()
+    xd, yd = _deviations(xs), _deviations(ys)
     if not (xd.any() and yd.any()):
         raise UndefinedValueError("correlation undefined for zero-variance input")
     return cosine_similarity(xd, yd)

@@ -118,11 +118,16 @@ def data_density(emb: EmbeddingMatrix, volume_mode: str = "bounding-box") -> Dat
     degenerate, flags, log_volume = [], [], 0.0
     if volume_mode == "bounding-box":
         los, his = emb.matrix.min(axis=0), emb.matrix.max(axis=0)
-        extents = his - los
+        with np.errstate(over="ignore"):
+            extents = his - los
         degenerate = np.flatnonzero(extents == 0.0).tolist()
         extents[degenerate] = np.finfo(np.float64).eps * np.maximum(1.0, np.abs(his[degenerate]))
+        # An extent past the float range is twice his/2 - los/2, which is not.
+        over = np.isinf(extents)
+        spans = np.where(over, his / 2 - los / 2, extents).tolist()
+        logs = np.fromiter(map(math.log, spans), float, len(spans)) + over * math.log(2.0)
         # Summed left to right, as a loop over dimensions adds.
-        log_volume = float(np.add.accumulate([0.0, *map(math.log, extents.tolist())])[-1])
+        log_volume = float(np.add.accumulate(np.append(0.0, logs))[-1])
         if degenerate:
             flags.append("degenerate-extent")
 

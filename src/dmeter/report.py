@@ -182,13 +182,13 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
             provenance="external-model",
         )
 
-    gaps = tendency.timestamp_gaps(corpus)
+    n_stamped = sum(r.timestamp is not None for r in corpus.records)
     b.add(
         "burstiness_timestamp",
         "dimensionless",
         {"gap_source": "timestamps"},
-        lambda: tendency.burstiness(gaps),
-        skip=None if len(gaps) >= 2 else "needs-at-least-3-timestamped-records",
+        lambda: tendency.burstiness(tendency.timestamp_gaps(corpus)),
+        skip=None if n_stamped >= 3 else "needs-at-least-3-timestamped-records",
     )
 
     token = cfg["burstiness_token"]

@@ -112,9 +112,17 @@ def burstiness(gaps: Sequence[float]) -> float:
 
 
 def timestamp_gaps(corpus: Corpus) -> list[float]:
-    """Inter-event intervals between sorted record timestamps."""
+    """Inter-event intervals between sorted record timestamps; ValueError
+    naming a gap past the float range."""
     stamps = sorted(r.timestamp for r in corpus.records if r.timestamp is not None)
-    return [float(b - a) for a, b in zip(stamps, stamps[1:])]
+    gaps = []
+    for a, b in zip(stamps, stamps[1:]):
+        try:
+            gaps.append(float(b - a))
+        except OverflowError:
+            raise ValueError(
+                f"the gap between timestamps {a} and {b} is past the float range") from None
+    return gaps
 
 
 def token_recurrence_gaps(corpus: Corpus, token: str) -> list[float]:

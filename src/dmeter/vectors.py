@@ -199,7 +199,8 @@ def euclidean_matrix(a, b) -> np.ndarray:
 
 def cosine_matrix(a, b) -> np.ndarray:
     """cos of the angle between a[i] and b[j] for every row pair, as an n×m
-    array, clamped to [-1, 1] against rounding (NaN becomes -1).
+    array, clamped to [-1, 1] against rounding.  Non-finite input raises
+    ValueError.
 
     A zero-norm row has no direction, so no defined similarity.  Where a norm
     underflows or overflows, or a dot product overflows, for non-zero rows,
@@ -207,6 +208,8 @@ def cosine_matrix(a, b) -> np.ndarray:
     entries.
     """
     a, b = _pair_rows(a, b)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("cosine similarity needs finite values")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         norms_a, norms_b = np.sqrt(_dots(a, a)), np.sqrt(_dots(b, b))
         dots = _dots(a[:, None], b[None])
@@ -219,8 +222,7 @@ def cosine_matrix(a, b) -> np.ndarray:
         norms_a, norms_b = np.sqrt(_dots(a, a)), np.sqrt(_dots(b, b))
         scaled = _dots(a[:, None], b[None]) / (norms_a[:, None] * norms_b[None])
         sim = np.where(redo, scaled, sim)
-    sim = np.where(sim > -1.0, sim, -1.0)
-    return np.where(sim < 1.0, sim, 1.0)
+    return np.clip(sim, -1.0, 1.0)
 
 
 def cosine_similarity(u, v) -> float:

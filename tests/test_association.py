@@ -344,6 +344,22 @@ class TestPearsonAtExtremeScales:
         xs = [1e200, -1e200, 0.0]
         assert pearson(xs, xs) == pytest.approx(1.0, abs=1e-12)
 
+    def test_overflowing_mean_is_not_minus_one(self):
+        # The sum overflows to inf; the sample is rescaled by a power of two first.
+        want = pearson([1.7, 1.7, 1.6], [1, 2, 3])
+        assert want == pytest.approx(-math.sqrt(0.75), rel=1e-15)
+        assert pearson([1.7e308, 1.7e308, 1.6e308], [1, 2, 3]) == pytest.approx(want, rel=1e-15)
+        assert pearson([1, 2, 3], [1.7e308, 1.7e308, 1.6e308]) == pytest.approx(want, rel=1e-15)
+
+    def test_overflowing_deviation_is_rescaled(self):
+        # The mean is finite, but -1.7e308 lies more than the float range below it.
+        want = pearson([-1.7, 1.7, 1.7], [1, 2, 3])
+        assert pearson([-1.7e308, 1.7e308, 1.7e308], [1, 2, 3]) == pytest.approx(want, rel=1e-15)
+
+    def test_non_finite_sample_is_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            pearson([math.inf, 1.0, 2.0], [1, 2, 3])
+
     def test_tiny_samples_are_not_zero_variance(self):
         # The squared deviations underflow to 0; the samples still vary.
         r = pearson([1e-170, -1e-170, 0.0], [-1e-170, 1e-170, 0.0])

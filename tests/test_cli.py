@@ -69,6 +69,19 @@ class TestMeasure:
         rep = parse_report(str(out))
         assert rep.measurements["knn_density"]["flags"] == ["skipped:no-embeddings"]
 
+    def test_timestamp_gap_past_the_float_range_fails_only_its_entry(self, tmp_path, capsys):
+        p = tmp_path / "stamps.jsonl"
+        p.write_text("".join(json.dumps({"id": str(ts), "text": "a b.", "timestamp": ts}) + "\n"
+                             for ts in (0, 5, 10**400)), encoding="utf-8")
+        out = tmp_path / "rep.json"
+        code = main(["measure", "--input", str(p), "--metrics", "tendency", "--out", str(out)])
+        assert code == 2
+        entry = parse_report(str(out)).measurements["burstiness_timestamp"]
+        assert entry["flags"] == ["error:argument"] and entry["value"] is None
+        assert entry["note"] == (f"the gap between timestamps 5 and {10**400} "
+                                 "is past the float range")
+        assert "burstiness_timestamp: error:argument (the gap between" in capsys.readouterr().out
+
     def test_undefined_entry_prints_its_note(self, tmp_path, capsys):
         p = tmp_path / "one.jsonl"
         p.write_text('{"id": "x", "text": "a a a."}\n', encoding="utf-8")

@@ -163,6 +163,15 @@ class TestDataDensity:
         with pytest.raises(ValueError, match="unknown volume mode"):
             data_density(emb_from([[1.0]]), volume_mode="sphere")
 
+    def test_extent_past_the_float_range_has_a_finite_log(self):
+        # The first extent, 2e308, overflows; its log is log(1e308) + log 2.
+        res = data_density(emb_from([[1e308, 0.0], [-1e308, 1.0], [0.0, 2.0]]))
+        assert res.log_density == -709.4838907146177
+        assert res.log_density == pytest.approx(math.log(3) - 2 * math.log(1e154) - 2 * math.log(2))
+        assert res.flags == () and res.degenerate_dims == ()
+        top = data_density(emb_from([[1.7976931348623157e308], [-1.7976931348623157e308]]))
+        assert top.log_density == pytest.approx(-math.log(1.7976931348623157e308))
+
 
 # --- top-k by partition against the per-row ranking it replaced -----------------
 

@@ -139,6 +139,12 @@ class TestBurstiness:
         c = corpus_of(["x", "y", "z", "w"], timestamps=[10, 3, None, 7])
         assert timestamp_gaps(c) == [4.0, 3.0]
 
+    def test_gap_past_the_float_range_is_named(self):
+        c = corpus_of(["x", "y", "z"], timestamps=[0, 10**400, 5])
+        with pytest.raises(ValueError, match=f"^the gap between timestamps 5 and {10**400} "
+                                             "is past the float range$"):
+            timestamp_gaps(c)
+
     def test_token_recurrence_gaps_cross_record_stream(self):
         c = corpus_of(["a b a", "a"])
         assert token_recurrence_gaps(c, "a") == [2.0, 1.0]
@@ -684,7 +690,8 @@ _WORDS = st.lists(st.sampled_from(["a", "b", "c", "d", "<bos>", "<oov>"]), max_s
 @example(train=[[]], scored=[["a"]], order=1, smoothing=0.0)
 def test_lookups_match_their_parent_oracles(train, scored, order, smoothing):
     config = TokenizerConfig(mode="whitespace", case_fold=False)
-    lm = train_lm(corpus_of([" ".join(t) for t in train], tokenizer_config=config), order, smoothing)
+    lm = train_lm(corpus_of([" ".join(t) for t in train], tokenizer_config=config),
+                  order, smoothing)
     for words in (train, scored):  # a model scores its own corpus, or one it never saw
         c = corpus_of([" ".join(t) for t in words] or [""], tokenizer_config=config)
         assert tendency._token_logprobs(lm, c).tolist() == parent_token_logprobs(lm, c).tolist()

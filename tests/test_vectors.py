@@ -339,6 +339,15 @@ def test_cosine_similarity_needs_two_vectors_of_one_length(u, v):
         cosine_similarity(u, v)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_cosine_refuses_non_finite_input(bad):
+    # A NaN used to be clamped to -1.0: cosine_similarity([inf, 0], [1, 0]) read -1.
+    with pytest.raises(ValueError, match="finite"):
+        cosine_similarity([bad, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        cosine_matrix(np.ones((2, 3)), [[1.0, bad, 2.0]])
+
+
 @pytest.mark.parametrize("a, b", [
     (np.ones(3), np.ones((2, 3))), (np.ones((2, 3)), np.ones((2, 4))), (np.ones((1, 2, 3)),) * 2,
 ])
