@@ -382,6 +382,7 @@ def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
         starts = Counter(map(vocab.__getitem__, corpus.token_ids[ctx == len(vocab)].tolist()))
         bigram = dict(corpus.ngram_counts(2).entries)
         bigram.update(((BOS, tok), count) for tok, count in starts.items())
+        # A context's count is the number of tokens that follow it.
         contexts = {keys[c]: n for c, n in enumerate(np.bincount(ctx, minlength=len(keys)).tolist())
                     if n}
     return NgramLM(
