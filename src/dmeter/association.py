@@ -2,13 +2,15 @@
 
 Co-occurrence counts are binary per context (a term pair counts once per
 document or window containing both), which keeps nPMI's [-1, 1] bounds exact.
+Every context mode, with targets or without, counts by one array route: a
+sorted (context, term) incidence, term counts by np.bincount, and pair counts
+from each target's entries expanded against the terms of their own contexts
+(with no targets, every term is a target).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -60,60 +62,60 @@ class CooccurrenceTable:
         return index
 
 
-def _contexts(ranks: np.ndarray, offsets: np.ndarray, window_size: int | None):
-    """Sorted distinct term ranks of each context: every record when
-    window_size is None, else every sliding window, where a non-empty record
+def _distinct(codes: np.ndarray):
+    """Distinct codes, sorted, and how often each occurs; sorts codes in place.
+    One sort: a bare np.unique hashes, which on this many codes is far slower."""
+    codes.sort()
+    first = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return codes[first], np.diff(first, append=codes.size)
+
+
+def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
+    """0, 1, ..., n - 1 for each n in lengths, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1:].sum()) - np.repeat(ends - lengths, lengths)
+
+
+def _incidence(ranks: np.ndarray, offsets: np.ndarray, n_terms: int, window_size: int | None):
+    """Context count, and the contexts and terms of the sorted incidence that
+    lists each distinct term once per context.  A context is a record when
+    window_size is None, else a sliding window, where a non-empty record
     shorter than the window is one context."""
-    ranks = ranks.tolist()
-    bounds = offsets.tolist()
-    for start, end in zip(bounds, bounds[1:]):
-        if window_size is None:
-            yield sorted(set(ranks[start:end]))
-        elif end > start:
-            for i in range(start, max(start, end - window_size) + 1):
-                yield sorted(set(ranks[i : min(end, i + window_size)]))
+    lengths = np.diff(offsets)
+    if window_size is None:
+        n_windows, widths = np.ones_like(lengths), lengths
+    else:
+        # Clamped first: window_size may be a Python int past any C integer.
+        window_size = min(window_size, int(lengths.max()))
+        n_windows = np.where(lengths > 0, np.maximum(lengths - window_size, 0) + 1, 0)
+        widths = np.minimum(lengths, window_size)
+    starts = np.repeat(offsets[:-1], n_windows) + _ragged_arange(n_windows)
+    spans = np.repeat(widths, n_windows)
+    codes = np.repeat(np.arange(spans.size) * n_terms, spans)
+    codes += ranks[np.repeat(starts, spans) + _ragged_arange(spans)]
+    incidence, _ = _distinct(codes)
+    return spans.size, *np.divmod(incidence, n_terms)
 
 
-def _count_sets(contexts, target_ranks: set | None):
-    """Context count, and contexts holding each term and each sorted pair;
-    with targets, only pairs touching one."""
-    n_contexts = 0
-    term_counts: Counter = Counter()
-    pair_counts: Counter = Counter()
-    for present in contexts:
-        n_contexts += 1
-        term_counts.update(present)
-        pairs = itertools.combinations(present, 2)
-        if target_ranks is not None:
-            pairs = [p for p in pairs if p[0] in target_ranks or p[1] in target_ranks]
-        pair_counts.update(pairs)
-    return n_contexts, term_counts, pair_counts
-
-
-def _document_target_counts(ranks: np.ndarray, offsets: np.ndarray, n_terms: int,
-                            target_ranks: set):
-    """_count_sets over whole records with targets, as array operations: a
-    term's count is its number of distinct (record, term) pairs, and each
-    target's pairs are the terms of the records that hold it."""
-    n_records = offsets.size - 1
-    records = np.repeat(np.arange(n_records), np.diff(offsets))
-    # Distinct (record, term) codes by one sort: a bare np.unique hashes,
-    # which on this many codes takes tens of times longer.
-    codes = np.sort(records * n_terms + ranks)
-    codes = codes[np.diff(codes, prepend=-1) != 0]
-    records, present = codes // n_terms, codes % n_terms
-    term_counts = np.bincount(present, minlength=n_terms)
-    pair_counts = {}
-    for t in sorted(target_ranks):
-        holds = np.zeros(n_records, dtype=bool)
-        holds[records[present == t]] = True
-        co = np.bincount(present[holds[records]], minlength=n_terms)
-        co[t] = 0
-        ys = np.flatnonzero(co)
-        pairs = zip(np.minimum(ys, t).tolist(), np.maximum(ys, t).tolist())
-        pair_counts.update(zip(pairs, co[ys].tolist()))
-    nonzero = np.flatnonzero(term_counts)
-    return n_records, dict(zip(nonzero.tolist(), term_counts[nonzero].tolist())), pair_counts
+def _count(ranks: np.ndarray, offsets: np.ndarray, n_terms: int, window_size: int | None,
+           source: np.ndarray):
+    """Context count, contexts holding each term rank, and the sorted codes
+    lo * n_terms + hi of the rank pairs lo < hi holding a source term, with the
+    contexts holding each."""
+    n_contexts, contexts, present = _incidence(ranks, offsets, n_terms, window_size)
+    # Each source entry meets every entry of its own context.  A pair is kept
+    # once per context: from its smaller term, or from its only source.
+    sizes = np.bincount(contexts, minlength=n_contexts)
+    held = np.flatnonzero(source[present])
+    own = sizes[contexts[held]]
+    b = present[np.repeat(np.cumsum(sizes)[contexts[held]] - own, own) + _ragged_arange(own)]
+    a = np.repeat(present[held], own)
+    keep = (b > a) | ((b < a) & ~source[b])
+    a, b = a[keep], b[keep]
+    pairs, pair_counts = _distinct(np.minimum(a, b) * n_terms + np.maximum(a, b))
+    return n_contexts, np.bincount(present, minlength=n_terms), pairs, pair_counts
 
 
 def build_cooccurrence(
@@ -148,24 +150,20 @@ def build_cooccurrence(
     terms = [vocab[i] for i in order]
     rank = np.empty(len(vocab), dtype=np.int64)
     rank[order] = np.arange(len(vocab))
-    ranks, offsets = rank[corpus.token_ids], corpus.record_offsets
-    target_ranks = None
-    if target_set is not None:
-        target_ranks = {r for r, term in enumerate(terms) if term in target_set}
-
-    if context_mode == "document" and target_ranks is not None:
-        n_contexts, term_counts, pair_counts = _document_target_counts(
-            ranks, offsets, len(terms), target_ranks)
-    else:
-        window = window_size if context_mode == "window" else None
-        n_contexts, term_counts, pair_counts = _count_sets(
-            _contexts(ranks, offsets, window), target_ranks)
+    source = np.array([target_set is None or term in target_set for term in terms], dtype=bool)
+    window = window_size if context_mode == "window" else None
+    n_contexts, term_counts, pairs, pair_counts = _count(
+        rank[corpus.token_ids], corpus.record_offsets, len(terms), window, source)
+    lo, hi = np.divmod(pairs, len(terms))
+    present = np.flatnonzero(term_counts)
     return CooccurrenceTable(
-        pair_counts={(terms[a], terms[b]): c for (a, b), c in pair_counts.items()},
-        term_counts={terms[r]: c for r, c in sorted(term_counts.items())},
+        pair_counts={(terms[a], terms[b]): c
+                     for a, b, c in zip(lo.tolist(), hi.tolist(), pair_counts.tolist())},
+        term_counts=dict(zip([terms[r] for r in present.tolist()],
+                             term_counts[present].tolist())),
         n_contexts=n_contexts,
         context_mode=context_mode,
-        window_size=window_size if context_mode == "window" else None,
+        window_size=window,
     )
 
 

@@ -87,6 +87,16 @@ class TestBuildCooccurrence:
         assert t.n_contexts == 1
         assert t.pair_count("a", "b") == 1
 
+    @pytest.mark.parametrize("targets", [None, ["b"]])
+    def test_window_past_any_c_integer_is_one_context_per_nonempty_record(self, targets):
+        c = corpus_of(["a b c", "", "b c d e", "a"])
+        t = build_cooccurrence(c, targets, context_mode="window", window_size=10**30)
+        doc = build_cooccurrence(c, targets)
+        assert t.n_contexts == 3  # the empty record holds no window
+        assert t.window_size == 10**30
+        assert t.pair_counts == doc.pair_counts
+        assert t.term_counts == doc.term_counts
+
     def test_window_mode_requires_size(self):
         c = corpus_of(["a b"])
         with pytest.raises(ValueError, match="window_size"):

@@ -374,6 +374,23 @@ class TestAssoc:
         # width-2 windows only pair adjacent tokens
         assert {c["term"] for c in payload["targets"][0]["co_terms"]} == {"brown", "jumps"}
 
+    def test_window_past_any_c_integer_matches_document_mode(self, corpus_path, tmp_path):
+        # No record of the corpus is empty, so each is one window and one document.
+        targets = tmp_path / "targets.txt"
+        targets.write_text("fox\nturtle\n", encoding="utf-8")
+        ini = tmp_path / "a.ini"
+        ini.write_text(f"[assoc]\ncontext_mode = window\nwindow_size = {10**30}\n",
+                       encoding="utf-8")
+        payloads = {}
+        for mode, config in (("window", ["--config", str(ini)]), ("document", [])):
+            out = tmp_path / f"{mode}.json"
+            assert main(["assoc", "--input", corpus_path, "--targets", str(targets),
+                         "--out", str(out)] + config) == 0
+            payloads[mode] = json.loads(out.read_text(encoding="utf-8"))
+            assert payloads[mode].pop("context_mode") == mode
+        assert payloads["window"] == payloads["document"]
+        assert payloads["window"]["targets"][0]["co_terms"]
+
     def test_unknown_config_key_fatal(self, corpus_path, tmp_path, capsys):
         targets = tmp_path / "targets.txt"
         targets.write_text("fox\n", encoding="utf-8")

@@ -265,6 +265,25 @@ def test_cooccurrence_matches_loop(record_texts, config, mode, window, extra, n_
         assert rows == sorted(rows, key=lambda r: (-r[1], r[0]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(texts, min_size=1, max_size=6), configs, st.sampled_from(["document", "window"]),
+       st.integers(1, 4), st.lists(st.integers(0, 9), min_size=1, max_size=4), texts)
+def test_targeted_table_is_the_untargeted_one_restricted_to_targets(
+        record_texts, config, mode, window, picks, absent):
+    # A pair of two targets must still count once per context.
+    corpus = corpus_of(record_texts, config)
+    vocab = corpus.vocabulary
+    targets = [vocab[i % len(vocab)] for i in picks] if vocab else []
+    window = window if mode == "window" else None
+    full = build_cooccurrence(corpus, None, mode, window)
+    part = build_cooccurrence(corpus, targets + [absent], mode, window)
+    wanted = set(targets) | {absent}
+    assert part.pair_counts == {
+        pair: c for pair, c in full.pair_counts.items() if wanted & set(pair)}
+    assert part.term_counts == full.term_counts
+    assert part.n_contexts == full.n_contexts
+
+
 # --- recurrence gaps and readability -----------------------------------------------
 
 
