@@ -82,7 +82,8 @@ def _incidence(ranks: np.ndarray, offsets: np.ndarray, n_terms: int, window_size
     """Context count, and the contexts and terms of the sorted incidence that
     lists each distinct term once per context.  A context is a record when
     window_size is None, else a sliding window, where a non-empty record
-    shorter than the window is one context."""
+    shorter than the window is one context.  (A function of its own, so its
+    per-token temporaries are freed before _count expands the pairs.)"""
     lengths = np.diff(offsets)
     if window_size is None:
         n_windows, widths = np.ones_like(lengths), lengths
@@ -167,12 +168,16 @@ def build_cooccurrence(
     )
 
 
+def _check_smoothing(smoothing: float) -> None:
+    if not 0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
+
+
 # Smoothed probabilities are (count + alpha) / (n_contexts + 2 alpha): each
 # term's presence in a context is a binary event, so the two-outcome
 # normalizer keeps p(x,y) <= min(p(x), p(y)) and the nPMI bounds exact.
 def _probs(table: CooccurrenceTable, x: str, y: str, smoothing: float):
-    if not 0 <= smoothing < math.inf:
-        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
+    _check_smoothing(smoothing)
     if smoothing == 0:
         missing = [t for t in (x, y) if t not in table.term_counts]
         if missing:
@@ -216,10 +221,12 @@ def top_npmi(
     """Top-k co-terms of `target` by nPMI: (term, npmi, pair_count) rows.
 
     Only terms that actually co-occur with the target are ranked.  A target
-    with no co-occurrences (or absent entirely) gives an empty list.
+    with no co-occurrences (or absent entirely) gives an empty list; k and the
+    smoothing are checked either way.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    _check_smoothing(smoothing)
     if target not in table.term_counts:
         return []
     rows = [

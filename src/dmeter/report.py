@@ -418,10 +418,19 @@ class BatchDelta:
         return asdict(self)
 
 
+def _as_float(v: int | float) -> float:
+    """v as a float; an int past the float range is an infinity of its sign,
+    so its entry is incomparable as non-finite-delta."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _numeric_fields(value) -> dict:
     """name -> float for delta computation; scalar values map to {'value': x}."""
     fields = value if isinstance(value, dict) else {"value": value}
-    return {k: float(v) for k, v in fields.items()
+    return {k: _as_float(v) for k, v in fields.items()
             if isinstance(v, (int, float)) and not isinstance(v, bool)}
 
 

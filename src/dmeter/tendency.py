@@ -92,22 +92,37 @@ def summarize(values: Sequence[float]) -> SummaryStats:
 # --- burstiness ---------------------------------------------------------------
 
 
+# Below this largest gap, a squared deviation may lose digits as a subnormal;
+# above it, every nonzero one is normal for any sample of fewer than 2**50 gaps.
+_GAP_FLOOR = 2.0 ** -400
+
+
+def _mean_std(gaps: np.ndarray) -> tuple[float, float]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(gaps.mean()), float(gaps.std())
+
+
 def burstiness(gaps: Sequence[float]) -> float:
     """B = (sigma - mu) / (sigma + mu) over inter-event gaps.
 
     -1 for a perfectly periodic signal, near 0 for Poisson/exponential gaps,
     approaching 1 for extremely bursty ones.  sigma is the population
-    standard deviation.
+    standard deviation.  B does not depend on scale: when a sum or a square
+    overflows, or the largest gap is below _GAP_FLOOR, B is taken over the
+    gaps scaled by the power of two that brings the largest into [0.5, 1),
+    which is exact.  Other gaps keep their bits.
     """
     gaps = np.asarray(list(gaps), dtype=np.float64)
     if gaps.size < 2:
         raise ValueError(f"need at least 2 gaps, got {gaps.size}")
     if np.any(gaps < 0):
         raise ValueError("gaps must be non-negative")
-    mu = float(gaps.mean())
-    sigma = float(gaps.std())
-    if mu == 0.0 and sigma == 0.0:
+    peak = float(gaps.max())
+    if peak == 0.0:
         raise UndefinedValueError("burstiness undefined for all-zero gaps")
+    mu, sigma = _mean_std(gaps)
+    if math.isfinite(peak) and not (peak >= _GAP_FLOOR and math.isfinite(mu + sigma)):
+        mu, sigma = _mean_std(np.ldexp(gaps, -math.frexp(peak)[1]))
     return (sigma - mu) / (sigma + mu)
 
 

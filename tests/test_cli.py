@@ -391,6 +391,21 @@ class TestAssoc:
         assert payloads["window"] == payloads["document"]
         assert payloads["window"]["targets"][0]["co_terms"]
 
+    @pytest.mark.parametrize("target", ["unicorn", "fox"], ids=["absent", "paired"])
+    def test_negative_smoothing_fatal_for_any_target(self, corpus_path, tmp_path, capsys,
+                                                      target):
+        targets = tmp_path / "targets.txt"
+        targets.write_text(f"{target}\n", encoding="utf-8")
+        ini = tmp_path / "a.ini"
+        ini.write_text("[assoc]\nsmoothing = -1\n", encoding="utf-8")
+        out = tmp_path / "assoc.json"
+        code = main(["assoc", "--input", corpus_path, "--targets", str(targets),
+                     "--config", str(ini), "--out", str(out)])
+        assert code == 1
+        assert ("error: smoothing must be a finite number >= 0, got -1.0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_config_key_fatal(self, corpus_path, tmp_path, capsys):
         targets = tmp_path / "targets.txt"
         targets.write_text("fox\n", encoding="utf-8")

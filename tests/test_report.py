@@ -441,6 +441,20 @@ class TestNonFiniteDeltas:
         assert obj["entries"]["m"]["reason"] == "non-finite-delta"
         assert "incomparable (non-finite-delta)" in format_delta_table(delta)
 
+    @pytest.mark.parametrize("big", [10**400, -10**400], ids=["positive", "negative"])
+    def test_int_past_the_float_range_is_incomparable(self, big, tmp_path, capsys):
+        from dmeter.cli import main
+
+        rep = handmade({"m": entry({"x": big, "y": 1.0}), "ok": entry(1.0)})
+        delta = compare(rep, rep)
+        assert delta.entries["m"] == {"comparable": False, "reason": "non-finite-delta",
+                                      "deltas": {}}
+        assert (delta.n_comparable, delta.n_incomparable) == (1, 1)
+        path = tmp_path / "big.json"
+        path.write_text(serialize_report(rep), encoding="utf-8")
+        assert main(["compare", str(path), str(path)]) == 0
+        assert "incomparable (non-finite-delta)" in capsys.readouterr().out
+
 
 # --- compare against the per-reason branches it replaced ------------------------
 

@@ -135,6 +135,24 @@ class TestBurstiness:
         with pytest.raises(UndefinedValueError):
             burstiness([0.0, 0.0, 0.0])
 
+    def test_subnormal_gaps(self):
+        # The squared deviations underflow at this scale; B is that of any in-range scale.
+        gaps = [1e-320, 2e-320, 4e-320]
+        assert burstiness(gaps) == -0.30333704529042343
+        assert burstiness(np.ldexp(gaps, 1000)) == -0.30333704529042343
+        assert burstiness([5e-324, 0.0]) == 0.0
+
+    def test_gaps_whose_sum_overflows(self):
+        assert burstiness([1e308, 1.7e308, 0.0]) == pytest.approx(-0.12667946746170833,
+                                                                   rel=1e-12)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.integers(0, 2**20), min_size=2, max_size=30).filter(any),
+           st.integers(-1074, 1002))
+    def test_power_of_two_scale_keeps_bits(self, gaps, k):
+        # Integer gaps below 2**21 scale exactly for every k in this range.
+        assert burstiness(np.ldexp(gaps, k)) == burstiness(gaps)
+
     def test_timestamp_gaps_sorted_and_filtered(self):
         c = corpus_of(["x", "y", "z", "w"], timestamps=[10, 3, None, 7])
         assert timestamp_gaps(c) == [4.0, 3.0]
