@@ -128,7 +128,8 @@ def build_cooccurrence(
     """Count contexts containing each term and each term pair.
 
     Contexts are whole documents or sliding windows of width window_size
-    (records shorter than the window form one context).  With targets given,
+    (records shorter than the window form one context); window_size is for
+    window mode only, and giving it in document mode is an error.  With targets given,
     only pairs touching a target are kept, which bounds the table size by
     |targets| * vocabulary.
     """
@@ -137,6 +138,8 @@ def build_cooccurrence(
     if context_mode == "window":
         if window_size is None or window_size < 1:
             raise ValueError(f"window mode requires window_size >= 1, got {window_size}")
+    elif window_size is not None:
+        raise ValueError(f"window_size is for window mode only, got {window_size} in document mode")
     if corpus.n_records == 0:
         raise ValueError("corpus is empty")
     target_set = None
@@ -152,9 +155,8 @@ def build_cooccurrence(
     rank = np.empty(len(vocab), dtype=np.int64)
     rank[order] = np.arange(len(vocab))
     source = np.array([target_set is None or term in target_set for term in terms], dtype=bool)
-    window = window_size if context_mode == "window" else None
     n_contexts, term_counts, pairs, pair_counts = _count(
-        rank[corpus.token_ids], corpus.record_offsets, len(terms), window, source)
+        rank[corpus.token_ids], corpus.record_offsets, len(terms), window_size, source)
     lo, hi = np.divmod(pairs, len(terms))
     present = np.flatnonzero(term_counts)
     return CooccurrenceTable(
@@ -164,7 +166,7 @@ def build_cooccurrence(
                              term_counts[present].tolist())),
         n_contexts=n_contexts,
         context_mode=context_mode,
-        window_size=window,
+        window_size=window_size,
     )
 
 

@@ -1,9 +1,11 @@
 """Command-line interface: measure, compare, assoc, dedup.
 
 Standard output carries human-readable summaries; files named by --out carry
-machine-readable JSON.  Flags override config-file values.  Exit codes:
-0 success, 1 fatal (bad arguments, unreadable input, unknown metric), 2 when
-the report was written but contains per-metric error or skipped entries.
+machine-readable JSON and are written first, so a reader that closes standard
+output early still finds them whole.  Flags override config-file values.
+Exit codes: 0 success, 1 fatal (bad arguments, unreadable input, unknown
+metric), 2 when the report was written but contains per-metric error or
+skipped entries.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import sys
 
 from . import association, quality, report
@@ -36,6 +39,10 @@ def _logger():
 def _fail(message: str) -> int:
     _logger().error("error: %s", message)
     return 1
+
+
+def _text(lines: list[str]) -> str:
+    return "".join(line + "\n" for line in lines)
 
 
 def _write_out(path: str, text: str, what: str) -> int:
@@ -141,7 +148,8 @@ def _entry_summary(name: str, entry: dict) -> str:
     return f"{name}: {body}{suffix}"
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args) -> tuple[int, str]:
+    """Exit status and standard output, as every cmd_* returns them."""
     try:
         cfg = _load_config(args.config)
         metrics_raw = (args.metrics or cfg.get("measure", "metrics", fallback="")
@@ -163,15 +171,14 @@ def cmd_measure(args) -> int:
             embedding_source=args.embeddings,
         )
     except (OSError, ValueError) as exc:
-        return _fail(str(exc))
+        return _fail(str(exc)), ""
 
     out_path = args.out or cfg.get("measure", "out", fallback="report.json")
     if _write_out(out_path, report.serialize_report(rep), "report"):
-        return 1
+        return 1, ""
 
-    for name, entry in rep.measurements.items():
-        print(_entry_summary(name, entry))
-    print(f"report written to {out_path}")
+    lines = [_entry_summary(name, entry) for name, entry in rep.measurements.items()]
+    lines.append(f"report written to {out_path}")
 
     # Exit code 2 means a metric could not be computed; an undefined or
     # infinite value is still a result, so it does not count here.
@@ -180,24 +187,23 @@ def cmd_measure(args) -> int:
         for entry in rep.measurements.values()
         for f in entry.get("flags", [])
     )
-    return 2 if failed else 0
+    return 2 if failed else 0, _text(lines)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> tuple[int, str]:
     reports = []
     for path in (args.baseline, args.candidate):
         try:
             reports.append(report.parse_report(path))
         except (OSError, ValueError, KeyError) as exc:
-            return _fail(f"cannot parse report {path!r}: {exc}")
+            return _fail(f"cannot parse report {path!r}: {exc}"), ""
     try:
         delta = report.compare(reports[0], reports[1])
     except ValueError as exc:
-        return _fail(str(exc))
-    sys.stdout.write(report.format_delta_table(delta))
-    if args.out:
-        return _write_out(args.out, report.serialize_delta(delta), "delta")
-    return 0
+        return _fail(str(exc)), ""
+    if args.out and _write_out(args.out, report.serialize_delta(delta), "delta"):
+        return 1, ""
+    return 0, report.format_delta_table(delta)
 
 
 def _read_targets(path: str, tokenizer: TokenizerConfig) -> list[str]:
@@ -221,7 +227,7 @@ def _read_side_file(read, path: str, *args):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def cmd_assoc(args) -> int:
+def cmd_assoc(args) -> tuple[int, str]:
     try:
         cfg = _load_config(args.config)
         if not args.targets:
@@ -249,17 +255,7 @@ def cmd_assoc(args) -> int:
                 "flags": flags,
             })
     except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-
-    for row in rows:
-        header = row["target"]
-        if row["flags"]:
-            header += f"  [{', '.join(row['flags'])}]"
-        print(header)
-        if not row["co_terms"]:
-            print("  (no co-terms)")
-        for co in row["co_terms"]:
-            print(f"  {co['term']}  npmi={co['npmi']:+.4f}  contexts={co['pair_count']}")
+        return _fail(str(exc)), ""
 
     if args.out:
         payload = {
@@ -268,11 +264,23 @@ def cmd_assoc(args) -> int:
             "smoothing": opts["smoothing"],
             "targets": rows,
         }
-        return _write_out(args.out, canonical_json(payload), "association table")
-    return 0
+        if _write_out(args.out, canonical_json(payload), "association table"):
+            return 1, ""
+
+    lines = []
+    for row in rows:
+        header = row["target"]
+        if row["flags"]:
+            header += f"  [{', '.join(row['flags'])}]"
+        lines.append(header)
+        if not row["co_terms"]:
+            lines.append("  (no co-terms)")
+        for co in row["co_terms"]:
+            lines.append(f"  {co['term']}  npmi={co['npmi']:+.4f}  contexts={co['pair_count']}")
+    return 0, _text(lines)
 
 
-def cmd_dedup(args) -> int:
+def cmd_dedup(args) -> tuple[int, str]:
     try:
         cfg = _load_config(args.config)
         corpus = _ingest_from(args, cfg)
@@ -280,16 +288,7 @@ def cmd_dedup(args) -> int:
         rep = quality.find_duplicates(corpus, opts["normalization"], opts["top_cap"])
         entropy = quality.redundancy_entropy(rep)
     except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-
-    print(f"records: {rep.n_records}")
-    print(f"distinct: {rep.n_distinct}")
-    print(f"duplicate clusters: {rep.duplicate_clusters}")
-    print(f"excess duplicates: {rep.excess_duplicates}")
-    print(f"redundancy entropy: {entropy:.6g}")
-    for fp, count, sample in rep.top_clusters:
-        snippet = sample if len(sample) <= 60 else sample[:57] + "..."
-        print(f"  x{count}  {fp[:12]}  {snippet!r}")
+        return _fail(str(exc)), ""
 
     if args.out:
         payload = {
@@ -305,8 +304,20 @@ def cmd_dedup(args) -> int:
                 for fp, count, sample in rep.top_clusters
             ],
         }
-        return _write_out(args.out, canonical_json(payload), "dedup report")
-    return 0
+        if _write_out(args.out, canonical_json(payload), "dedup report"):
+            return 1, ""
+
+    lines = [
+        f"records: {rep.n_records}",
+        f"distinct: {rep.n_distinct}",
+        f"duplicate clusters: {rep.duplicate_clusters}",
+        f"excess duplicates: {rep.excess_duplicates}",
+        f"redundancy entropy: {entropy:.6g}",
+    ]
+    for fp, count, sample in rep.top_clusters:
+        snippet = sample if len(sample) <= 60 else sample[:57] + "..."
+        lines.append(f"  x{count}  {fp[:12]}  {snippet!r}")
+    return 0, _text(lines)
 
 
 def _add_common_flags(parser, *, embeddings=False, targets=False, metrics=False):
@@ -356,7 +367,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    status, text = args.func(args)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output early (dmeter ... | head).  As the
+        # Python signal module's docs advise, point it at devnull, so that the
+        # flush at exit does not raise again; the command's status stands.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 if __name__ == "__main__":

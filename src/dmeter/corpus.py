@@ -1,9 +1,10 @@
 """Corpus ingestion: records, tokens, vocabulary, frequency tables, fingerprints.
 
-A Corpus is an immutable snapshot of a record sequence.  Tokenization is
-applied once at construction time with an explicit TokenizerConfig, and the
-config travels with the corpus so that downstream measurements can refuse
-comparison across mismatched configs.
+A Corpus is an immutable snapshot of a record sequence.  Its records are
+tokenized once, with an explicit TokenizerConfig, when a token-level attribute
+is first read; a command that reads only records and the fingerprint (such as
+duplicate counting) never tokenizes.  The config travels with the corpus so
+that downstream measurements can refuse comparison across mismatched configs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -189,12 +191,24 @@ def _fingerprint_payload(r: Record) -> bytes:
             f'"timestamp": {"null" if ts is None else ts}}}').encode("utf-8")
 
 
+class _TokenStore(NamedTuple):
+    """A Corpus's tokens as integer ids, with the tables built alongside them."""
+
+    vocabulary: tuple[str, ...]
+    index: dict[str, int]
+    ids: np.ndarray
+    offsets: np.ndarray
+    counts: FrequencyTable
+
+
 class Corpus:
     """Immutable snapshot of records with token streams and frequency tables.
 
-    Tokens are stored once, as integer ids: a flat int32 array indexing
-    vocabulary (first-occurrence order) and int64 record offsets.  The text
-    layers read these arrays; iter_record_tokens() rebuilds string tuples.
+    Record ids are checked and the fingerprint computed at construction.
+    Tokens are stored once, as integer ids, built in one pass when any token
+    attribute is first read: a flat int32 array indexing vocabulary
+    (first-occurrence order) and int64 record offsets.  The text layers read
+    these arrays; iter_record_tokens() rebuilds string tuples.
     """
 
     def __init__(
@@ -213,24 +227,6 @@ class Corpus:
                 raise ValueError(f"duplicate record id {r.id!r}")
             seen_ids.add(r.id)
 
-        # One flat token stream; each record's tokens are ids[offsets[i]:offsets[i + 1]].
-        stream: list[str] = []
-        lengths = []
-        for r in self._records:
-            toks = tokenize(r.text, tokenizer_config)
-            stream.extend(toks)
-            lengths.append(len(toks))
-        counts = Counter(stream)
-        # Counter keeps first-occurrence order, so its keys are the vocabulary.
-        self._vocabulary = tuple(counts)
-        self._token_index = {t: i for i, t in enumerate(self._vocabulary)}
-        self._token_ids = _frozen(np.fromiter(map(self._token_index.__getitem__, stream),
-                                              dtype=np.int32, count=len(stream)))
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        self._offsets = _frozen(offsets)
-        self._token_counts = FrequencyTable._of_positive(dict(counts), len(stream))
-
         h = hashlib.sha256()
         for r in self._records:
             payload = _fingerprint_payload(r)
@@ -238,7 +234,27 @@ class Corpus:
             h.update(payload)
         self._fingerprint = h.hexdigest()
 
-        self._ngram_cache: dict[int, FrequencyTable] = {1: self._token_counts}
+        self._ngram_cache: dict[int, FrequencyTable] = {}
+
+    @cached_property
+    def _store(self) -> _TokenStore:
+        """The token store, built from every record in one pass on first read."""
+        # One flat token stream; each record's tokens are ids[offsets[i]:offsets[i + 1]].
+        stream: list[str] = []
+        lengths = []
+        for r in self._records:
+            toks = tokenize(r.text, self._tokenizer_config)
+            stream.extend(toks)
+            lengths.append(len(toks))
+        counts = Counter(stream)
+        # Counter keeps first-occurrence order, so its keys are the vocabulary.
+        vocabulary = tuple(counts)
+        index = {t: i for i, t in enumerate(vocabulary)}
+        ids = np.fromiter(map(index.__getitem__, stream), dtype=np.int32, count=len(stream))
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return _TokenStore(vocabulary, index, _frozen(ids), _frozen(offsets),
+                           FrequencyTable._of_positive(dict(counts), len(stream)))
 
     @property
     def records(self) -> tuple[Record, ...]:
@@ -254,11 +270,11 @@ class Corpus:
 
     @property
     def vocabulary(self) -> tuple[str, ...]:
-        return self._vocabulary
+        return self._store.vocabulary
 
     @property
     def token_counts(self) -> FrequencyTable:
-        return self._token_counts
+        return self._store.counts
 
     @property
     def fingerprint(self) -> str:
@@ -270,28 +286,28 @@ class Corpus:
 
     @property
     def total_tokens(self) -> int:
-        return self._token_counts.total
+        return self.token_counts.total
 
     @property
     def token_ids(self) -> np.ndarray:
         """Every token in record order, as an int32 index into vocabulary (read-only)."""
-        return self._token_ids
+        return self._store.ids
 
     @property
     def record_offsets(self) -> np.ndarray:
         """n_records + 1 int64 bounds: record i's tokens are
         token_ids[record_offsets[i]:record_offsets[i + 1]] (read-only)."""
-        return self._offsets
+        return self._store.offsets
 
     def token_id(self, token: str) -> int | None:
         """token's index into vocabulary; None when the corpus never has it."""
-        return self._token_index.get(token)
+        return self._store.index.get(token)
 
     def iter_record_tokens(self) -> Iterator[tuple[str, ...]]:
         """Each record's tokens as a tuple, rebuilt from the id store."""
-        vocab = self._vocabulary
-        ids = self._token_ids.tolist()
-        bounds = self._offsets.tolist()
+        vocab = self.vocabulary
+        ids = self.token_ids.tolist()
+        bounds = self.record_offsets.tolist()
         for start, end in zip(bounds, bounds[1:]):
             yield tuple(map(vocab.__getitem__, ids[start:end]))
 
@@ -305,7 +321,7 @@ class Corpus:
 
     def __repr__(self) -> str:
         return (
-            f"Corpus({self.n_records} records, {len(self._vocabulary)} types, "
+            f"Corpus({self.n_records} records, {len(self.vocabulary)} types, "
             f"{self.total_tokens} tokens, fingerprint={self._fingerprint[:12]}...)"
         )
 

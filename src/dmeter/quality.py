@@ -11,7 +11,11 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 from .corpus import _WORD_RE, Corpus
 from .errors import UndefinedValueError
@@ -43,8 +47,10 @@ def find_duplicates(corpus: Corpus, normalization: str = "exact", top_cap: int =
     """Group records by (possibly normalized) text and report the clusters.
 
     fold-and-collapse case-folds and collapses whitespace runs before
-    grouping, so it finds a superset of exact-mode duplicates.  Cluster
-    ordering is descending size, then fingerprint.
+    grouping, so it finds a superset of exact-mode duplicates.  A cluster's
+    fingerprint is the SHA-256 of its normalized text, computed only for
+    clusters of two or more records, the ones reported.  Cluster ordering is
+    descending size, then fingerprint.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}; choose from {NORMALIZATIONS}")
@@ -53,20 +59,22 @@ def find_duplicates(corpus: Corpus, normalization: str = "exact", top_cap: int =
     if corpus.n_records == 0:
         raise ValueError("corpus is empty")
 
-    groups: dict[str, list] = {}
-    for record in corpus.records:
-        key = hashlib.sha256(_normalize(record.text, normalization).encode("utf-8")).hexdigest()
-        groups.setdefault(key, []).append(record)
-
-    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    sizes = tuple(len(members) for _, members in ordered)
-    dup = [(fp, len(members), members[0].text) for fp, members in ordered if len(members) >= 2]
+    texts = [record.text for record in corpus.records]
+    keys = [_normalize(text, normalization) for text in texts]
+    sizes = Counter(keys)
+    # A later record overwrites an earlier one, so walk backwards to keep the first text.
+    first_text = dict(zip(reversed(keys), reversed(texts)))
+    dup = sorted(
+        ((hashlib.sha256(key.encode("utf-8")).hexdigest(), size, first_text[key])
+         for key, size in sizes.items() if size >= 2),
+        key=lambda cluster: (-cluster[1], cluster[0]),
+    )
     return RedundancyReport(
         n_records=corpus.n_records,
-        n_distinct=len(groups),
+        n_distinct=len(sizes),
         duplicate_clusters=len(dup),
-        excess_duplicates=corpus.n_records - len(groups),
-        cluster_sizes=sizes,
+        excess_duplicates=corpus.n_records - len(sizes),
+        cluster_sizes=tuple(sorted(sizes.values(), reverse=True)),
         top_clusters=tuple(dup[:top_cap]),
         normalization=normalization,
     )
@@ -115,18 +123,18 @@ def flesch_score(text: str) -> float:
     sentences split on ./!/? runs followed by whitespace or end of text, and
     an unterminated trailing segment counting as a sentence when it has words.
     """
-    return _flesch_score(text, count_syllables)
-
-
-def _flesch_score(text: str, syllables_of) -> float:
     words = _WORD_RE.findall(text)
-    if not words:
+    return _score(text, len(words), sum(map(count_syllables, words)))
+
+
+def _score(text: str, n_words: int, n_syllables: int) -> float:
+    """Flesch reading ease of text, given its word count and syllable sum."""
+    if not n_words:
         raise UndefinedValueError("no words; readability undefined")
     sentences = _split_sentences(text)
     if not sentences:
         raise UndefinedValueError("no sentences; readability undefined")
-    syllables = sum(map(syllables_of, words))
-    return 206.835 - 1.015 * (len(words) / len(sentences)) - 84.6 * (syllables / len(words))
+    return 206.835 - 1.015 * (n_words / len(sentences)) - 84.6 * (n_syllables / n_words)
 
 
 class _SyllableCache(dict):
@@ -135,6 +143,24 @@ class _SyllableCache(dict):
     def __missing__(self, word: str) -> int:
         self[word] = count = count_syllables(word)
         return count
+
+
+def _word_and_syllable_counts(corpus: Corpus) -> Iterable[tuple[int, int]]:
+    """Each record's word count and syllable sum, over the words _WORD_RE finds."""
+    if corpus.tokenizer_config.mode == "unicode-word":
+        # Here a record's tokens are its words, lowercased when the corpus folds
+        # case, and count_syllables lowercases first (str.lower is idempotent).
+        # So each type is counted once, and the exact int64 sums are gathered.
+        vocabulary, ids, offsets = corpus.vocabulary, corpus.token_ids, corpus.record_offsets
+        per_type = np.fromiter(map(count_syllables, vocabulary), dtype=np.int64,
+                               count=len(vocabulary))
+        running = np.zeros(ids.size + 1, dtype=np.int64)
+        np.cumsum(per_type[ids], out=running[1:])
+        sums = running[offsets[1:]] - running[offsets[:-1]]
+        return zip(np.diff(offsets).tolist(), sums.tolist())
+    syllables_of = _SyllableCache().__getitem__
+    return ((len(words), sum(map(syllables_of, words)))
+            for words in (_WORD_RE.findall(record.text) for record in corpus.records))
 
 
 @dataclass(frozen=True)
@@ -154,13 +180,14 @@ def flesch_reading_ease(corpus: Corpus) -> FleschReport:
     """Score every record with at least one word and sentence; summarize.
 
     Records that cannot be scored are listed as skipped, never imputed.
+    Under the unicode-word tokenizer, word counts and syllable sums come from
+    the corpus's token store; only the sentence split reads each record.
     """
     per_record = {}
     skipped = []
-    syllables_of = _SyllableCache().__getitem__
-    for record in corpus.records:
+    for record, (n_words, n_syllables) in zip(corpus.records, _word_and_syllable_counts(corpus)):
         try:
-            per_record[record.id] = _flesch_score(record.text, syllables_of)
+            per_record[record.id] = _score(record.text, n_words, n_syllables)
         except UndefinedValueError:
             skipped.append(record.id)
     if not per_record:

@@ -24,8 +24,8 @@ class SummaryStats:
     """Central tendency and dispersion of a real-valued sample.
 
     Fields that need more observations than provided (variance needs 2,
-    skewness 3, kurtosis 4) are None.  Skewness/kurtosis are also None for
-    zero-variance samples.
+    skewness 3, kurtosis 4) are None.  Skewness/kurtosis are also None when
+    every value is equal.
     """
 
     count: int
@@ -40,12 +40,37 @@ class SummaryStats:
     excess_kurtosis: float | None = None
 
 
+# Below this largest magnitude, a deviation's fourth power may lose digits as a
+# subnormal; above it, every power that moves a moment is normal for any sample
+# of fewer than 2**50 values.
+_MOMENT_FLOOR = 2.0 ** -160
+
+
+def _central_sums(vals: list[float]) -> tuple[float, float, float, float]:
+    """The mean, and the sums of the squared, cubed and fourth-power deviations from it."""
+    mean = math.fsum(vals) / len(vals)
+    devs = [v - mean for v in vals]
+    return mean, *(math.fsum(d ** k for d in devs) for k in (2, 3, 4))
+
+
+def _ldexp(x: float, exp: int) -> float:
+    """x * 2**exp, an infinity of x's sign where that passes the float range."""
+    try:
+        return math.ldexp(x, exp)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def summarize(values: Sequence[float]) -> SummaryStats:
     """Standard summary statistics.
 
     Unbiased variance; adjusted Fisher-Pearson sample skewness; sample excess
     kurtosis; median of an even count is the mean of the middle pair; all
-    tied modes are reported, sorted ascending.
+    tied modes are reported, sorted ascending.  The moments do not depend on
+    scale: when a sum or a power overflows, or the largest magnitude is below
+    _MOMENT_FLOOR, they are taken over the values scaled by the power of two
+    that brings it into [0.5, 1), which is exact, and variance and std are
+    scaled back.  Other samples keep their bits.
     """
     vals = [float(v) for v in values]
     n = len(vals)
@@ -53,7 +78,6 @@ def summarize(values: Sequence[float]) -> SummaryStats:
         raise ValueError("cannot summarize an empty sample")
 
     vals_sorted = sorted(vals)
-    mean = math.fsum(vals) / n
     mid = n // 2
     median = vals_sorted[mid] if n % 2 else (vals_sorted[mid - 1] + vals_sorted[mid]) / 2.0
 
@@ -61,17 +85,29 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     top = max(counts.values())
     modes = tuple(sorted(v for v, c in counts.items() if c == top))
 
+    peak = max(-vals_sorted[0], vals_sorted[-1])
+    mean = None
+    try:
+        mean, m2, m3, m4 = _central_sums(vals)
+    except OverflowError:
+        if not math.isfinite(peak):  # an infinity beside values whose sum overflows
+            raise
+    scale = 0
+    if (mean is None or peak < _MOMENT_FLOOR) and peak > 0:
+        scale = math.frexp(peak)[1]
+        scaled_mean, m2, m3, m4 = _central_sums([math.ldexp(v, -scale) for v in vals])
+        if mean is None:
+            mean = math.ldexp(scaled_mean, scale)
+
     variance = std = skewness = kurtosis = None
     if n >= 2:
-        m2 = math.fsum((v - mean) ** 2 for v in vals)
-        variance = m2 / (n - 1)
-        std = math.sqrt(variance)
-        if n >= 3 and variance > 0:
-            m3 = math.fsum((v - mean) ** 3 for v in vals)
+        scaled_variance = m2 / (n - 1)
+        variance = _ldexp(scaled_variance, 2 * scale)
+        std = _ldexp(math.sqrt(scaled_variance), scale)
+        if n >= 3 and scaled_variance > 0:
             g1 = (m3 / n) / (m2 / n) ** 1.5
             skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
             if n >= 4:
-                m4 = math.fsum((v - mean) ** 4 for v in vals)
                 g2 = (m4 / n) / (m2 / n) ** 2 - 3.0
                 kurtosis = ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
 

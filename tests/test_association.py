@@ -97,6 +97,11 @@ class TestBuildCooccurrence:
         assert t.pair_counts == doc.pair_counts
         assert t.term_counts == doc.term_counts
 
+    @pytest.mark.parametrize("size", [-3, 0, 2])
+    def test_window_size_in_document_mode_rejected(self, size):
+        with pytest.raises(ValueError, match=f"window_size is for window mode only, got {size}"):
+            build_cooccurrence(corpus_of(["a b"]), context_mode="document", window_size=size)
+
     def test_window_mode_requires_size(self):
         c = corpus_of(["a b"])
         with pytest.raises(ValueError, match="window_size"):

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import dmeter
+import dmeter.corpus
 from dmeter.cli import _measure_config, main
+from dmeter.corpus import ingest
 from dmeter.report import DEFAULT_CONFIG, parse_report
 from dmeter.vectors import EmbeddingMatrix, save_embeddings
 
@@ -406,6 +408,19 @@ class TestAssoc:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_window_size_in_document_mode_fatal(self, corpus_path, tmp_path, capsys):
+        targets = tmp_path / "targets.txt"
+        targets.write_text("fox\n", encoding="utf-8")
+        ini = tmp_path / "a.ini"
+        ini.write_text("[assoc]\nwindow_size = -3\n", encoding="utf-8")
+        out = tmp_path / "assoc.json"
+        code = main(["assoc", "--input", corpus_path, "--targets", str(targets),
+                     "--config", str(ini), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: window_size is for window mode only, got -3 in document mode"]
+        assert not out.exists()
+
     def test_unknown_config_key_fatal(self, corpus_path, tmp_path, capsys):
         targets = tmp_path / "targets.txt"
         targets.write_text("fox\n", encoding="utf-8")
@@ -445,6 +460,21 @@ class TestDedup:
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["n_distinct"] == 3
         assert payload["top_clusters"][0]["count"] == 2
+
+    def test_never_tokenizes(self, corpus_path, tmp_path, capsys, monkeypatch):
+        # dedup reads only the records and the fingerprint, so no token store is built.
+        fingerprint = ingest(corpus_path).fingerprint
+        calls = []
+        tokenize = dmeter.corpus.tokenize
+        monkeypatch.setattr(dmeter.corpus, "tokenize",
+                            lambda *args: calls.append(args) or tokenize(*args))
+        out = tmp_path / "dedup.json"
+        assert main(["dedup", "--input", corpus_path, "--out", str(out)]) == 0
+        assert calls == []
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        assert payload["n_records"] == 4 and payload["excess_duplicates"] == 1
+        assert payload["corpus_fingerprint"] == fingerprint
+        assert "excess duplicates: 1" in capsys.readouterr().out
 
     def test_normalization_via_config(self, tmp_path, capsys):
         p = tmp_path / "c.jsonl"
@@ -490,6 +520,34 @@ class TestDedup:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["error: top_cap must be >= 0, got -1"]
         assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["assoc", "dedup"])
+def test_reader_closing_stdout_early_leaves_out_file_whole(tmp_path, command):
+    # Far more than a pipe holds, so the command is still printing when the
+    # reader stops after two lines, as `dmeter ... | head -2` does.
+    rows = [{"id": str(i), "text": f"hub w{i // 2} hub"} for i in range(8000)]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    (tmp_path / "targets.txt").write_text("hub\n", encoding="utf-8")
+    (tmp_path / "c.ini").write_text("[assoc]\ntopk = 100000\n\n[dedup]\ntop_cap = 100000\n",
+                                    encoding="utf-8")
+    argv = [command, "--input", str(corpus), "--config", str(tmp_path / "c.ini")]
+    if command == "assoc":
+        argv += ["--targets", str(tmp_path / "targets.txt")]
+    whole, cut = tmp_path / "whole.json", tmp_path / "cut.json"
+    assert main(argv + ["--out", str(whole)]) == 0
+
+    env = dict(os.environ, PYTHONPATH=str(Path(dmeter.__file__).parents[1]))
+    code = f"import sys, dmeter.cli; sys.exit(dmeter.cli.main({argv + ['--out', str(cut)]!r}))"
+    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode("utf-8")
+        assert proc.wait(timeout=60) == 0
+    assert all(head) and "Traceback" not in stderr and stderr == ""
+    assert cut.read_bytes() == whole.read_bytes()
 
 
 class TestParser:

@@ -143,7 +143,8 @@ smoothing = st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])
 @example([[], ["a", "b"], ["a", "b"]], 0.5, "document", 1)  # 1 + 2**-52 without the cap
 def test_npmi_and_top_npmi_lie_in_unit_interval(docs, alpha, mode, window):
     corpus = Corpus([Record(id=str(i), text=" ".join(d)) for i, d in enumerate(docs)])
-    table = build_cooccurrence(corpus, context_mode=mode, window_size=window)
+    table = build_cooccurrence(corpus, context_mode=mode,
+                               window_size=window if mode == "window" else None)
     terms = sorted(table.term_counts)
     for i, x in enumerate(terms):
         for y in terms[i + 1:]:

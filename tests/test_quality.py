@@ -1,13 +1,18 @@
 """Duplicate detection, redundancy entropy, and readability."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmeter.corpus import Corpus, Record
 from dmeter.errors import UndefinedValueError
 from dmeter.quality import (
+    NORMALIZATIONS,
+    RedundancyReport,
     count_syllables,
     find_duplicates,
     flesch_reading_ease,
@@ -36,6 +41,42 @@ def pairwise_cluster_sizes(texts, normalize):
                 size += 1
         sizes.append(size)
     return sorted(sizes, reverse=True)
+
+
+def sha_grouped_duplicates(corpus, normalization, top_cap):
+    """The report as built by hashing every record's normalized text and
+    grouping the records by that fingerprint."""
+    groups = {}
+    for record in corpus.records:
+        text = record.text
+        if normalization == "fold-and-collapse":
+            text = " ".join(text.split()).casefold()
+        key = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        groups.setdefault(key, []).append(record)
+    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    dup = [(fp, len(members), members[0].text) for fp, members in ordered if len(members) >= 2]
+    return RedundancyReport(
+        n_records=corpus.n_records,
+        n_distinct=len(groups),
+        duplicate_clusters=len(dup),
+        excess_duplicates=corpus.n_records - len(groups),
+        cluster_sizes=tuple(len(members) for _, members in ordered),
+        top_clusters=tuple(dup[:top_cap]),
+        normalization=normalization,
+    )
+
+
+# Few characters, so texts repeat exactly, up to case, or up to whitespace.
+dup_texts = st.text(alphabet=st.sampled_from(list("aAsS \t\nßİ")), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(dup_texts, min_size=1, max_size=12), st.sampled_from(NORMALIZATIONS),
+       st.integers(0, 4))
+def test_find_duplicates_matches_hashing_every_record(texts, normalization, top_cap):
+    corpus = corpus_of(texts)
+    assert (find_duplicates(corpus, normalization, top_cap)
+            == sha_grouped_duplicates(corpus, normalization, top_cap))
 
 
 class TestFindDuplicates:

@@ -3,6 +3,7 @@
 import io
 import math
 import statistics
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -40,6 +41,31 @@ def corpus_of(texts, timestamps=None, **kwargs):
 def zipf_pmf(alpha, n_ranks):
     w = np.arange(1, n_ranks + 1, dtype=np.float64) ** (-alpha)
     return w / w.sum()
+
+
+def fraction_moments(vals):
+    """The exact mean and central moment sums m2, m3, m4 of a sample."""
+    exact = [Fraction(v) for v in vals]
+    mean = sum(exact) / len(exact)
+    return (mean, *(sum((x - mean) ** k for x in exact) for k in (2, 3, 4)))
+
+
+def fraction_float(q):
+    """q rounded to a float; an infinity past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf
+
+
+def fraction_sqrt(q):
+    """The square root of a non-negative fraction, rounded to a float."""
+    half = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    root = math.sqrt(float(q / Fraction(4) ** half))
+    try:
+        return math.ldexp(root, half)
+    except OverflowError:
+        return math.inf
 
 
 class TestSummarize:
@@ -94,6 +120,84 @@ class TestSummarize:
 
     def test_symmetric_sample_has_zero_skew(self):
         assert summarize([-2, -1, 0, 1, 2]).skewness == pytest.approx(0.0, abs=1e-12)
+
+    def test_deviations_whose_squares_underflow(self):
+        s = summarize([1e-200, 1e-200, 1e-200, 2e-200])
+        shape = summarize([1, 1, 1, 2])
+        assert s.variance == 0.0  # 2.5e-401 is below the float range
+        assert s.std == 5e-201
+        assert s.skewness == pytest.approx(shape.skewness, rel=1e-12)
+        assert s.excess_kurtosis == pytest.approx(shape.excess_kurtosis, rel=1e-12)
+
+    def test_values_whose_sum_overflows(self):
+        s = summarize([1e308, 1.7e308, 1.5e308])
+        shape = summarize([1.0, 1.7, 1.5])
+        assert s.mean == pytest.approx(1.4e308, rel=1e-15)
+        assert s.variance == math.inf  # about 1.3e615
+        assert s.std == pytest.approx(shape.std * 1e308, rel=1e-12)
+        assert s.skewness == pytest.approx(shape.skewness, rel=1e-12)
+        # Here the deviations, and so the std, pass the float range.
+        spread = summarize([1.7e308, -1.7e308, 1.7e308])
+        shape = summarize([1.7, -1.7, 1.7])
+        assert spread.std == math.inf
+        assert spread.skewness == pytest.approx(shape.skewness, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=8), st.integers(-1074, 1003))
+    def test_moments_match_exact_fractions(self, ints, k):
+        # Integers scaled by 2**k are exact floats, so their moments are known
+        # exactly; rounding the mean and each power costs a few ulps, and the
+        # cancellation in m3 and m4 at most 1e-10 in skewness and kurtosis here.
+        vals = [math.ldexp(i, k) for i in ints]
+        n = len(vals)
+        mean, m2, m3, m4 = fraction_moments(vals)
+        s = summarize(vals)
+        assert s.mean == float(mean)
+        if n < 2:
+            assert s.variance is None and s.std is None
+            return
+        tiny = 2 * 5e-324
+        assert math.isclose(s.variance, fraction_float(m2 / (n - 1)), rel_tol=1e-12, abs_tol=tiny)
+        assert math.isclose(s.std, fraction_sqrt(m2 / (n - 1)), rel_tol=1e-12, abs_tol=tiny)
+        if n < 3 or m2 == 0:
+            assert s.skewness is None and s.excess_kurtosis is None
+            return
+        g1_squared = (m3 / n) ** 2 / (m2 / n) ** 3
+        g1 = math.sqrt(g1_squared) * (-1 if m3 < 0 else 1)
+        skewness = g1 * math.sqrt(n * (n - 1)) / (n - 2)
+        assert math.isclose(s.skewness, skewness, rel_tol=1e-9, abs_tol=1e-9)
+        if n < 4:
+            assert s.excess_kurtosis is None
+            return
+        g2 = float((m4 / n) / (m2 / n) ** 2) - 3.0
+        kurtosis = ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
+        assert math.isclose(s.excess_kurtosis, kurtosis, rel_tol=1e-9, abs_tol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=30).filter(
+        lambda vals: max(map(abs, vals)) >= 1e-6))
+    def test_in_range_samples_keep_the_direct_formulas_bits(self, vals):
+        n, s = len(vals), summarize(vals)
+        mean = math.fsum(vals) / n
+        m2, m3, m4 = (math.fsum((v - mean) ** k for v in vals) for k in (2, 3, 4))
+        assert (s.mean, s.variance, s.std) == (mean, m2 / (n - 1), math.sqrt(m2 / (n - 1)))
+        if m2 > 0:
+            g1 = (m3 / n) / (m2 / n) ** 1.5
+            g2 = (m4 / n) / (m2 / n) ** 2 - 3.0
+            assert s.skewness == g1 * math.sqrt(n * (n - 1)) / (n - 2)
+            assert s.excess_kurtosis == ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2**20, 2**20), min_size=3, max_size=30).filter(any),
+           st.one_of(st.integers(-1074, -181), st.integers(300, 1003)))
+    def test_power_of_two_scale_keeps_skewness_and_kurtosis(self, ints, k):
+        # Past 2**-160 below or an overflowing fourth power above, the moments
+        # are those of the values scaled into [0.5, 1): bit for bit the same.
+        unit = math.frexp(max(map(abs, ints)))[1]
+        inside = summarize([math.ldexp(i, -unit) for i in ints])
+        outside = summarize([math.ldexp(i, k) for i in ints])
+        assert outside.skewness == inside.skewness
+        assert outside.excess_kurtosis == inside.excess_kurtosis
 
 
 class TestBurstiness:

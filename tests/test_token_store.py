@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmeter.corpus as corpus_module
 from dmeter.association import build_cooccurrence, top_npmi
 from dmeter.corpus import TOKENIZER_MODES, Corpus, Record, TokenizerConfig, ngrams, tokenize
 from dmeter.errors import UndefinedValueError
-from dmeter.quality import FleschReport, flesch_reading_ease, flesch_score
+from dmeter.quality import FleschReport, count_syllables, flesch_reading_ease
 from dmeter.tendency import (
     BOS,
     _aggregate,
@@ -115,18 +116,43 @@ def loop_recurrence_gaps(corpus, token):
     return [float(b - a) for a, b in zip(positions, positions[1:])]
 
 
+def loop_flesch_score(text):
+    """One record's score, its words found again in its text."""
+    words = re.findall(r"\w+", text)
+    if not words:
+        raise UndefinedValueError("no words; readability undefined")
+    sentences = [p for p in re.split(r"[.!?]+(?:\s+|$)", text) if re.search(r"\w+", p)]
+    if not sentences:
+        raise UndefinedValueError("no sentences; readability undefined")
+    syllables = sum(map(count_syllables, words))
+    return 206.835 - 1.015 * (len(words) / len(sentences)) - 84.6 * (syllables / len(words))
+
+
 def loop_flesch(corpus):
     """Per-record scores and skipped ids, each word's syllables counted where it occurs."""
     per_record, skipped = {}, []
     for record in corpus.records:
         try:
-            per_record[record.id] = flesch_score(record.text)
+            per_record[record.id] = loop_flesch_score(record.text)
         except UndefinedValueError:
             skipped.append(record.id)
     return per_record, tuple(skipped)
 
 
 # --- the store itself -------------------------------------------------------------
+
+
+def test_store_is_built_once_on_first_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(corpus_module, "tokenize",
+                        lambda text, config: calls.append(text) or tokenize(text, config))
+    corpus = corpus_of(["b a", "", "a c"])
+    assert calls == [] and corpus.n_records == 3 and len(corpus.fingerprint) == 64
+    assert corpus.ngram_counts(1) is corpus.token_counts
+    assert calls == ["b a", "", "a c"]
+    assert corpus.vocabulary == ("b", "a", "c") and corpus.token_id("c") == 2
+    assert corpus.token_ids is corpus.token_ids and corpus.total_tokens == 4
+    assert len(calls) == 3
 
 
 @settings(max_examples=300, deadline=None)
@@ -295,10 +321,20 @@ def test_recurrence_gaps_match_loop(record_texts, config, absent):
         assert token_recurrence_gaps(corpus, token) == loop_recurrence_gaps(corpus, token)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(texts, min_size=1, max_size=6))
-def test_flesch_matches_per_record_scores(record_texts):
-    corpus = corpus_of(record_texts)
+# Vowels for the syllable count; case pairs whose lowercase differs in length
+# or depends on context (final sigma), titlecase digraphs; and records with no
+# words, of punctuation only, or ending without a terminator.
+FLESCH_ALPHABET = ALPHABET + list("eEoyY") + ["Σ", "σ", "ς", "ǈ", "ǋ", "ǲ"]
+flesch_texts = st.one_of(
+    st.text(alphabet=st.sampled_from(FLESCH_ALPHABET), max_size=40),
+    st.sampled_from(["", " ", "...", "?! .", "Ab ce", "ΟΔΟΣ ΣΑΣ.", "ǅemal İyi eye"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(flesch_texts, min_size=1, max_size=6), configs)
+def test_flesch_matches_per_record_scores(record_texts, config):
+    corpus = corpus_of(record_texts, config)
     per_record, skipped = loop_flesch(corpus)
     if not per_record:
         with pytest.raises(UndefinedValueError, match="no scoreable records"):
