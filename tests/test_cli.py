@@ -546,7 +546,7 @@ def test_reader_closing_stdout_early_leaves_out_file_whole(tmp_path, command):
         proc.stdout.close()
         stderr = proc.stderr.read().decode("utf-8")
         assert proc.wait(timeout=60) == 0
-    assert all(head) and "Traceback" not in stderr and stderr == ""
+    assert all(head) and stderr == ""  # no BrokenPipeError traceback
     assert cut.read_bytes() == whole.read_bytes()
 
 
