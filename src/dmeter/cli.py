@@ -3,6 +3,8 @@
 Standard output carries human-readable summaries; files named by --out carry
 machine-readable JSON and are written first, so a reader that closes standard
 output early still finds them whole.  Flags override config-file values.
+Each cmd_* only computes; main alone reports a fatal error and writes --out
+and standard output.
 Exit codes: 0 success, 1 fatal (bad arguments, unreadable input, unknown
 metric), 2 when the report was written but contains per-metric error or
 skipped entries.
@@ -36,23 +38,8 @@ def _logger():
     return log
 
 
-def _fail(message: str) -> int:
-    _logger().error("error: %s", message)
-    return 1
-
-
 def _text(lines: list[str]) -> str:
     return "".join(line + "\n" for line in lines)
-
-
-def _write_out(path: str, text: str, what: str) -> int:
-    """Write one --out file: 0 when written, 1 (after an error message) when not."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        return _fail(f"cannot write {what} to {path!r}: {exc}")
-    return 0
 
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
@@ -148,62 +135,44 @@ def _entry_summary(name: str, entry: dict) -> str:
     return f"{name}: {body}{suffix}"
 
 
-def cmd_measure(args) -> tuple[int, str]:
-    """Exit status and standard output, as every cmd_* returns them."""
-    try:
-        cfg = _load_config(args.config)
-        metrics_raw = (args.metrics or cfg.get("measure", "metrics", fallback="")
-                       or ",".join(METRIC_FAMILIES))
-        metrics = report.select_metrics(m.strip() for m in metrics_raw.split(",") if m.strip())
-        measure_cfg = _measure_config(cfg)
+def cmd_measure(args):
+    """Exit status, the --out file as (path, text, what it holds) or None, and
+    standard output, as every cmd_* returns them; a fatal error is raised."""
+    cfg = _load_config(args.config)
+    metrics_raw = (args.metrics or cfg.get("measure", "metrics", fallback="")
+                   or ",".join(METRIC_FAMILIES))
+    metrics = report.select_metrics(m.strip() for m in metrics_raw.split(",") if m.strip())
+    measure_cfg = _measure_config(cfg)
 
-        corpus = _ingest_from(args, cfg)
+    corpus = _ingest_from(args, cfg)
 
-        embeddings = None
-        if args.embeddings:
-            embeddings = _read_side_file(load_embeddings, args.embeddings)
-
-        rep = report.assemble_report(
-            corpus,
-            metrics,
-            config=measure_cfg,
-            embeddings=embeddings,
-            embedding_source=args.embeddings,
-        )
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc)), ""
-
+    embeddings = _read_side_file(load_embeddings, args.embeddings) if args.embeddings else None
+    rep = report.assemble_report(corpus, metrics, config=measure_cfg, embeddings=embeddings,
+                                 embedding_source=args.embeddings)
     out_path = args.out or cfg.get("measure", "out", fallback="report.json")
-    if _write_out(out_path, report.serialize_report(rep), "report"):
-        return 1, ""
+    out = (out_path, report.serialize_report(rep), "report")
 
     lines = [_entry_summary(name, entry) for name, entry in rep.measurements.items()]
     lines.append(f"report written to {out_path}")
 
     # Exit code 2 means a metric could not be computed; an undefined or
     # infinite value is still a result, so it does not count here.
-    failed = any(
-        f.startswith(report.BLOCKING_FLAG_PREFIXES)
-        for entry in rep.measurements.values()
-        for f in entry.get("flags", [])
-    )
-    return 2 if failed else 0, _text(lines)
+    failed = any(f.startswith(report.BLOCKING_FLAG_PREFIXES)
+                 for entry in rep.measurements.values() for f in entry.get("flags", []))
+    return 2 if failed else 0, out, _text(lines)
 
 
-def cmd_compare(args) -> tuple[int, str]:
-    reports = []
-    for path in (args.baseline, args.candidate):
-        try:
-            reports.append(report.parse_report(path))
-        except (OSError, ValueError, KeyError) as exc:
-            return _fail(f"cannot parse report {path!r}: {exc}"), ""
+def _read_report(path: str) -> report.MeasurementReport:
     try:
-        delta = report.compare(reports[0], reports[1])
-    except ValueError as exc:
-        return _fail(str(exc)), ""
-    if args.out and _write_out(args.out, report.serialize_delta(delta), "delta"):
-        return 1, ""
-    return 0, report.format_delta_table(delta)
+        return report.parse_report(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot parse report {path!r}: {exc}") from None
+
+
+def cmd_compare(args):
+    delta = report.compare(*(_read_report(path) for path in (args.baseline, args.candidate)))
+    out = (args.out, report.serialize_delta(delta), "delta") if args.out else None
+    return 0, out, report.format_delta_table(delta)
 
 
 def _read_targets(path: str, tokenizer: TokenizerConfig) -> list[str]:
@@ -227,36 +196,27 @@ def _read_side_file(read, path: str, *args):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def cmd_assoc(args) -> tuple[int, str]:
-    try:
-        cfg = _load_config(args.config)
-        if not args.targets:
-            raise ValueError("--targets is required")
-        tokenizer = _tokenizer_from(args, cfg)
-        targets = _read_side_file(_read_targets, args.targets, tokenizer)
-        corpus = _ingest_from(args, cfg)
+def cmd_assoc(args):
+    cfg = _load_config(args.config)
+    if not args.targets:
+        raise ValueError("--targets is required")
+    tokenizer = _tokenizer_from(args, cfg)
+    targets = _read_side_file(_read_targets, args.targets, tokenizer)
+    corpus = _ingest_from(args, cfg)
 
-        opts = _config_section(cfg, "assoc", _ASSOC_DEFAULTS)
-        table = association.build_cooccurrence(
-            corpus, targets=targets, context_mode=opts["context_mode"],
-            window_size=opts["window_size"] or None,
-        )
-        rows = []
-        for target in targets:
-            co = association.top_npmi(table, target, k=opts["topk"], smoothing=opts["smoothing"])
-            flags = []
-            if target not in table.term_counts:
-                flags.append("warning:target-absent")
-            rows.append({
-                "target": target,
-                "co_terms": [
-                    {"term": t, "npmi": v, "pair_count": c} for t, v, c in co
-                ],
-                "flags": flags,
-            })
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc)), ""
+    opts = _config_section(cfg, "assoc", _ASSOC_DEFAULTS)
+    table = association.build_cooccurrence(
+        corpus, targets=targets, context_mode=opts["context_mode"],
+        window_size=opts["window_size"] or None,
+    )
+    rows = []
+    for target in targets:
+        co = association.top_npmi(table, target, k=opts["topk"], smoothing=opts["smoothing"])
+        flags = [] if target in table.term_counts else ["warning:target-absent"]
+        rows.append({"target": target, "flags": flags,
+                     "co_terms": [{"term": t, "npmi": v, "pair_count": c} for t, v, c in co]})
 
+    out = None
     if args.out:
         payload = {
             "corpus_fingerprint": corpus.fingerprint,
@@ -264,8 +224,7 @@ def cmd_assoc(args) -> tuple[int, str]:
             "smoothing": opts["smoothing"],
             "targets": rows,
         }
-        if _write_out(args.out, canonical_json(payload), "association table"):
-            return 1, ""
+        out = (args.out, canonical_json(payload), "association table")
 
     lines = []
     for row in rows:
@@ -277,19 +236,17 @@ def cmd_assoc(args) -> tuple[int, str]:
             lines.append("  (no co-terms)")
         for co in row["co_terms"]:
             lines.append(f"  {co['term']}  npmi={co['npmi']:+.4f}  contexts={co['pair_count']}")
-    return 0, _text(lines)
+    return 0, out, _text(lines)
 
 
-def cmd_dedup(args) -> tuple[int, str]:
-    try:
-        cfg = _load_config(args.config)
-        corpus = _ingest_from(args, cfg)
-        opts = _config_section(cfg, "dedup", _DEDUP_DEFAULTS)
-        rep = quality.find_duplicates(corpus, opts["normalization"], opts["top_cap"])
-        entropy = quality.redundancy_entropy(rep)
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc)), ""
+def cmd_dedup(args):
+    cfg = _load_config(args.config)
+    corpus = _ingest_from(args, cfg)
+    opts = _config_section(cfg, "dedup", _DEDUP_DEFAULTS)
+    rep = quality.find_duplicates(corpus, opts["normalization"], opts["top_cap"])
+    entropy = quality.redundancy_entropy(rep)
 
+    out = None
     if args.out:
         payload = {
             "corpus_fingerprint": corpus.fingerprint,
@@ -299,13 +256,10 @@ def cmd_dedup(args) -> tuple[int, str]:
             "duplicate_clusters": rep.duplicate_clusters,
             "excess_duplicates": rep.excess_duplicates,
             "redundancy_entropy": entropy,
-            "top_clusters": [
-                {"fingerprint": fp, "count": count, "sample": sample}
-                for fp, count, sample in rep.top_clusters
-            ],
+            "top_clusters": [{"fingerprint": fp, "count": count, "sample": sample}
+                             for fp, count, sample in rep.top_clusters],
         }
-        if _write_out(args.out, canonical_json(payload), "dedup report"):
-            return 1, ""
+        out = (args.out, canonical_json(payload), "dedup report")
 
     lines = [
         f"records: {rep.n_records}",
@@ -317,7 +271,7 @@ def cmd_dedup(args) -> tuple[int, str]:
     for fp, count, sample in rep.top_clusters:
         snippet = sample if len(sample) <= 60 else sample[:57] + "..."
         lines.append(f"  x{count}  {fp[:12]}  {snippet!r}")
-    return 0, _text(lines)
+    return 0, out, _text(lines)
 
 
 def _add_common_flags(parser, *, embeddings=False, targets=False, metrics=False):
@@ -366,8 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and end it: a fatal error is one `error:` message and
+    exit 1; otherwise the --out file is written first, then standard output."""
     args = build_parser().parse_args(argv)
-    status, text = args.func(args)
+    try:
+        status, out, text = args.func(args)
+        if out:
+            path, body, what = out
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(body)
+            except OSError as exc:
+                raise OSError(f"cannot write {what} to {path!r}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        _logger().error("error: %s", exc)
+        return 1
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
