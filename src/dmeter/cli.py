@@ -5,9 +5,9 @@ machine-readable JSON and are written first, so a reader that closes standard
 output early still finds them whole.  Flags override config-file values.
 Each cmd_* only computes; main alone reports a fatal error and writes --out
 and standard output.
-Exit codes: 0 success, 1 fatal (bad arguments, unreadable input, unknown
-metric), 2 when the report was written but contains per-metric error or
-skipped entries.
+Exit codes: 0 success, 1 fatal (bad arguments, unreadable input, a malformed
+config file or report, unknown metric, an unwritable --out file), 2 when the
+report was written but contains per-metric error or skipped entries.
 """
 
 from __future__ import annotations
@@ -332,7 +332,7 @@ def main(argv=None) -> int:
                     fh.write(body)
             except OSError as exc:
                 raise OSError(f"cannot write {what} to {path!r}: {exc}") from None
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, configparser.Error) as exc:
         _logger().error("error: %s", exc)
         return 1
     try:

@@ -379,7 +379,11 @@ def serialize_report(report: MeasurementReport) -> str:
 
 
 def parse_report(source) -> MeasurementReport:
-    """Read a serialized report back; inverse of serialize_report."""
+    """Read a serialized report back; inverse of serialize_report.
+
+    The report must be a JSON object with every required key, its
+    measurements an object of objects, and an entry's flags, when present, a
+    list of strings; anything else raises ValueError."""
     if hasattr(source, "read"):
         text = source.read()
     elif isinstance(source, str) and source.lstrip().startswith("{"):
@@ -388,9 +392,19 @@ def parse_report(source) -> MeasurementReport:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"report must be a JSON object, got {type(obj).__name__}")
     for key in ("schema_version", "corpus_fingerprint", "tokenizer_config", "created_at", "measurements"):
         if key not in obj:
             raise ValueError(f"report is missing required key {key!r}")
+    if not isinstance(obj["measurements"], dict):
+        raise ValueError("report 'measurements' must be an object")
+    for name, entry in obj["measurements"].items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"measurement {name!r} must be an object, got {type(entry).__name__}")
+        flags = entry.get("flags", [])
+        if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
+            raise ValueError(f"measurement {name!r} flags must be a list of strings")
     return MeasurementReport(
         schema_version=obj["schema_version"],
         corpus_fingerprint=obj["corpus_fingerprint"],

@@ -326,6 +326,24 @@ class TestCompare:
         good = self.make_report(tmp_path, "g", ["words."])
         assert main(["compare", str(tmp_path / "absent.json"), good]) == 1
 
+    @pytest.mark.parametrize("damage", [
+        lambda obj: 5,
+        lambda obj: {**obj, "measurements": {**obj["measurements"], "token_entropy": 5}},
+        # Iterated as a string, "error:x" would read as seven harmless flags.
+        lambda obj: {**obj, "measurements": {**obj["measurements"], "token_entropy": {
+            **obj["measurements"]["token_entropy"], "flags": "error:x"}}},
+    ], ids=["top-level-number", "entry-not-an-object", "flags-a-string"])
+    def test_malformed_report_shape_names_file(self, tmp_path, capsys, damage):
+        good = self.make_report(tmp_path, "g", ["words here.", "more words."])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(damage(json.loads(Path(good).read_text(encoding="utf-8")))),
+                       encoding="utf-8")
+        capsys.readouterr()
+        assert main(["compare", good, str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot parse report {str(bad)!r}: ")
+        assert captured.out == ""
+
 
 class TestAssoc:
     def test_top_coterms_and_absent_target_warning(self, corpus_path, tmp_path, capsys):
@@ -522,6 +540,30 @@ class TestDedup:
         assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command, what", [
+    ("measure", "report"), ("compare", "delta"),
+    ("assoc", "association table"), ("dedup", "dedup report"),
+])
+def test_unwritable_out_file_is_fatal_and_prints_nothing(corpus_path, tmp_path, capsys,
+                                                         command, what):
+    report = tmp_path / "rep.json"
+    assert main(["measure", "--input", corpus_path, "--metrics", "quality",
+                 "--out", str(report)]) == 0
+    (tmp_path / "targets.txt").write_text("fox\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "missing" / "out.json"
+    argv = {
+        "measure": ["measure", "--input", corpus_path, "--metrics", "quality"],
+        "compare": ["compare", str(report), str(report)],
+        "assoc": ["assoc", "--input", corpus_path, "--targets", str(tmp_path / "targets.txt")],
+        "dedup": ["dedup", "--input", corpus_path],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {what} to {str(out)!r}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["assoc", "dedup"])
 def test_reader_closing_stdout_early_leaves_out_file_whole(tmp_path, command):
     # Far more than a pipe holds, so the command is still printing when the
@@ -588,6 +630,25 @@ def test_zipf_fit_does_not_load_scipy_optimize(corpus_path, tmp_path):
 class TestConfigSections:
     """Every section goes through one reader: unknown keys are fatal, values
     take the type of their default, and a bad value names section and key."""
+
+    @pytest.mark.parametrize("text", [
+        "knn_k = 3\n",  # no section header
+        "[measure]\nknn_k = 3\nknn_k = 4\n[assoc]\ntopk = 1\ntopk = 2\n",  # duplicate option
+        "[measure]\nout = 100%.json\n[assoc]\ntopk = 1%\n[dedup]\ntop_cap = 1%\n",  # bare %
+    ], ids=["no-section-header", "duplicate-option", "bare-percent"])
+    @pytest.mark.parametrize("command", ["measure", "assoc", "dedup"])
+    def test_malformed_config_file_is_fatal(self, corpus_path, tmp_path, capsys, command, text):
+        ini = tmp_path / "c.ini"
+        ini.write_text(text, encoding="utf-8")
+        targets = tmp_path / "targets.txt"
+        targets.write_text("fox\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        code = main([command, "--input", corpus_path, "--config", str(ini), "--out", str(out)]
+                    + (["--targets", str(targets)] if command == "assoc" else []))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, section, key, value, reason", [
         ("measure", "measure", "knn_k", "abc", "invalid literal for int() with base 10: 'abc'"),
