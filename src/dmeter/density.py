@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedValueError
-from .vectors import _CHUNK_CELLS, EmbeddingMatrix, unit_rows
+from .vectors import _CHUNK_CELLS, EmbeddingMatrix, euclidean_matrix, unit_rows
 
 SIMILARITIES = ("cosine", "inverse-euclidean")
 VOLUME_MODES = ("bounding-box", "unit-hypercube")
@@ -23,7 +23,10 @@ EXACT_SEARCH_CAP = 50_000
 at d=64 on a 2-vCPU Xeon it takes about 1.6 s at n=10,000 and 3.9 s at
 n=20,000, so about 25 s at this cap, and it grows fourfold per doubling past
 it.  Memory stays bounded (pairwise blocks of _CHUNK_CELLS floats), so the cap
-bounds time only."""
+bounds time only.  inverse-euclidean forms every row difference, which keeps
+the distances exact far from the origin but costs 7 to 20 times the cosine
+search: with one BLAS thread, 0.72 s against 0.07 s at n=2,000, d=64, and
+2.8 s against 0.14 s at n=4,000, d=64, so about 7 minutes at this cap."""
 
 
 @dataclass(frozen=True)
@@ -51,14 +54,9 @@ class DataDensity:
 def _similarity_block(block: np.ndarray, all_rows: np.ndarray, similarity: str) -> np.ndarray:
     if similarity == "cosine":
         return np.clip(block @ all_rows.T, -1.0, 1.0)
-    # inverse-euclidean: 1 / (1 + dist)
-    sq = (
-        np.sum(block * block, axis=1)[:, None]
-        + np.sum(all_rows * all_rows, axis=1)[None, :]
-        - 2.0 * (block @ all_rows.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return 1.0 / (1.0 + np.sqrt(sq))
+    # inverse-euclidean: 1 / (1 + dist), from the row differences themselves;
+    # |a|² + |b|² - 2a·b cancels every digit of rows far from the origin.
+    return 1.0 / (1.0 + euclidean_matrix(block, all_rows))
 
 
 def knn_density(emb: EmbeddingMatrix, k: int, similarity: str = "cosine") -> DensityReport:

@@ -107,6 +107,31 @@ class TestKnnDensity:
         assert rep.per_point_density == again.per_point_density
 
 
+    def test_inverse_euclidean_keeps_its_digits_far_from_the_origin(self):
+        # |a|² + |b|² - 2a·b cancels to 0 here, which read 1.0 for both points.
+        rep = knn_density(emb_from([[1e8, 0.0], [1e8 + 1, 0.0]]), 1, "inverse-euclidean")
+        assert rep.per_point_density == (0.5, 0.5)
+        rep = knn_density(emb_from([[1e9, 0.3], [1e9 + 0.5, 0.3]]), 1, "inverse-euclidean")
+        assert rep.per_point_density == (1 / 1.5, 1 / 1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_inverse_euclidean_density_is_translation_invariant(data):
+    n = data.draw(st.integers(2, 8), label="n")
+    d = data.draw(st.integers(1, 4), label="d")
+    matrix = np.array(data.draw(st.lists(st.lists(st.integers(-1000, 1000), min_size=d,
+                                                  max_size=d), min_size=n, max_size=n),
+                                label="rows"), dtype=np.float64)
+    offset = np.array(data.draw(st.lists(st.integers(-(2**40) + 1, 2**40 - 1), min_size=d,
+                                         max_size=d), label="offset"), dtype=np.float64)
+    k = data.draw(st.integers(1, n - 1), label="k")
+    # Integer rows below 2**41 and their differences are exact, so the distances are too.
+    here = knn_density(emb_from(matrix), k, "inverse-euclidean").per_point_density
+    moved = knn_density(emb_from(matrix + offset), k, "inverse-euclidean").per_point_density
+    assert here == moved
+
+
 class TestDataDensity:
     def test_unit_square_corners(self):
         emb = emb_from([[0, 0], [0, 1], [1, 0], [1, 1]])
