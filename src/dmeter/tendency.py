@@ -79,7 +79,11 @@ def summarize(values: Sequence[float]) -> SummaryStats:
 
     vals_sorted = sorted(vals)
     mid = n // 2
-    median = vals_sorted[mid] if n % 2 else (vals_sorted[mid - 1] + vals_sorted[mid]) / 2.0
+    median = vals_sorted[mid]
+    if n % 2 == 0:
+        a, b = vals_sorted[mid - 1], median
+        # Halved first only where the sum passes the float range.
+        median = a / 2 + b / 2 if math.isinf(a + b) else (a + b) / 2.0
 
     counts = Counter(vals)
     top = max(counts.values())

@@ -81,6 +81,12 @@ class TestSummarize:
     def test_odd_count_median(self):
         assert summarize([5, 1, 3]).median == 3.0
 
+    def test_even_count_median_whose_pair_sum_overflows(self):
+        assert summarize([1.7e308, 1.7e308]).median == 1.7e308
+        assert summarize([1.7e308, 1.6e308, 1.0, 1.7e308]).median == 1.6e308 / 2 + 1.7e308 / 2
+        assert summarize([-1.7e308, -1.6e308]).median == -1.6e308 / 2 - 1.7e308 / 2
+        assert summarize([math.inf, 1.0]).median == math.inf
+
     def test_all_tied_modes_sorted(self):
         assert summarize([3, 1, 2]).modes == (1.0, 2.0, 3.0)
         assert summarize([1, 2, 2, 3, 9]).modes == (2.0,)
