@@ -24,7 +24,7 @@ at d=64 on a 2-vCPU Xeon it takes about 1.6 s at n=10,000 and 3.9 s at
 n=20,000, so about 25 s at this cap, and it grows fourfold per doubling past
 it.  Memory stays bounded (pairwise blocks of _CHUNK_CELLS floats), so the cap
 bounds time only.  inverse-euclidean forms every row difference, which keeps
-the distances exact far from the origin but costs 7 to 20 times the cosine
+the distances exact far from the origin but costs 10 to 20 times the cosine
 search: with one BLAS thread, 0.72 s against 0.07 s at n=2,000, d=64, and
 2.8 s against 0.14 s at n=4,000, d=64, so about 7 minutes at this cap."""
 

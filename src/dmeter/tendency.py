@@ -82,7 +82,7 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     median = vals_sorted[mid]
     if n % 2 == 0:
         a, b = vals_sorted[mid - 1], median
-        # Halved first only where the sum passes the float range.
+        # a + b can pass the float range where their mean does not.
         median = a / 2 + b / 2 if math.isinf(a + b) else (a + b) / 2.0
 
     counts = Counter(vals)
