@@ -42,54 +42,55 @@ def _text(lines: list[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _load_config(path: str | None) -> configparser.ConfigParser:
+def _load_config(path: str | None) -> dict:
+    """Each _SECTIONS section as _config_section reads it from the INI file at path."""
     cfg = configparser.ConfigParser()
-    if path:
-        read = cfg.read(path, encoding="utf-8")
-        if not read:
-            raise OSError(f"cannot read config file {path!r}")
-    return cfg
+    if path and not cfg.read(path, encoding="utf-8"):
+        raise OSError(f"cannot read config file {path!r}")
+    return {section: _config_section(cfg, section, defaults)
+            for section, defaults in _SECTIONS.items()}
 
 
-def _tokenizer_from(args, cfg) -> TokenizerConfig:
-    """Flag value wins over [tokenizer] config section, which is checked either way.
+def _tokenizer_from(args, settings) -> TokenizerConfig:
+    """The --tokenizer flag, else the [tokenizer] section.
 
     Flag syntax: a mode name, optionally suffixed ':nofold' to keep case.
     """
-    settings = _config_section(cfg, "tokenizer", DEFAULT_TOKENIZER.as_dict())
-    spec = getattr(args, "tokenizer", None)
+    spec = args.tokenizer
     if spec:
-        settings = {"mode": spec.removesuffix(":nofold"), "case_fold": not spec.endswith(":nofold")}
-    return TokenizerConfig(**settings)
+        return TokenizerConfig(spec.removesuffix(":nofold"), not spec.endswith(":nofold"))
+    return TokenizerConfig(**settings["tokenizer"])
 
 
-def _ingest_from(args, cfg):
+def _ingest_from(args, settings, tokenizer: TokenizerConfig):
     if not args.input:
         raise ValueError("--input is required")
-    fmt = args.format or cfg.get("measure", "format", fallback="jsonl")
-    tokenizer = _tokenizer_from(args, cfg)
+    fmt = args.format or settings["measure"]["format"]
     corpus = ingest(args.input, format=fmt, tokenizer_config=tokenizer)
     for err in corpus.ingest_errors:
         _logger().warning("ingest: skipped line %d: %s", err.line, err.reason)
     return corpus
 
 
-_ASSOC_DEFAULTS = {"topk": 20, "smoothing": 0.0, "context_mode": "document", "window_size": 0}
-_DEDUP_DEFAULTS = {"normalization": "exact", "top_cap": 10}
+_SECTIONS = {
+    "tokenizer": DEFAULT_TOKENIZER.as_dict(),
+    "measure": {**DEFAULT_CONFIG, "metrics": "", "format": "jsonl", "out": "report.json"},
+    "assoc": {"topk": 20, "smoothing": 0.0, "context_mode": "document", "window_size": 0},
+    "dedup": {"normalization": "exact", "top_cap": 10},
+}
 
 
-def _config_section(cfg, section: str, defaults: dict, cli_keys=()) -> dict:
+def _config_section(cfg, section: str, defaults: dict) -> dict:
     """A copy of defaults with each key that one INI section sets, typed like
     its default (None: str; a bool is read with getboolean).
 
-    A key outside defaults and cli_keys (which the CLI reads itself) is fatal,
-    unless the section only inherits it from [DEFAULT].
+    A key outside defaults is fatal unless the section inherits it from [DEFAULT].
     """
     out = dict(defaults)
     if not cfg.has_section(section):
         return out
     for key, raw in cfg.items(section):
-        if key in cli_keys or (key in cfg.defaults() and key not in defaults):
+        if key in cfg.defaults() and key not in defaults:
             continue
         if key not in defaults:
             raise ValueError(
@@ -109,7 +110,8 @@ def _config_section(cfg, section: str, defaults: dict, cli_keys=()) -> dict:
 
 
 def _measure_config(cfg) -> dict:
-    return _config_section(cfg, "measure", DEFAULT_CONFIG, cli_keys=("metrics", "format", "out"))
+    measure = _config_section(cfg, "measure", _SECTIONS["measure"])
+    return {key: measure[key] for key in DEFAULT_CONFIG}
 
 
 def _entry_summary(name: str, entry: dict) -> str:
@@ -138,18 +140,17 @@ def _entry_summary(name: str, entry: dict) -> str:
 def cmd_measure(args):
     """Exit status, the --out file as (path, text, what it holds) or None, and
     standard output, as every cmd_* returns them; a fatal error is raised."""
-    cfg = _load_config(args.config)
-    metrics_raw = (args.metrics or cfg.get("measure", "metrics", fallback="")
-                   or ",".join(METRIC_FAMILIES))
+    settings = _load_config(args.config)
+    measure = settings["measure"]
+    metrics_raw = args.metrics or measure["metrics"] or ",".join(METRIC_FAMILIES)
     metrics = report.select_metrics(m.strip() for m in metrics_raw.split(",") if m.strip())
-    measure_cfg = _measure_config(cfg)
 
-    corpus = _ingest_from(args, cfg)
+    corpus = _ingest_from(args, settings, _tokenizer_from(args, settings))
 
     embeddings = _read_side_file(load_embeddings, args.embeddings) if args.embeddings else None
-    rep = report.assemble_report(corpus, metrics, config=measure_cfg, embeddings=embeddings,
-                                 embedding_source=args.embeddings)
-    out_path = args.out or cfg.get("measure", "out", fallback="report.json")
+    rep = report.assemble_report(corpus, metrics, config={k: measure[k] for k in DEFAULT_CONFIG},
+                                 embeddings=embeddings, embedding_source=args.embeddings)
+    out_path = args.out or measure["out"]
     out = (out_path, report.serialize_report(rep), "report")
 
     lines = [_entry_summary(name, entry) for name, entry in rep.measurements.items()]
@@ -197,14 +198,14 @@ def _read_side_file(read, path: str, *args):
 
 
 def cmd_assoc(args):
-    cfg = _load_config(args.config)
+    settings = _load_config(args.config)
     if not args.targets:
         raise ValueError("--targets is required")
-    tokenizer = _tokenizer_from(args, cfg)
+    tokenizer = _tokenizer_from(args, settings)
     targets = _read_side_file(_read_targets, args.targets, tokenizer)
-    corpus = _ingest_from(args, cfg)
+    corpus = _ingest_from(args, settings, tokenizer)
 
-    opts = _config_section(cfg, "assoc", _ASSOC_DEFAULTS)
+    opts = settings["assoc"]
     table = association.build_cooccurrence(
         corpus, targets=targets, context_mode=opts["context_mode"],
         window_size=opts["window_size"] or None,
@@ -240,9 +241,9 @@ def cmd_assoc(args):
 
 
 def cmd_dedup(args):
-    cfg = _load_config(args.config)
-    corpus = _ingest_from(args, cfg)
-    opts = _config_section(cfg, "dedup", _DEDUP_DEFAULTS)
+    settings = _load_config(args.config)
+    corpus = _ingest_from(args, settings, _tokenizer_from(args, settings))
+    opts = settings["dedup"]
     rep = quality.find_duplicates(corpus, opts["normalization"], opts["top_cap"])
     entropy = quality.redundancy_entropy(rep)
 
