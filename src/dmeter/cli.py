@@ -42,13 +42,36 @@ def _text(lines: list[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _config_file_error(exc: configparser.Error) -> str:
+    """exc on one line: the file line, section and key it carries, then what is wrong."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line.strip()!r} is not under a [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return f"line {exc.errors[0][0]}: neither a [section] header nor 'key = value'"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: [{exc.section}] config key {exc.option!r} is set twice"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section [{exc.section}] appears twice"
+    # Otherwise an InterpolationError, the one kind that reading a value raises.
+    return f"[{exc.section}] config key {exc.option!r}: {exc.message}"
+
+
 def _load_config(path: str | None) -> dict:
-    """Each _SECTIONS section as _config_section reads it from the INI file at path."""
+    """Each _SECTIONS section as _config_section reads it from the INI file at path.
+
+    The file is read as a side file is (see read_lines), and a malformed one
+    is one ValueError that names it.
+    """
     cfg = configparser.ConfigParser()
-    if path and not cfg.read(path, encoding="utf-8"):
-        raise OSError(f"cannot read config file {path!r}")
-    return {section: _config_section(cfg, section, defaults)
-            for section, defaults in _SECTIONS.items()}
+    try:
+        if path:
+            cfg.read_file(_read_side_file(lambda p: [line for _, line in read_lines(p)], path))
+        return {section: _config_section(cfg, section, defaults)
+                for section, defaults in _SECTIONS.items()}
+    except OSError:
+        raise OSError(f"cannot read config file {path!r}") from None
+    except configparser.Error as exc:
+        raise ValueError(f"{path}: {_config_file_error(exc)}") from None
 
 
 def _tokenizer_from(args, settings) -> TokenizerConfig:
@@ -333,7 +356,7 @@ def main(argv=None) -> int:
                     fh.write(body)
             except OSError as exc:
                 raise OSError(f"cannot write {what} to {path!r}: {exc}") from None
-    except (OSError, ValueError, configparser.Error) as exc:
+    except (OSError, ValueError) as exc:
         _logger().error("error: %s", exc)
         return 1
     try:

@@ -650,6 +650,53 @@ class TestConfigSections:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, reason", [
+        (b"knn_k = 3\n", "line 1: 'knn_k = 3' is not under a [section] header"),
+        (b"[measure]\nknn_k = 3\nfoo\nbar\n",
+         "line 3: neither a [section] header nor 'key = value'"),
+        (b"[measure]\nknn_k = 3\nknn_k = 4\n",
+         "line 3: [measure] config key 'knn_k' is set twice"),
+        (b"[dedup]\n[measure]\n[dedup]\n", "line 3: section [dedup] appears twice"),
+        (b"[measure]\nout = 100%.json\n",
+         "[measure] config key 'out': '%' must be followed by '%' or '(', found: '%.json'"),
+        (b"[measure]\nknn_k = 3\nout = \xff.json\n", "line 3: not valid UTF-8"),
+    ], ids=["no-section-header", "no-equals", "duplicate-option", "duplicate-section",
+            "bare-percent", "not-utf8"])
+    @pytest.mark.parametrize("command", ["measure", "assoc", "dedup"])
+    def test_malformed_config_message_is_one_line_naming_the_file(
+            self, corpus_path, tmp_path, capsys, command, body, reason):
+        ini = tmp_path / "c.ini"
+        ini.write_bytes(body)
+        targets = tmp_path / "targets.txt"
+        targets.write_text("fox\n", encoding="utf-8")
+        code = main([command, "--input", corpus_path, "--config", str(ini)]
+                    + (["--targets", str(targets)] if command == "assoc" else []))
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {ini}: {reason}\n")
+
+    @pytest.mark.parametrize("section, key", [
+        ("tokenizer", "casefold"), ("measure", "ztipf_method"), ("assoc", "top_k"),
+        ("dedup", "normalisation"),
+    ])
+    @pytest.mark.parametrize("input_name", ["missing.jsonl", "skips-a-line.jsonl"])
+    @pytest.mark.parametrize("command", ["measure", "assoc", "dedup"])
+    def test_config_errors_come_before_input(self, tmp_path, capsys, command, input_name,
+                                             section, key):
+        (tmp_path / "skips-a-line.jsonl").write_text('{"text": "a b"}\nnot json\n',
+                                                     encoding="utf-8")
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[{section}]\n{key} = 1\n", encoding="utf-8")
+        out = tmp_path / "out.json"
+        code = main([command, "--input", str(tmp_path / input_name), "--config", str(ini),
+                     "--out", str(out)]
+                    + (["--targets", str(tmp_path / "missing.txt")] if command == "assoc" else []))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: unknown [{section}] config key {key!r}; ")
+        assert captured.err.count("\n") == 1 and "ingest:" not in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, section, key, value, reason", [
         ("measure", "measure", "knn_k", "abc", "invalid literal for int() with base 10: 'abc'"),
         ("measure", "tokenizer", "case_fold", "maybe", "Not a boolean: maybe"),
