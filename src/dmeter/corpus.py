@@ -466,7 +466,10 @@ def _read_jsonl(stream):
             errors.append(IngestError(line_no, "missing or non-string 'text' field"))
             continue
         rid = obj.get("id")
-        rid = str(rid) if rid is not None else str(line_no)
+        if isinstance(rid, bool) or not isinstance(rid, (str, int, type(None))):
+            errors.append(IngestError(line_no, "'id' must be a string or an integer"))
+            continue
+        rid = str(line_no) if rid is None else str(rid)
         attrs = obj.get("attributes")
         if attrs is not None:
             if not isinstance(attrs, dict) or not all(

@@ -180,6 +180,18 @@ class TestIngestJsonl:
         assert [e.line for e in corpus.ingest_errors] == [2, 3]
         assert "must be an integer" in corpus.ingest_errors[0].reason
 
+    def test_id_must_be_a_string_or_an_integer(self):
+        ids = ['"s"', "7", "null", '{"a": 1}', "true", "false", "1.0", "[1]", "1e400", '"7"']
+        stream = io.StringIO("".join(f'{{"id": {rid}, "text": "x"}}\n' for rid in ids)
+                             + '{"text": "no id"}\n')
+        corpus = ingest(stream)
+        assert [r.id for r in corpus.records] == ["s", "7", "3", "11"]  # "7" repeats int 7
+        reason = "'id' must be a string or an integer"
+        assert corpus.ingest_errors == (
+            *(IngestError(line, reason) for line in range(4, 10)),
+            IngestError(10, "duplicate record id '7'"),
+        )
+
     @pytest.mark.parametrize("line", [
         '{"text": "x \\ud800 y"}',
         '{"id": "a\\udc00", "text": "x"}',
