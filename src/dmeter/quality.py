@@ -17,7 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import _WORD_RE, Corpus
+from .corpus import _WORD_RE, Corpus, FrequencyTable
+from .diversity import shannon_entropy
 from .errors import UndefinedValueError
 from .tendency import SummaryStats, summarize
 
@@ -91,8 +92,7 @@ def redundancy_entropy(report: RedundancyReport) -> float:
         raise ValueError("empty report")
     if n == 1:
         return 1.0
-    entropy = -math.fsum((s / n) * math.log(s / n) for s in report.cluster_sizes)
-    return entropy / math.log(n)
+    return shannon_entropy(FrequencyTable(dict(enumerate(report.cluster_sizes)))) / math.log(n)
 
 
 # --- readability ---------------------------------------------------------------

@@ -186,6 +186,27 @@ class TestRedundancyEntropy:
             assert 0.0 - 1e-12 <= h <= 1.0 + 1e-12
 
 
+def direct_redundancy_entropy(report):
+    """The formula redundancy_entropy had before it took diversity.shannon_entropy."""
+    n = report.n_records
+    if n == 1:
+        return 1.0
+    entropy = -math.fsum((s / n) * math.log(s / n) for s in report.cluster_sizes)
+    return entropy / math.log(n)
+
+
+@given(st.lists(st.integers(1, 10**12), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_redundancy_entropy_keeps_the_direct_formulas_bits(sizes):
+    sizes = sorted(sizes, reverse=True)
+    rep = RedundancyReport(
+        n_records=sum(sizes), n_distinct=len(sizes),
+        duplicate_clusters=sum(s >= 2 for s in sizes), excess_duplicates=sum(sizes) - len(sizes),
+        cluster_sizes=tuple(sizes), top_clusters=(), normalization="exact",
+    )
+    assert redundancy_entropy(rep) == direct_redundancy_entropy(rep)
+
+
 class TestSyllables:
     @pytest.mark.parametrize(
         "word,expected",
