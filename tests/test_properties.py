@@ -2,21 +2,25 @@
 non-finite encoding and the blocking-flag rule that decides comparability),
 for the bounds of association and distance measures, for ingest on
 arbitrary bytes, and for the line reader that ingest shares with the
-logprob, embedding and target files."""
+logprob, embedding and target files, and for the translation and
+power-of-two scale invariance of the embedding measures and of the mean."""
 
 import json
 import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dmeter.association import build_cooccurrence, npmi, top_npmi
 from dmeter.cli import _read_targets
 from dmeter.corpus import DEFAULT_TOKENIZER, FORMATS, Corpus, IngestError, Record, ingest
+from dmeter.density import data_density, knn_density
 from dmeter.distance import Distribution, emd_discrete, kl_divergence
+from dmeter.diversity import embedding_dispersion, vendi_score
 from dmeter.report import (
     SCHEMA_VERSION,
     MeasurementReport,
@@ -27,8 +31,8 @@ from dmeter.report import (
     parse_report,
     serialize_report,
 )
-from dmeter.tendency import perplexity_from_logprobs
-from dmeter.vectors import load_embeddings
+from dmeter.tendency import perplexity_from_logprobs, summarize
+from dmeter.vectors import EmbeddingMatrix, cosine_matrix, euclidean_matrix, load_embeddings
 
 BLOCKING = ("error:internal", "error:argument", "skipped:no-embeddings",
             "infinite", "negative-infinite", "undefined")
@@ -277,3 +281,94 @@ def test_side_readers_see_the_lines_ingest_sees(rows, bad):
             prefix = "logprob file " if name == "logprobs" else ""
             with pytest.raises(ValueError, match=f"^{prefix}line {k + 1}: not valid UTF-8$"):
                 SIDE_READERS[name](path)
+
+
+# --- invariance ----------------------------------------------------------------
+# Integer rows below 2**41 and their differences are exact, so a translation
+# moves no digit of a distance or an extent.  Scaling by a power of two is
+# exact while every value, square and product stays normal: entries of
+# magnitude 0 or in [2**-20, 2**20], times 2**k for |k| <= 440, keep each
+# square within [2**-960, 2**960].
+
+def _int_rows(data, n, d, label):
+    rows = st.lists(st.lists(st.integers(-1000, 1000), min_size=d, max_size=d),
+                    min_size=n, max_size=n)
+    return np.array(data.draw(rows, label=label), dtype=np.float64)
+
+
+def _offset(data, d):
+    offsets = st.lists(st.integers(-(2**40) + 1, 2**40 - 1), min_size=d, max_size=d)
+    return np.array(data.draw(offsets, label="offset"), dtype=np.float64)
+
+
+_normal_entry = st.one_of(
+    st.just(0.0),
+    st.floats(2.0 ** -20, 2.0 ** 20).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+_exponent = st.integers(-440, 440)
+
+
+def _float_rows(data, n, d, label):
+    rows = st.lists(st.lists(_normal_entry, min_size=d, max_size=d)
+                    .filter(lambda row: any(row)), min_size=n, max_size=n)
+    return np.array(data.draw(rows, label=label), dtype=np.float64)
+
+
+def _emb(matrix):
+    return EmbeddingMatrix([f"r{i}" for i in range(len(matrix))], matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_euclidean_matrix_is_translation_invariant(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    a = _int_rows(data, data.draw(st.integers(1, 5), label="n_a"), d, "a")
+    b = _int_rows(data, data.draw(st.integers(1, 5), label="n_b"), d, "b")
+    offset = _offset(data, d)
+    assert euclidean_matrix(a + offset, b + offset).tolist() == euclidean_matrix(a, b).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_data_density_is_translation_invariant(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    matrix = _int_rows(data, data.draw(st.integers(2, 8), label="n"), d, "rows")
+    # A zero extent is widened relative to the coordinate, which moves with the offset.
+    assume((matrix.max(axis=0) > matrix.min(axis=0)).all())
+    offset = _offset(data, d)
+    assert (data_density(_emb(matrix + offset)).log_density
+            == data_density(_emb(matrix)).log_density)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_embedding_measures_are_power_of_two_scale_invariant(data):
+    n = data.draw(st.integers(2, 8), label="n")
+    matrix = _float_rows(data, n, data.draw(st.integers(1, 4), label="d"), "rows")
+    k = data.draw(_exponent, label="k")
+    emb, scaled = _emb(matrix), _emb(np.ldexp(matrix, k))
+    assert vendi_score(scaled) == vendi_score(emb)
+    knn = data.draw(st.integers(1, n - 1), label="knn_k")
+    here, there = knn_density(emb, knn), knn_density(scaled, knn)
+    assert (there.global_density, there.per_point_density) == (
+        here.global_density, here.per_point_density)
+    assert embedding_dispersion(scaled) == math.ldexp(embedding_dispersion(emb), k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cosine_matrix_is_power_of_two_scale_invariant(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    a = _float_rows(data, data.draw(st.integers(1, 4), label="n_a"), d, "a")
+    b = _float_rows(data, data.draw(st.integers(1, 4), label="n_b"), d, "b")
+    j, k = data.draw(_exponent, label="j"), data.draw(_exponent, label="k")
+    assert cosine_matrix(np.ldexp(a, j), np.ldexp(b, k)).tolist() == cosine_matrix(a, b).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_normal_entry, min_size=1, max_size=12), _exponent)
+def test_summarize_mean_scales_with_a_power_of_two(values, k):
+    # std does not: _central_sums squares with `d ** 2`, and libm's pow is not
+    # correctly rounded, so its last bit can move with the scale.
+    here = summarize(values)
+    assert summarize([math.ldexp(v, k) for v in values]).mean == math.ldexp(here.mean, k)
