@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,8 +22,6 @@ from .errors import MeasurementError, UndefinedValueError
 from .vectors import EmbeddingMatrix, align_to_corpus
 
 SCHEMA_VERSION = "1.0"
-
-METRIC_FAMILIES = ("tendency", "diversity", "density", "quality")
 
 DEFAULT_CONFIG = {
     "zipf_method": "discrete-mle",
@@ -100,27 +98,40 @@ _ERROR_FLAGS = ((UndefinedValueError, "undefined"), (MeasurementError, "error:me
 
 
 class _ReportBuilder:
-    def __init__(self):
-        self.measurements: dict = {}
+    """The one way an entry enters a report; it holds the embeddings aligned
+    to the corpus, or None, and the source name add_embedded gives them."""
 
-    def add(self, name, unit, params, compute, provenance="self-contained", skip=None):
+    def __init__(self, embeddings: EmbeddingMatrix | None = None,
+                 embedding_source: str | None = None):
+        self.measurements: dict = {}
+        self.embeddings = embeddings
+        self.embedding_source = embedding_source
+
+    def add(self, name, unit, params, compute, provenance="self-contained", skip=None,
+            fields=(), flags=()):
         """Run one measurement with failure isolation: any error becomes a
         flagged entry instead of aborting the report.  With a skip reason,
-        compute is not called and the entry is flagged skipped:<reason>."""
-        flags, value, note = [], None, None
+        compute is not called and the entry is flagged skipped:<reason>.
+
+        The value compute returns is the entry's, and flags are added to it.
+        With fields, compute returns a library result instead: the entry's
+        value is a dict of the named fields (one name gives that field's
+        value), and the result's flags are the entry's too.
+        """
+        flags, value, note = list(flags), None, None
         if skip:
-            flags.append(f"skipped:{skip}")
+            flags = [f"skipped:{skip}"]
         else:
             try:
                 value = compute()
+                if fields:
+                    flags.extend(getattr(value, "flags", ()))
+                    value = ({n: getattr(value, n) for n in fields} if len(fields) > 1
+                             else getattr(value, fields[0]))
             except Exception as exc:  # isolation rule: never abort the report
                 note = str(exc)
-                flags.append(next(flag for kind, flag in _ERROR_FLAGS if isinstance(exc, kind)))
+                flags = [next(flag for kind, flag in _ERROR_FLAGS if isinstance(exc, kind))]
             else:
-                if (isinstance(value, tuple) and len(value) == 2
-                        and isinstance(value[1], (list, tuple))):
-                    value, more = value
-                    flags.extend(more)
                 value = _sanitize(value, flags)
         entry = {
             "value": value,
@@ -133,12 +144,12 @@ class _ReportBuilder:
             entry["note"] = note
         self.measurements[name] = entry
 
-
-def _fields(result, *names):
-    """(the named fields of a library result, its flags), as _ReportBuilder.add
-    takes them; one name gives that field's value rather than a dict."""
-    value = {n: getattr(result, n) for n in names} if len(names) > 1 else getattr(result, names[0])
-    return value, getattr(result, "flags", ())
+    def add_embedded(self, name, unit, params, compute, fields=()):
+        """One entry computed from the embeddings: they are named in its params,
+        its provenance is external-model, and without them it is skipped."""
+        self.add(name, unit, {**params, "embedding_source": self.embedding_source}, compute,
+                 provenance="external-model",
+                 skip="no-embeddings" if self.embeddings is None else None, fields=fields)
 
 
 def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> None:
@@ -155,22 +166,17 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
         lambda: asdict(tendency.summarize(list(corpus.token_counts.entries.values()))),
     )
 
-    def _zipf():
-        fit = tendency.zipf_fit(corpus.token_counts, cfg["zipf_method"])
-        return _fields(fit, "alpha", "ks_distance", "n_ranks")
-
-    b.add("zipf", "exponent", {"fit_method": cfg["zipf_method"], "tokenizer": tok}, _zipf)
+    b.add("zipf", "exponent", {"fit_method": cfg["zipf_method"], "tokenizer": tok},
+          lambda: tendency.zipf_fit(corpus.token_counts, cfg["zipf_method"]),
+          fields=("alpha", "ks_distance", "n_ranks"))
 
     def _ppl():
         lm = tendency.train_lm(corpus, cfg["lm_order"], cfg["lm_smoothing"])
-        return _fields(tendency.perplexity(lm, corpus), "perplexity")
+        return tendency.perplexity(lm, corpus)
 
-    b.add(
-        "perplexity_self",
-        "perplexity",
-        {"order": cfg["lm_order"], "smoothing": cfg["lm_smoothing"], "tokenizer": tok},
-        _ppl,
-    )
+    b.add("perplexity_self", "perplexity",
+          {"order": cfg["lm_order"], "smoothing": cfg["lm_smoothing"], "tokenizer": tok},
+          _ppl, fields=("perplexity",))
 
     if cfg["perplexity_logprobs"]:
         path = cfg["perplexity_logprobs"]
@@ -178,8 +184,9 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
             "perplexity_external",
             "perplexity",
             {"logprob_source": str(path)},
-            lambda: _fields(tendency.perplexity_from_logprobs(path, corpus), "perplexity"),
+            lambda: tendency.perplexity_from_logprobs(path, corpus),
             provenance="external-model",
+            fields=("perplexity",),
         )
 
     n_stamped = sum(r.timestamp is not None for r in corpus.records)
@@ -201,7 +208,7 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
         )
 
 
-def _add_diversity(b, corpus, cfg, tok, emb, add_embedded):
+def _add_diversity(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> None:
     b.add("token_entropy", "nats", {"tokenizer": tok},
           lambda: diversity.shannon_entropy(corpus.token_counts))
     b.add("token_gini", "probability", {"tokenizer": tok},
@@ -217,10 +224,11 @@ def _add_diversity(b, corpus, cfg, tok, emb, add_embedded):
     attribute = cfg["diversity_attribute"]
     if attribute:
         b.add(f"subset_diversity_{attribute}", "nats", {"attribute": attribute},
-              lambda: _fields(diversity.subset_diversity(corpus.records, attribute),
-                              "proportions", "entropy", "n_labeled", "n_unlabeled"))
+              lambda: diversity.subset_diversity(corpus.records, attribute),
+              fields=("proportions", "entropy", "n_labeled", "n_unlabeled"))
 
     def _vendi():
+        emb = b.embeddings
         if emb.n > cfg["vendi_cap"]:
             raise ValueError(
                 f"{emb.n} rows exceed the eigen-decomposition cap of {cfg['vendi_cap']}; "
@@ -228,13 +236,14 @@ def _add_diversity(b, corpus, cfg, tok, emb, add_embedded):
             )
         return diversity.vendi_score(emb)
 
-    add_embedded("vendi_score", "effective-items", {"similarity": "cosine"}, _vendi)
-    add_embedded("embedding_dispersion", "distance", {},
-                 lambda: diversity.embedding_dispersion(emb))
+    b.add_embedded("vendi_score", "effective-items", {"similarity": "cosine"}, _vendi)
+    b.add_embedded("embedding_dispersion", "distance", {},
+                   lambda: diversity.embedding_dispersion(b.embeddings))
 
 
-def _add_density(cfg, emb, add_embedded):
+def _add_density(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> None:
     def _knn():
+        emb = b.embeddings
         k = min(cfg["knn_k"], emb.n - 1)
         rep = density.knn_density(emb, k, cfg["knn_similarity"])
         return {"global": rep.global_density,
@@ -242,31 +251,25 @@ def _add_density(cfg, emb, add_embedded):
                 "per_point_max": max(rep.per_point_density),
                 "k_used": k}
 
-    add_embedded("knn_density", "similarity",
-                 {"k": cfg["knn_k"], "similarity": cfg["knn_similarity"]}, _knn)
-    add_embedded("data_density", "points/volume", {"volume_mode": cfg["volume_mode"]},
-                 lambda: _fields(density.data_density(emb, cfg["volume_mode"]),
-                                 "density", "log_density", "degenerate_dims"))
+    b.add_embedded("knn_density", "similarity",
+                   {"k": cfg["knn_k"], "similarity": cfg["knn_similarity"]}, _knn)
+    b.add_embedded("data_density", "points/volume", {"volume_mode": cfg["volume_mode"]},
+                   lambda: density.data_density(b.embeddings, cfg["volume_mode"]),
+                   fields=("density", "log_density", "degenerate_dims"))
 
 
-def _add_quality(b, corpus, cfg):
+def _add_quality(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> None:
     reports = {}
     for norm in quality.NORMALIZATIONS:
-        def _dups(norm=norm):
-            rep = quality.find_duplicates(corpus, norm)
-            reports[norm] = rep
-            return _fields(rep, "n_records", "n_distinct", "duplicate_clusters",
-                           "excess_duplicates")
-
         name = "duplicates_exact" if norm == "exact" else "duplicates_normalized"
-        b.add(name, "records", {"normalization": norm}, _dups)
+        b.add(name, "records", {"normalization": norm},
+              lambda norm=norm: reports.setdefault(norm, quality.find_duplicates(corpus, norm)),
+              fields=("n_records", "n_distinct", "duplicate_clusters", "excess_duplicates"))
 
-    def _entropy():
-        rep = reports.get("exact") or quality.find_duplicates(corpus, "exact")
-        flags = ("singleton-convention",) if rep.n_records == 1 else ()
-        return quality.redundancy_entropy(rep), flags
-
-    b.add("redundancy_entropy", "ratio", {"normalization": "exact"}, _entropy)
+    b.add("redundancy_entropy", "ratio", {"normalization": "exact"},
+          lambda: quality.redundancy_entropy(
+              reports.get("exact") or quality.find_duplicates(corpus, "exact")),
+          flags=("singleton-convention",) if corpus.n_records == 1 else ())
 
     def _flesch():
         rep = quality.flesch_reading_ease(corpus)
@@ -281,6 +284,12 @@ def _add_quality(b, corpus, cfg):
         {"sentence_splitter": "punctuation-runs", "syllables": "vowel-groups"},
         _flesch,
     )
+
+
+_FAMILIES = {"tendency": _add_tendency, "diversity": _add_diversity,
+             "density": _add_density, "quality": _add_quality}
+
+METRIC_FAMILIES = tuple(_FAMILIES)
 
 
 def select_metrics(metric_selection) -> list[str]:
@@ -319,30 +328,16 @@ def assemble_report(
             raise ValueError(f"unknown config keys {bad}; valid keys: {sorted(DEFAULT_CONFIG)}")
         cfg.update(config)
 
-    emb = None
-    emb_source = embedding_source
+    builder = _ReportBuilder(embedding_source=embedding_source)
     if embeddings is not None:
-        emb = align_to_corpus(embeddings, corpus)
-        if emb_source is None:
-            emb_source = "unnamed"
+        builder.embeddings = align_to_corpus(embeddings, corpus)
+        if embedding_source is None:
+            builder.embedding_source = "unnamed"
 
     tok = corpus.tokenizer_config.as_dict()
-    builder = _ReportBuilder()
-
-    def add_embedded(name, unit, params, compute):
-        """One entry computed from the embeddings: they are named in its params,
-        its provenance is external-model, and without them it is skipped."""
-        builder.add(name, unit, {**params, "embedding_source": emb_source}, compute,
-                    provenance="external-model", skip="no-embeddings" if emb is None else None)
-
-    if "tendency" in selection:
-        _add_tendency(builder, corpus, cfg, tok)
-    if "diversity" in selection:
-        _add_diversity(builder, corpus, cfg, tok, emb, add_embedded)
-    if "density" in selection:
-        _add_density(cfg, emb, add_embedded)
-    if "quality" in selection:
-        _add_quality(builder, corpus, cfg)
+    for family, add_family in _FAMILIES.items():
+        if family in selection:
+            add_family(builder, corpus, cfg, tok)
 
     return MeasurementReport(
         schema_version=SCHEMA_VERSION,
@@ -394,7 +389,8 @@ def parse_report(source) -> MeasurementReport:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError(f"report must be a JSON object, got {type(obj).__name__}")
-    for key in ("schema_version", "corpus_fingerprint", "tokenizer_config", "created_at", "measurements"):
+    keys = [field.name for field in fields(MeasurementReport)]
+    for key in keys:
         if key not in obj:
             raise ValueError(f"report is missing required key {key!r}")
     if not isinstance(obj["measurements"], dict):
@@ -405,13 +401,7 @@ def parse_report(source) -> MeasurementReport:
         flags = entry.get("flags", [])
         if not (isinstance(flags, list) and all(isinstance(f, str) for f in flags)):
             raise ValueError(f"measurement {name!r} flags must be a list of strings")
-    return MeasurementReport(
-        schema_version=obj["schema_version"],
-        corpus_fingerprint=obj["corpus_fingerprint"],
-        tokenizer_config=obj["tokenizer_config"],
-        created_at=obj["created_at"],
-        measurements=obj["measurements"],
-    )
+    return MeasurementReport(**{key: obj[key] for key in keys})
 
 
 # --- comparison ------------------------------------------------------------------
