@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus
-from .errors import UndefinedValueError
+from .errors import UndefinedValueError, check_choice, check_smoothing
 from .vectors import cosine_similarity
 
 CONTEXT_MODES = ("document", "window")
@@ -119,6 +119,16 @@ def _count(ranks: np.ndarray, offsets: np.ndarray, n_terms: int, window_size: in
     return n_contexts, np.bincount(present, minlength=n_terms), pairs, pair_counts
 
 
+def check_context_options(context_mode: str, window_size: int | None) -> None:
+    """ValueError unless build_cooccurrence takes this context mode and window size."""
+    check_choice("context mode", context_mode, CONTEXT_MODES)
+    if context_mode == "window":
+        if window_size is None or window_size < 1:
+            raise ValueError(f"window mode requires window_size >= 1, got {window_size}")
+    elif window_size is not None:
+        raise ValueError(f"window_size is for window mode only, got {window_size} in document mode")
+
+
 def build_cooccurrence(
     corpus: Corpus,
     targets: Sequence[str] | None = None,
@@ -133,13 +143,7 @@ def build_cooccurrence(
     only pairs touching a target are kept, which bounds the table size by
     |targets| * vocabulary.
     """
-    if context_mode not in CONTEXT_MODES:
-        raise ValueError(f"unknown context mode {context_mode!r}; choose from {CONTEXT_MODES}")
-    if context_mode == "window":
-        if window_size is None or window_size < 1:
-            raise ValueError(f"window mode requires window_size >= 1, got {window_size}")
-    elif window_size is not None:
-        raise ValueError(f"window_size is for window mode only, got {window_size} in document mode")
+    check_context_options(context_mode, window_size)
     if corpus.n_records == 0:
         raise ValueError("corpus is empty")
     target_set = None
@@ -170,16 +174,11 @@ def build_cooccurrence(
     )
 
 
-def _check_smoothing(smoothing: float) -> None:
-    if not 0 <= smoothing < math.inf:
-        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
-
-
 # Smoothed probabilities are (count + alpha) / (n_contexts + 2 alpha): each
 # term's presence in a context is a binary event, so the two-outcome
 # normalizer keeps p(x,y) <= min(p(x), p(y)) and the nPMI bounds exact.
 def _probs(table: CooccurrenceTable, x: str, y: str, smoothing: float):
-    _check_smoothing(smoothing)
+    check_smoothing(smoothing)
     if smoothing == 0:
         missing = [t for t in (x, y) if t not in table.term_counts]
         if missing:
@@ -217,6 +216,13 @@ def npmi(table: CooccurrenceTable, x: str, y: str, smoothing: float = 0.0) -> fl
     return min(1.0, math.log(pxy / (px * py)) / (-math.log(pxy)))
 
 
+def check_top_npmi_options(k: int, smoothing: float) -> None:
+    """ValueError unless top_npmi takes this k and smoothing."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    check_smoothing(smoothing)
+
+
 def top_npmi(
     table: CooccurrenceTable, target: str, k: int = 20, smoothing: float = 0.0
 ) -> list[tuple[str, float, int]]:
@@ -226,9 +232,7 @@ def top_npmi(
     with no co-occurrences (or absent entirely) gives an empty list; k and the
     smoothing are checked either way.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_smoothing(smoothing)
+    check_top_npmi_options(k, smoothing)
     if target not in table.term_counts:
         return []
     rows = [

@@ -20,6 +20,7 @@ import sys
 
 from . import association, quality, report
 from .corpus import DEFAULT_TOKENIZER, FORMATS, TokenizerConfig, ingest, read_lines, tokenize
+from .errors import check_choice
 from .report import DEFAULT_CONFIG, METRIC_FAMILIES, canonical_json, is_blocking
 from .vectors import load_embeddings
 
@@ -57,21 +58,40 @@ def _config_file_error(exc: configparser.Error) -> str:
 
 
 def _load_config(path: str | None) -> dict:
-    """Each _SECTIONS section as _config_section reads it from the INI file at path.
+    """Each _SECTIONS section as _config_section reads it from the INI file at
+    path, "tokenizer" as a TokenizerConfig and [assoc] window_size 0 as None.
 
     The file is read as a side file is (see read_lines), and a malformed one
-    is one ValueError that names it.
+    is one ValueError that names it.  Every value a command hands on to the
+    library as it is goes through the library's own check here, before any
+    input is read; a bad [measure] report option becomes a flagged entry.
     """
     cfg = configparser.ConfigParser()
     try:
         if path:
             cfg.read_file(_read_side_file(lambda p: [line for _, line in read_lines(p)], path))
-        return {section: _config_section(cfg, section, defaults)
-                for section, defaults in _SECTIONS.items()}
+        settings = {section: _config_section(cfg, section, defaults)
+                    for section, defaults in _SECTIONS.items()}
     except OSError:
         raise OSError(f"cannot read config file {path!r}") from None
     except configparser.Error as exc:
         raise ValueError(f"{path}: {_config_file_error(exc)}") from None
+    settings["tokenizer"] = TokenizerConfig(**settings["tokenizer"])
+    measure = settings["measure"]
+    if measure["metrics"]:
+        _metric_list(measure["metrics"])
+    check_choice("format", measure["format"], FORMATS)
+    assoc, dedup = settings["assoc"], settings["dedup"]
+    assoc["window_size"] = assoc["window_size"] or None
+    association.check_context_options(assoc["context_mode"], assoc["window_size"])
+    association.check_top_npmi_options(assoc["topk"], assoc["smoothing"])
+    quality.check_duplicates_options(dedup["normalization"], dedup["top_cap"])
+    return settings
+
+
+def _metric_list(raw: str) -> list[str]:
+    """The families a comma-separated --metrics value names, as select_metrics checks them."""
+    return report.select_metrics(m.strip() for m in raw.split(",") if m.strip())
 
 
 def _tokenizer_from(args, settings) -> TokenizerConfig:
@@ -82,7 +102,7 @@ def _tokenizer_from(args, settings) -> TokenizerConfig:
     spec = args.tokenizer
     if spec:
         return TokenizerConfig(spec.removesuffix(":nofold"), not spec.endswith(":nofold"))
-    return TokenizerConfig(**settings["tokenizer"])
+    return settings["tokenizer"]
 
 
 def _ingest_from(args, settings, tokenizer: TokenizerConfig):
@@ -132,11 +152,6 @@ def _config_section(cfg, section: str, defaults: dict) -> dict:
     return out
 
 
-def _measure_config(cfg) -> dict:
-    measure = _config_section(cfg, "measure", _SECTIONS["measure"])
-    return {key: measure[key] for key in DEFAULT_CONFIG}
-
-
 def _entry_summary(name: str, entry: dict) -> str:
     flags = entry.get("flags", [])
     blocked = [f for f in flags if is_blocking(f)]
@@ -166,7 +181,7 @@ def cmd_measure(args):
     settings = _load_config(args.config)
     measure = settings["measure"]
     metrics_raw = args.metrics or measure["metrics"] or ",".join(METRIC_FAMILIES)
-    metrics = report.select_metrics(m.strip() for m in metrics_raw.split(",") if m.strip())
+    metrics = _metric_list(metrics_raw)
 
     corpus = _ingest_from(args, settings, _tokenizer_from(args, settings))
 
@@ -231,7 +246,7 @@ def cmd_assoc(args):
     opts = settings["assoc"]
     table = association.build_cooccurrence(
         corpus, targets=targets, context_mode=opts["context_mode"],
-        window_size=opts["window_size"] or None,
+        window_size=opts["window_size"],
     )
     rows = []
     for target in targets:

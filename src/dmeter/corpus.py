@@ -22,6 +22,8 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
+from .errors import check_choice
+
 TOKENIZER_MODES = ("unicode-word", "whitespace", "character")
 
 _WORD_RE = re.compile(r"\w+")
@@ -44,8 +46,7 @@ class TokenizerConfig:
     case_fold: bool = True
 
     def __post_init__(self) -> None:
-        if self.mode not in TOKENIZER_MODES:
-            raise ValueError(f"unknown tokenizer mode {self.mode!r}; choose from {TOKENIZER_MODES}")
+        check_choice("tokenizer mode", self.mode, TOKENIZER_MODES)
 
     def as_dict(self) -> dict:
         return {"mode": self.mode, "case_fold": self.case_fold}
@@ -386,8 +387,7 @@ def ingest(source, format: str = "jsonl",
     recorded (with their line number) in the returned corpus's ingest_errors;
     an unreadable source is fatal.
     """
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; choose from {FORMATS}")
+    check_choice("format", format, FORMATS)
 
     with _open_text(source) as stream:
         if format == "jsonl":
@@ -437,6 +437,14 @@ def decode_json_line(line: str):
         raise ValueError("invalid JSON: number or nesting too large") from None
 
 
+def record_id(raw) -> str:
+    """A JSON id as a record id: a string, or an integer (a bool is not one)
+    as its decimal string; anything else is a ValueError."""
+    if isinstance(raw, bool) or not isinstance(raw, (str, int)):
+        raise ValueError("'id' must be a string or an integer")
+    return str(raw)
+
+
 def _dedupe_id(rid: str, seen: set, line: int, errors: list) -> bool:
     """Reserve rid for this line; False, with an error, when an earlier record holds it."""
     if rid in seen:
@@ -465,11 +473,11 @@ def _read_jsonl(stream):
         if not isinstance(text, str):
             errors.append(IngestError(line_no, "missing or non-string 'text' field"))
             continue
-        rid = obj.get("id")
-        if isinstance(rid, bool) or not isinstance(rid, (str, int, type(None))):
-            errors.append(IngestError(line_no, "'id' must be a string or an integer"))
+        try:
+            rid = str(line_no) if obj.get("id") is None else record_id(obj["id"])
+        except ValueError as exc:
+            errors.append(IngestError(line_no, str(exc)))
             continue
-        rid = str(line_no) if rid is None else str(rid)
         attrs = obj.get("attributes")
         if attrs is not None:
             if not isinstance(attrs, dict) or not all(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedValueError
+from .errors import UndefinedValueError, check_choice
 from .vectors import _CHUNK_CELLS, EmbeddingMatrix, euclidean_matrix, unit_rows
 
 SIMILARITIES = ("cosine", "inverse-euclidean")
@@ -66,8 +66,7 @@ def knn_density(emb: EmbeddingMatrix, k: int, similarity: str = "cosine") -> Den
     on which of several tied neighbors is picked.  Search is exact full
     pairwise, capped at 50,000 points.
     """
-    if similarity not in SIMILARITIES:
-        raise ValueError(f"unknown similarity {similarity!r}; choose from {SIMILARITIES}")
+    check_choice("similarity", similarity, SIMILARITIES)
     n = emb.n
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
@@ -107,8 +106,7 @@ def data_density(emb: EmbeddingMatrix, volume_mode: str = "bounding-box") -> Dat
     span and flagged rather than collapsing the volume to zero.
     unit-hypercube assumes pre-normalized data and uses volume 1.
     """
-    if volume_mode not in VOLUME_MODES:
-        raise ValueError(f"unknown volume mode {volume_mode!r}; choose from {VOLUME_MODES}")
+    check_choice("volume mode", volume_mode, VOLUME_MODES)
     n = emb.n
     if n < 1:
         raise ValueError("need at least 1 point")

@@ -13,13 +13,14 @@ from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import UndefinedValueError
+from .errors import UndefinedValueError, check_choice, check_smoothing
 # euclidean and cosine_distance stay importable from here: bench/layers.py
 # counts ground-cost calls through these names.
 from .vectors import EmbeddingMatrix, euclidean, cosine_distance  # noqa: F401
 from .vectors import cosine_matrix, euclidean_matrix
 
 EMD_SUPPORT_CAP = 2000
+GROUND_COSTS = ("euclidean", "cosine")
 _HIGHS_LARGE_COST = 1e15
 
 
@@ -120,8 +121,7 @@ def kl_divergence(p: Distribution, q: Distribution, smoothing: float = 1e-9) -> 
     some q mass 0 where p > 0, the divergence is infinite; math.inf is
     returned rather than raising, so callers can flag it.
     """
-    if not 0 <= smoothing < math.inf:
-        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
+    check_smoothing(smoothing)
     union = list(p.support)
     seen = set(union)
     union.extend(item for item in q.support if item not in seen)
@@ -244,8 +244,7 @@ def word_movers_distance(
     are dropped and counted in the result.  A document with no embedded
     tokens left has no bag to move, hence no defined distance.
     """
-    if ground_cost not in ("euclidean", "cosine"):
-        raise ValueError(f"unknown ground cost {ground_cost!r}")
+    check_choice("ground cost", ground_cost, GROUND_COSTS)
 
     def bag(doc):
         kept = Counter()

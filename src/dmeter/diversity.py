@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, FrequencyTable
-from .errors import KernelInvalidError, UndefinedValueError
+from .errors import KernelInvalidError, UndefinedValueError, check_choice
 from .vectors import EmbeddingMatrix, overflow_safe_norms, unit_rows
 
 _SYMMETRY_TOL = 1e-9
@@ -126,8 +126,7 @@ NGRAM_DENOMINATORS = ("total-ngrams", "vocabulary")
 
 def ngram_diversity(corpus: Corpus, n: int, denominator: str = "total-ngrams") -> float:
     """Distinct n-grams over total n-grams (default), or over vocabulary size."""
-    if denominator not in NGRAM_DENOMINATORS:
-        raise ValueError(f"unknown denominator {denominator!r}; choose from {NGRAM_DENOMINATORS}")
+    check_choice("denominator", denominator, NGRAM_DENOMINATORS)
     counts = corpus.ngram_counts(n)
     if counts.total == 0:
         raise UndefinedValueError(f"corpus has no {n}-grams (all records shorter than {n} tokens)")

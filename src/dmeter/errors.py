@@ -1,9 +1,23 @@
-"""Exception types shared across dmeter modules.
+"""Exception types and argument checks shared across dmeter modules.
 
 Argument errors (bad shapes, out-of-range parameters, empty inputs) raise
 plain ValueError.  The classes here cover the remaining failure modes that
 callers may want to handle separately from bad arguments.
 """
+
+import math
+
+
+def check_choice(what: str, value, choices: tuple) -> None:
+    """ValueError unless value is one of choices; what names the option."""
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}; choose from {choices}")
+
+
+def check_smoothing(smoothing: float) -> None:
+    """ValueError unless the additive smoothing is a finite number >= 0."""
+    if not 0 <= smoothing < math.inf:
+        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
 
 
 class MeasurementError(Exception):

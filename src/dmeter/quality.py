@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import _WORD_RE, Corpus, FrequencyTable
 from .diversity import shannon_entropy
-from .errors import UndefinedValueError
+from .errors import UndefinedValueError, check_choice
 from .tendency import SummaryStats, summarize
 
 NORMALIZATIONS = ("exact", "fold-and-collapse")
@@ -44,6 +44,13 @@ def _normalize(text: str, normalization: str) -> str:
     return " ".join(text.split()).casefold()
 
 
+def check_duplicates_options(normalization: str, top_cap: int) -> None:
+    """ValueError unless find_duplicates takes this normalization and top_cap."""
+    check_choice("normalization", normalization, NORMALIZATIONS)
+    if top_cap < 0:
+        raise ValueError(f"top_cap must be >= 0, got {top_cap}")
+
+
 def find_duplicates(corpus: Corpus, normalization: str = "exact", top_cap: int = 10) -> RedundancyReport:
     """Group records by (possibly normalized) text and report the clusters.
 
@@ -53,10 +60,7 @@ def find_duplicates(corpus: Corpus, normalization: str = "exact", top_cap: int =
     clusters of two or more records, the ones reported.  Cluster ordering is
     descending size, then fingerprint.
     """
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}; choose from {NORMALIZATIONS}")
-    if top_cap < 0:
-        raise ValueError(f"top_cap must be >= 0, got {top_cap}")
+    check_duplicates_options(normalization, top_cap)
     if corpus.n_records == 0:
         raise ValueError("corpus is empty")
 

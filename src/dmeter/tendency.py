@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FrequencyTable, decode_json_line, read_lines
-from .errors import UndefinedValueError
+from .corpus import Corpus, FrequencyTable, decode_json_line, read_lines, record_id
+from .errors import UndefinedValueError, check_choice, check_smoothing
 
 # --- summary statistics -------------------------------------------------------
 
@@ -318,8 +318,7 @@ def zipf_fit(ft: FrequencyTable, fit_method: str = "discrete-mle") -> ZipfFit:
     the observed and fitted rank CDFs.  Fits over fewer than 10 distinct
     items are flagged low-confidence.
     """
-    if fit_method not in ZIPF_METHODS:
-        raise ValueError(f"unknown fit method {fit_method!r}; choose from {ZIPF_METHODS}")
+    check_choice("fit method", fit_method, ZIPF_METHODS)
     if len(ft) < 2:
         raise UndefinedValueError("Zipf fit undefined for fewer than 2 distinct items")
 
@@ -423,8 +422,7 @@ def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    if not 0 <= smoothing < math.inf:
-        raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
+    check_smoothing(smoothing)
     if corpus.n_records == 0:
         raise ValueError("cannot train on an empty corpus")
 
@@ -575,9 +573,10 @@ def _logprob_row(line: str) -> tuple[str, float, int]:
     """(id, logprob, n_tokens) from one logprob file line; ValueError saying what is wrong."""
     obj = decode_json_line(line)
     try:
-        rid, logprob, n = str(obj["id"]), obj["logprob"], obj["n_tokens"]
+        rid, logprob, n = obj["id"], obj["logprob"], obj["n_tokens"]
     except (KeyError, TypeError):
         raise ValueError('a line must be an object with "id", "logprob" and "n_tokens"') from None
+    rid = record_id(rid)
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n_tokens must be a JSON integer, got {n!r}")
     if n < 1:

@@ -1,6 +1,5 @@
 """End-to-end command-line tests driven through main()."""
 
-import configparser
 import json
 import os
 import subprocess
@@ -12,7 +11,7 @@ import pytest
 
 import dmeter
 import dmeter.corpus
-from dmeter.cli import _measure_config, main
+from dmeter.cli import _load_config, main
 from dmeter.corpus import ingest
 from dmeter.report import DEFAULT_CONFIG, parse_report
 from dmeter.vectors import EmbeddingMatrix, save_embeddings
@@ -207,10 +206,13 @@ class TestMeasure:
         assert main(["measure", "--input", corpus_path, "--config", "/no/such.ini"]) == 1
         assert "cannot read config file" in capsys.readouterr().err
 
-    def test_config_values_take_the_type_of_their_default(self):
-        cfg = configparser.ConfigParser()
-        cfg["measure"] = {k: "text" if v is None else str(v) for k, v in DEFAULT_CONFIG.items()}
-        parsed = _measure_config(cfg)
+    def test_config_values_take_the_type_of_their_default(self, tmp_path):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[measure]\n" + "".join(
+            f"{k} = {'text' if v is None else v}\n" for k, v in DEFAULT_CONFIG.items()),
+            encoding="utf-8")
+        measure = _load_config(str(ini))["measure"]
+        parsed = {k: measure[k] for k in DEFAULT_CONFIG}
         assert parsed == {k: "text" if v is None else v for k, v in DEFAULT_CONFIG.items()}
         assert all(type(parsed[k]) is type(v) for k, v in DEFAULT_CONFIG.items() if v is not None)
 
@@ -695,6 +697,42 @@ class TestConfigSections:
         assert captured.out == ""
         assert captured.err.startswith(f"error: unknown [{section}] config key {key!r}; ")
         assert captured.err.count("\n") == 1 and "ingest:" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        ("[tokenizer]\nmode = bpe\n",
+         "unknown tokenizer mode 'bpe'; choose from ('unicode-word', 'whitespace', 'character')"),
+        ("[measure]\nformat = xml\n", "unknown format 'xml'; choose from ('jsonl', 'plaintext', 'csv')"),
+        ("[measure]\nmetrics = tendency,bogus\n",
+         "unknown metric families ['bogus']; valid names: tendency, diversity, density, quality"),
+        ("[assoc]\ntopk = 0\n", "k must be >= 1, got 0"),
+        ("[assoc]\nsmoothing = -1\n", "smoothing must be a finite number >= 0, got -1.0"),
+        ("[assoc]\ncontext_mode = sentence\n",
+         "unknown context mode 'sentence'; choose from ('document', 'window')"),
+        ("[assoc]\ncontext_mode = window\n", "window mode requires window_size >= 1, got None"),
+        ("[assoc]\nwindow_size = -3\n",
+         "window_size is for window mode only, got -3 in document mode"),
+        ("[dedup]\nnormalization = fold\n",
+         "unknown normalization 'fold'; choose from ('exact', 'fold-and-collapse')"),
+        ("[dedup]\ntop_cap = -1\n", "top_cap must be >= 0, got -1"),
+    ], ids=["tokenizer-mode", "format", "metrics", "topk", "smoothing", "context-mode", "window-no-size",
+            "window-size-in-document-mode", "normalization", "top-cap"])
+    @pytest.mark.parametrize("flags", [[], ["--tokenizer", "whitespace", "--format", "jsonl"]],
+                             ids=["config-only", "flags-override"])
+    @pytest.mark.parametrize("command", ["measure", "assoc", "dedup"])
+    def test_bad_choice_or_range_is_fatal_before_input(self, tmp_path, capsys, command, flags,
+                                                       body, message):
+        corpus = tmp_path / "skips-a-line.jsonl"
+        corpus.write_text('{"text": "a b"}\nnot json\n', encoding="utf-8")
+        targets = tmp_path / "targets.txt"
+        targets.write_text("a\n", encoding="utf-8")
+        ini = tmp_path / "c.ini"
+        ini.write_text(body, encoding="utf-8")
+        out = tmp_path / "out.json"
+        code = main([command, "--input", str(corpus), "--config", str(ini), "--out", str(out)]
+                    + flags + (["--targets", str(targets)] if command == "assoc" else []))
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, section, key, value, reason", [

@@ -16,6 +16,7 @@ from dmeter.report import (
     SCHEMA_VERSION,
     BatchDelta,
     MeasurementReport,
+    _ReportBuilder,
     assemble_report,
     compare,
     format_delta_table,
@@ -26,7 +27,7 @@ from dmeter.report import (
     serialize_delta,
     serialize_report,
 )
-from dmeter.vectors import EmbeddingMatrix
+from dmeter.vectors import EmbeddingMatrix, align_to_corpus
 
 
 def small_corpus():
@@ -236,6 +237,56 @@ class TestAssembleReport:
         rep = assemble_report(small_corpus(), ["tendency"])
         assert rep.measurements["zipf"]["params"]["fit_method"] == DEFAULT_CONFIG["zipf_method"]
         assert rep.measurements["perplexity_self"]["params"]["smoothing"] == 1.0
+
+    def test_extra_embedding_rows_are_ignored(self):
+        c = small_corpus()
+        exact = embeddings_for(c)
+        extra = EmbeddingMatrix(["extra", *exact.labels],
+                                np.vstack([[9.0, -9.0, 9.0], exact.matrix]))
+        aligned = [align_to_corpus(e, c) for e in (exact, extra)]
+        assert aligned[0].labels == aligned[1].labels == tuple(r.id for r in c.records)
+        assert np.array_equal(aligned[0].matrix, aligned[1].matrix)
+        reps = [assemble_report(c, ["diversity", "density"], embeddings=e,
+                                embedding_source="e.vec", created_at="t") for e in (exact, extra)]
+        assert reps[0].measurements["vendi_score"]["flags"] == []
+        assert serialize_report(reps[0]) == serialize_report(reps[1])
+
+
+class TestEntryProtocol:
+    """_ReportBuilder.add is the one way an entry enters a report."""
+
+    def test_a_pair_value_is_stored_whole(self):
+        b = _ReportBuilder()
+        b.add("pair", "u", {}, lambda: (1.0, ["x"]))
+        assert b.measurements["pair"]["value"] == [1.0, ["x"]]
+        assert b.measurements["pair"]["flags"] == []
+
+    def test_fields_and_flags_of_a_library_result(self):
+        class Result:
+            a, b, flags = 1.0, math.nan, ("low-confidence",)
+
+        b = _ReportBuilder()
+        b.add("one", "u", {}, Result, fields=("a",))
+        b.add("two", "u", {}, Result, fields=("a", "b"), flags=("extra",))
+        assert b.measurements["one"]["value"] == 1.0
+        assert b.measurements["one"]["flags"] == ["low-confidence"]
+        assert b.measurements["two"]["value"] == {"a": 1.0, "b": None}
+        assert b.measurements["two"]["flags"] == ["extra", "low-confidence", "undefined:b"]
+
+    def test_flags_go_only_with_a_computed_value(self):
+        b = _ReportBuilder()
+        b.add("failed", "u", {}, lambda: 1 / 0, flags=("extra",))
+        b.add("skipped", "u", {}, lambda: 1.0, skip="why", flags=("extra",))
+        assert b.measurements["failed"]["flags"] == ["error:internal"]
+        assert b.measurements["skipped"]["flags"] == ["skipped:why"]
+
+    def test_one_record_redundancy_entropy_follows_the_singleton_convention(self):
+        one = assemble_report(Corpus([Record(id="a", text="only one")]), ["quality"])
+        entry = one.measurements["redundancy_entropy"]
+        assert entry["value"] == 1.0 and entry["flags"] == ["singleton-convention"]
+        two = assemble_report(Corpus([Record(id="a", text="x"), Record(id="b", text="x")]),
+                              ["quality"])
+        assert two.measurements["redundancy_entropy"]["flags"] == []
 
 
 class TestSanitize:

@@ -608,6 +608,20 @@ class TestPerplexityFromLogprobs:
             perplexity_from_logprobs(source)
         assert str(info.value) == f"logprob file line 2: {reason}"
 
+    @pytest.mark.parametrize("raw", ["true", "1.0", "null", '{"a": 1}', '["a"]'])
+    def test_id_follows_the_record_id_rule(self, raw):
+        # The corpus holds the ids these would become through str(): True, 1.0, ...
+        corpus = Corpus([Record(id=i, text="a b") for i in ("True", "1.0", "None", "{'a': 1}")])
+        source = io.StringIO('{"id": %s, "logprob": -1.0, "n_tokens": 1}\n' % raw)
+        with pytest.raises(ValueError) as info:
+            perplexity_from_logprobs(source, corpus)
+        assert str(info.value) == "logprob file line 1: 'id' must be a string or an integer"
+
+    def test_integer_id_is_its_decimal_string(self):
+        source = io.StringIO('{"id": 7, "logprob": -1.0, "n_tokens": 1}\n')
+        corpus = Corpus([Record(id="7", text="a")])
+        assert list(perplexity_from_logprobs(source, corpus).per_record) == ["7"]
+
     def test_negative_infinite_logprob_is_an_infinite_result(self):
         result = perplexity_from_logprobs(io.StringIO(
             '{"id": "a", "logprob": -Infinity, "n_tokens": 2}\n'
