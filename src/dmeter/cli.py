@@ -4,7 +4,8 @@ Standard output carries human-readable summaries; files named by --out carry
 machine-readable JSON and are written first, so a reader that closes standard
 output early still finds them whole.  Flags override config-file values.
 Each cmd_* only computes; main alone reports a fatal error and writes --out
-and standard output.
+and standard output.  A command reads every file through _read_side_file:
+the config file, then --targets and --embeddings, then the corpus.
 Exit codes: 0 success, 1 fatal (bad arguments, unreadable input, a malformed
 config file or report, unknown metric, an unwritable --out file), 2 when the
 report was written but contains per-metric error or skipped entries.
@@ -61,19 +62,18 @@ def _load_config(path: str | None) -> dict:
     """Each _SECTIONS section as _config_section reads it from the INI file at
     path, "tokenizer" as a TokenizerConfig and [assoc] window_size 0 as None.
 
-    The file is read as a side file is (see read_lines), and a malformed one
-    is one ValueError that names it.  Every value a command hands on to the
-    library as it is goes through the library's own check here, before any
-    input is read; a bad [measure] report option becomes a flagged entry.
+    The file is read by _read_side_file, and a malformed one is one
+    ValueError that names it.  Every value a command hands on to the library
+    as it is goes through the library's own check here, before any input is
+    read; a bad [measure] report option becomes a flagged entry.
     """
     cfg = configparser.ConfigParser()
     try:
         if path:
-            cfg.read_file(_read_side_file(lambda p: [line for _, line in read_lines(p)], path))
+            lines = _read_side_file("config file", lambda p: [*read_lines(p)], path)
+            cfg.read_file(line for _, line in lines)
         settings = {section: _config_section(cfg, section, defaults)
                     for section, defaults in _SECTIONS.items()}
-    except OSError:
-        raise OSError(f"cannot read config file {path!r}") from None
     except configparser.Error as exc:
         raise ValueError(f"{path}: {_config_file_error(exc)}") from None
     settings["tokenizer"] = TokenizerConfig(**settings["tokenizer"])
@@ -109,7 +109,7 @@ def _ingest_from(args, settings, tokenizer: TokenizerConfig):
     if not args.input:
         raise ValueError("--input is required")
     fmt = args.format or settings["measure"]["format"]
-    corpus = ingest(args.input, format=fmt, tokenizer_config=tokenizer)
+    corpus = _read_side_file("input", ingest, args.input, fmt, tokenizer)
     for err in corpus.ingest_errors:
         _logger().warning("ingest: skipped line %d: %s", err.line, err.reason)
     return corpus
@@ -182,10 +182,10 @@ def cmd_measure(args):
     measure = settings["measure"]
     metrics_raw = args.metrics or measure["metrics"] or ",".join(METRIC_FAMILIES)
     metrics = _metric_list(metrics_raw)
-
+    embeddings = (_read_side_file("embeddings", load_embeddings, args.embeddings)
+                  if args.embeddings else None)
     corpus = _ingest_from(args, settings, _tokenizer_from(args, settings))
 
-    embeddings = _read_side_file(load_embeddings, args.embeddings) if args.embeddings else None
     rep = report.assemble_report(corpus, metrics, config={k: measure[k] for k in DEFAULT_CONFIG},
                                  embeddings=embeddings, embedding_source=args.embeddings)
     out_path = args.out or measure["out"]
@@ -201,15 +201,9 @@ def cmd_measure(args):
     return 2 if failed else 0, out, _text(lines)
 
 
-def _read_report(path: str) -> report.MeasurementReport:
-    try:
-        return report.parse_report(path)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot parse report {path!r}: {exc}") from None
-
-
 def cmd_compare(args):
-    delta = report.compare(*(_read_report(path) for path in (args.baseline, args.candidate)))
+    delta = report.compare(*(_read_side_file("report", report.parse_report, path)
+                             for path in (args.baseline, args.candidate)))
     out = (args.out, report.serialize_delta(delta), "delta") if args.out else None
     return 0, out, report.format_delta_table(delta)
 
@@ -227,10 +221,14 @@ def _read_targets(path: str, tokenizer: TokenizerConfig) -> list[str]:
     return targets
 
 
-def _read_side_file(read, path: str, *args):
-    """read(path, *args), with the path put before a ValueError's message."""
+def _read_side_file(what: str, read, path: str, *args):
+    """read(path, *args): the one way a command reads a file.  An OSError
+    becomes "cannot read {what} {path!r}: {reason}", and a ValueError's
+    message gets the path put before it."""
     try:
         return read(path, *args)
+    except OSError as exc:
+        raise OSError(f"cannot read {what} {path!r}: {exc.strerror}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -240,7 +238,7 @@ def cmd_assoc(args):
     if not args.targets:
         raise ValueError("--targets is required")
     tokenizer = _tokenizer_from(args, settings)
-    targets = _read_side_file(_read_targets, args.targets, tokenizer)
+    targets = _read_side_file("targets", _read_targets, args.targets, tokenizer)
     corpus = _ingest_from(args, settings, tokenizer)
 
     opts = settings["assoc"]

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import density, diversity, quality, tendency
-from .corpus import Corpus
+from .corpus import Corpus, read_lines
 from .errors import MeasurementError, UndefinedValueError
 from .vectors import EmbeddingMatrix, align_to_corpus
 
@@ -378,14 +378,12 @@ def parse_report(source) -> MeasurementReport:
 
     The report must be a JSON object with every required key, its
     measurements an object of objects, and an entry's flags, when present, a
-    list of strings; anything else raises ValueError."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    list of strings; anything else raises ValueError.  A string that starts
+    with "{" is the report's JSON text; a path or stream is read by read_lines."""
+    if isinstance(source, str) and source.lstrip().startswith("{"):
         text = source
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = "".join(line for _, line in read_lines(source))
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError(f"report must be a JSON object, got {type(obj).__name__}")

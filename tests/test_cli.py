@@ -136,7 +136,7 @@ class TestMeasure:
                      "--out", str(tmp_path / "rep.json")])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: malformed CSV header: field larger than field limit (131072)"]
+            f"error: {p}: malformed CSV header: field larger than field limit (131072)"]
 
     def test_missing_input_flag(self, capsys):
         assert main(["measure"]) == 1
@@ -330,11 +330,13 @@ class TestCompare:
 
     @pytest.mark.parametrize("damage", [
         lambda obj: 5,
+        lambda obj: {**obj, "measurements": [1]},
         lambda obj: {**obj, "measurements": {**obj["measurements"], "token_entropy": 5}},
         # Iterated as a string, "error:x" would read as seven harmless flags.
         lambda obj: {**obj, "measurements": {**obj["measurements"], "token_entropy": {
             **obj["measurements"]["token_entropy"], "flags": "error:x"}}},
-    ], ids=["top-level-number", "entry-not-an-object", "flags-a-string"])
+    ], ids=["top-level-number", "measurements-not-an-object", "entry-not-an-object",
+            "flags-a-string"])
     def test_malformed_report_shape_names_file(self, tmp_path, capsys, damage):
         good = self.make_report(tmp_path, "g", ["words here.", "more words."])
         bad = tmp_path / "bad.json"
@@ -343,8 +345,85 @@ class TestCompare:
         capsys.readouterr()
         assert main(["compare", good, str(bad)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: cannot parse report {str(bad)!r}: ")
+        assert captured.err.startswith(f"error: {bad}: ")
         assert captured.out == ""
+
+
+def _unreadable(tmp_path, kind: str) -> Path:
+    """A path that cannot be read: one that does not exist, or a directory."""
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    return path
+
+
+UNREADABLE = pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"), ("directory", "Is a directory")])
+
+
+class TestUnreadableFile:
+    """Every file a command opens is read one way: one that cannot be opened
+    is one fatal line naming what it is, its path and why, and the config and
+    side files are read before the corpus, so no ingest warning comes first."""
+
+    def files(self, tmp_path, command) -> dict:
+        corpus = tmp_path / "skips-a-line.jsonl"
+        corpus.write_text('{"id": "a", "text": "a b"}\nnot json\n', encoding="utf-8")
+        ini = tmp_path / "c.ini"
+        ini.write_text("[dedup]\ntop_cap = 3\n", encoding="utf-8")
+        files = {"--config": ini, "--input": corpus}
+        if command == "measure":
+            files["--embeddings"] = tmp_path / "emb.vec"
+            files["--embeddings"].write_text("1 2\na 1 0\n", encoding="utf-8")
+        if command == "assoc":
+            files["--targets"] = tmp_path / "targets.txt"
+            files["--targets"].write_text("a\n", encoding="utf-8")
+        return files
+
+    @staticmethod
+    def argv(command, files, out) -> list[str]:
+        return [command, "--out", str(out)] + [a for opt, path in files.items()
+                                               for a in (opt, str(path))]
+
+    @pytest.mark.parametrize("command", ["measure", "assoc", "dedup"])
+    def test_readable_files_run_with_an_ingest_warning(self, tmp_path, capsys, command):
+        out = tmp_path / "out.json"
+        assert main(self.argv(command, self.files(tmp_path, command), out)) in (0, 2)
+        assert "ingest: skipped line 2: invalid JSON" in capsys.readouterr().err
+        assert out.exists()
+
+    @UNREADABLE
+    @pytest.mark.parametrize("command, option, what", [
+        ("measure", "--config", "config file"),
+        ("measure", "--embeddings", "embeddings"),
+        ("measure", "--input", "input"),
+        ("assoc", "--config", "config file"),
+        ("assoc", "--targets", "targets"),
+        ("assoc", "--input", "input"),
+        ("dedup", "--config", "config file"),
+        ("dedup", "--input", "input"),
+    ])
+    def test_corpus_command(self, tmp_path, capsys, command, option, what, kind, reason):
+        files = self.files(tmp_path, command)
+        bad = files[option] = _unreadable(tmp_path, kind)
+        out = tmp_path / "out.json"
+        assert main(self.argv(command, files, out)) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read {what} {str(bad)!r}: {reason}\n")
+        assert not out.exists()
+
+    @UNREADABLE
+    @pytest.mark.parametrize("side", [0, 1], ids=["baseline", "candidate"])
+    def test_compare(self, corpus_path, tmp_path, capsys, side, kind, reason):
+        good = str(tmp_path / "good.json")
+        assert main(["measure", "--input", corpus_path, "--metrics", "quality",
+                     "--out", good]) == 0
+        capsys.readouterr()
+        reports = [good, good]
+        bad = reports[side] = str(_unreadable(tmp_path, kind))
+        out = tmp_path / "delta.json"
+        assert main(["compare", *reports, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot read report {bad!r}: {reason}\n")
+        assert not out.exists()
 
 
 class TestAssoc:

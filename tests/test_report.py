@@ -336,6 +336,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="missing required key"):
             parse_report('{"schema_version": "1.0"}')
 
+    def test_parse_names_a_line_that_is_not_utf8(self, tmp_path):
+        text = serialize_report(handmade({"m": entry(2.0, params={"token": "café"})}))
+        line = text[:text.index("café")].count("\n") + 1
+        p = tmp_path / "r.json"
+        p.write_bytes(text.encode("utf-8").replace("é".encode("utf-8"), b"\xff"))
+        with pytest.raises(ValueError, match=f"^line {line}: not valid UTF-8$"):
+            parse_report(str(p))
+
 
 class TestCompare:
     def test_identical_reports_all_zero_deltas(self):
