@@ -230,7 +230,11 @@ class Corpus:
 
         h = hashlib.sha256()
         for r in self._records:
-            payload = _fingerprint_payload(r)
+            try:
+                payload = _fingerprint_payload(r)
+            except UnicodeEncodeError:
+                raise ValueError(f"record {r.id!r} holds a lone surrogate, which UTF-8 "
+                                 "cannot encode") from None
             h.update(len(payload).to_bytes(8, "big"))
             h.update(payload)
         self._fingerprint = h.hexdigest()

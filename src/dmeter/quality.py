@@ -8,6 +8,7 @@ heuristic (documented English bias; no dictionary).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -141,14 +142,6 @@ def _score(text: str, n_words: int, n_syllables: int) -> float:
     return 206.835 - 1.015 * (n_words / len(sentences)) - 84.6 * (n_syllables / n_words)
 
 
-class _SyllableCache(dict):
-    """word -> count_syllables(word), each word counted once."""
-
-    def __missing__(self, word: str) -> int:
-        self[word] = count = count_syllables(word)
-        return count
-
-
 def _word_and_syllable_counts(corpus: Corpus) -> Iterable[tuple[int, int]]:
     """Each record's word count and syllable sum, over the words _WORD_RE finds."""
     if corpus.tokenizer_config.mode == "unicode-word":
@@ -162,7 +155,7 @@ def _word_and_syllable_counts(corpus: Corpus) -> Iterable[tuple[int, int]]:
         np.cumsum(per_type[ids], out=running[1:])
         sums = running[offsets[1:]] - running[offsets[:-1]]
         return zip(np.diff(offsets).tolist(), sums.tolist())
-    syllables_of = _SyllableCache().__getitem__
+    syllables_of = functools.cache(count_syllables)  # each word counted once
     return ((len(words), sum(map(syllables_of, words)))
             for words in (_WORD_RE.findall(record.text) for record in corpus.records))
 

@@ -94,7 +94,7 @@ def _sanitize(value, flags: list, suffix: str = ""):
 
 # A failed measurement's flag comes from the first class its exception belongs to.
 _ERROR_FLAGS = ((UndefinedValueError, "undefined"), (MeasurementError, "error:measurement"),
-                (ValueError, "error:argument"), (Exception, "error:internal"))
+                ((ValueError, OSError), "error:argument"), (Exception, "error:internal"))
 
 
 class _ReportBuilder:

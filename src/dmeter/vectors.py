@@ -95,11 +95,15 @@ def load_embeddings(source) -> EmbeddingMatrix:
     if len(lines) - 1 != n:
         raise ValueError(f"header declares {n} rows, found {len(lines) - 1}")
     labels = []
+    seen = set()
     matrix = np.empty((n, d), dtype=np.float64)
     for row, (i, line) in enumerate(lines[1:]):
         parts = line.split()
         if len(parts) != d + 1:
             raise ValueError(f"line {i}: expected label + {d} values, got {len(parts)} fields")
+        if parts[0] in seen:
+            raise ValueError(f"line {i}: duplicate label {parts[0]!r}")
+        seen.add(parts[0])
         labels.append(parts[0])
         try:
             matrix[row] = [float(x) for x in parts[1:]]

@@ -237,7 +237,8 @@ class TestMeasure:
     @pytest.mark.parametrize("body, reason", [
         (b"2 4\na 1 0 0 0\n\nb 0 1 nan 0\n", "line 4: non-finite value"),
         (b"2 4\na 1 0 0 0\nb\xff 0 1 0 0\n", "line 3: not valid UTF-8"),
-    ], ids=["non-finite", "not-utf8"])
+        (b"2 4\na 1 0 0 0\n\na 0 1 0 0\n", "line 4: duplicate label 'a'"),
+    ], ids=["non-finite", "not-utf8", "duplicate-label"])
     def test_bad_embedding_file_names_path_and_line(self, corpus_path, tmp_path, capsys,
                                                      body, reason):
         emb = tmp_path / "emb.vec"

@@ -204,6 +204,17 @@ class TestIngestJsonl:
         assert [r.id for r in corpus.records] == ["a", "c"]
         assert corpus.ingest_errors == (IngestError(2, "line is not valid UTF-8"),)
 
+    @pytest.mark.parametrize("line, reason", [
+        ('["text", "x"]', "record is not a JSON object"),
+        ('"x"', "record is not a JSON object"),
+        ('{"text": "x", "attributes": ["lang", "en"]}', "attributes must map strings to strings"),
+        ('{"text": "x", "attributes": {"lang": 1}}', "attributes must map strings to strings"),
+    ], ids=["array", "string", "attributes-a-list", "attribute-value-a-number"])
+    def test_bad_record_shape_skipped_and_named(self, line, reason):
+        corpus = ingest(io.StringIO('{"id": "a", "text": "ok"}\n' + line + "\n"))
+        assert [r.id for r in corpus.records] == ["a"]
+        assert corpus.ingest_errors == (IngestError(2, reason),)
+
     def test_unreadable_source_fatal(self):
         with pytest.raises(OSError):
             ingest("/nonexistent/path/corpus.jsonl")
@@ -393,6 +404,16 @@ class TestCorpusInvariants:
     def test_duplicate_record_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate record id"):
             Corpus([Record(id="1", text="a"), Record(id="1", text="b")])
+
+    @pytest.mark.parametrize("fields", [{"text": "x\ud800"}, {"id": "b\udfff"},
+                                        {"attributes": {"lang": "e\udc00n"}}],
+                             ids=["text", "id", "attribute"])
+    def test_lone_surrogate_is_named_by_its_record_id(self, fields):
+        record = Record(**{"id": "b", "text": "x", **fields})
+        with pytest.raises(ValueError) as info:
+            Corpus([Record(id="a", text="ok"), record])
+        assert str(info.value) == (f"record {record.id!r} holds a lone surrogate, "
+                                   "which UTF-8 cannot encode")
 
     def test_vocabulary_in_first_seen_order(self):
         corpus = make_corpus(["b a", "a c"])

@@ -205,6 +205,13 @@ class TestAssembleReport:
         assert e["provenance"] == "external-model"
         assert e["value"] == pytest.approx(math.exp(20.0 / 8))
 
+    def test_unreadable_logprob_file_is_an_argument_error(self, tmp_path):
+        path = str(tmp_path / "absent.jsonl")
+        rep = assemble_report(small_corpus(), ["tendency"], config={"perplexity_logprobs": path})
+        e = rep.measurements["perplexity_external"]
+        assert e["flags"] == ["error:argument"]
+        assert e["note"] == f"[Errno 2] No such file or directory: {path!r}"
+
     def test_nonfinite_values_become_null_plus_flag(self):
         # 400 tiny dimensions force the raw density over the float ceiling
         rng = np.random.default_rng(42)

@@ -321,6 +321,15 @@ class TestZipfFit:
         assert fit.alpha == 50.0
         assert "alpha-boundary" in fit.flags
 
+    @pytest.mark.parametrize("counts, alpha", [
+        ({f"r{i}": 10 for i in range(50)}, 1e-6),
+        ({"a": 10**16, "b": 1}, 50.0),
+    ], ids=["floor", "ceiling"])
+    def test_regression_clamps_to_the_boundary(self, counts, alpha):
+        fit = zipf_fit(FrequencyTable(counts), fit_method="loglog-regression")
+        assert fit.alpha == alpha
+        assert "alpha-boundary" in fit.flags
+
     def test_low_confidence_below_ten_ranks(self):
         ft = FrequencyTable({f"r{r}": 2 ** (8 - r) for r in range(5)})
         fit = zipf_fit(ft)
