@@ -58,11 +58,13 @@ def _config_file_error(exc: configparser.Error) -> str:
     return f"[{exc.section}] config key {exc.option!r}: {exc.message}"
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, tokenizer_flag: str | None = None) -> dict:
     """Each _SECTIONS section as _config_section reads it from the INI file at
     path, "tokenizer" as a TokenizerConfig and [assoc] window_size 0 as None.
 
-    The file is read by _read_side_file, and a malformed one is one
+    tokenizer_flag, the --tokenizer value (a mode name, optionally suffixed
+    ':nofold' to keep case), replaces the [tokenizer] section once that is
+    checked.  The file is read by _read_side_file, and a malformed one is one
     ValueError that names it.  Every value a command hands on to the library
     as it is goes through the library's own check here, before any input is
     read; a bad [measure] report option becomes a flagged entry.
@@ -77,6 +79,9 @@ def _load_config(path: str | None) -> dict:
     except configparser.Error as exc:
         raise ValueError(f"{path}: {_config_file_error(exc)}") from None
     settings["tokenizer"] = TokenizerConfig(**settings["tokenizer"])
+    if tokenizer_flag:
+        settings["tokenizer"] = TokenizerConfig(tokenizer_flag.removesuffix(":nofold"),
+                                                not tokenizer_flag.endswith(":nofold"))
     measure = settings["measure"]
     if measure["metrics"]:
         _metric_list(measure["metrics"])
@@ -94,22 +99,9 @@ def _metric_list(raw: str) -> list[str]:
     return report.select_metrics(m.strip() for m in raw.split(",") if m.strip())
 
 
-def _tokenizer_from(args, settings) -> TokenizerConfig:
-    """The --tokenizer flag, else the [tokenizer] section.
-
-    Flag syntax: a mode name, optionally suffixed ':nofold' to keep case.
-    """
-    spec = args.tokenizer
-    if spec:
-        return TokenizerConfig(spec.removesuffix(":nofold"), not spec.endswith(":nofold"))
-    return settings["tokenizer"]
-
-
-def _ingest_from(args, settings, tokenizer: TokenizerConfig):
-    if not args.input:
-        raise ValueError("--input is required")
+def _ingest_from(args, settings):
     fmt = args.format or settings["measure"]["format"]
-    corpus = _read_side_file("input", ingest, args.input, fmt, tokenizer)
+    corpus = _read_side_file("input", ingest, args.input, fmt, settings["tokenizer"])
     for err in corpus.ingest_errors:
         _logger().warning("ingest: skipped line %d: %s", err.line, err.reason)
     return corpus
@@ -178,13 +170,13 @@ def _entry_summary(name: str, entry: dict) -> str:
 def cmd_measure(args):
     """Exit status, the --out file as (path, text, what it holds) or None, and
     standard output, as every cmd_* returns them; a fatal error is raised."""
-    settings = _load_config(args.config)
+    settings = _load_config(args.config, args.tokenizer)
     measure = settings["measure"]
     metrics_raw = args.metrics or measure["metrics"] or ",".join(METRIC_FAMILIES)
     metrics = _metric_list(metrics_raw)
     embeddings = (_read_side_file("embeddings", load_embeddings, args.embeddings)
                   if args.embeddings else None)
-    corpus = _ingest_from(args, settings, _tokenizer_from(args, settings))
+    corpus = _ingest_from(args, settings)
 
     rep = report.assemble_report(corpus, metrics, config={k: measure[k] for k in DEFAULT_CONFIG},
                                  embeddings=embeddings, embedding_source=args.embeddings)
@@ -234,12 +226,9 @@ def _read_side_file(what: str, read, path: str, *args):
 
 
 def cmd_assoc(args):
-    settings = _load_config(args.config)
-    if not args.targets:
-        raise ValueError("--targets is required")
-    tokenizer = _tokenizer_from(args, settings)
-    targets = _read_side_file("targets", _read_targets, args.targets, tokenizer)
-    corpus = _ingest_from(args, settings, tokenizer)
+    settings = _load_config(args.config, args.tokenizer)
+    targets = _read_side_file("targets", _read_targets, args.targets, settings["tokenizer"])
+    corpus = _ingest_from(args, settings)
 
     opts = settings["assoc"]
     table = association.build_cooccurrence(
@@ -277,8 +266,8 @@ def cmd_assoc(args):
 
 
 def cmd_dedup(args):
-    settings = _load_config(args.config)
-    corpus = _ingest_from(args, settings, _tokenizer_from(args, settings))
+    settings = _load_config(args.config, args.tokenizer)
+    corpus = _ingest_from(args, settings)
     opts = settings["dedup"]
     rep = quality.find_duplicates(corpus, opts["normalization"], opts["top_cap"])
     entropy = quality.redundancy_entropy(rep)
@@ -312,7 +301,7 @@ def cmd_dedup(args):
 
 
 def _add_common_flags(parser, *, embeddings=False, targets=False, metrics=False):
-    parser.add_argument("--input", help="input corpus path")
+    parser.add_argument("--input", required=True, help="input corpus path")
     parser.add_argument("--format", choices=FORMATS, help="input format (default jsonl)")
     parser.add_argument("--tokenizer",
                         help="tokenizer mode: unicode-word | whitespace | character, "
@@ -325,11 +314,20 @@ def _add_common_flags(parser, *, embeddings=False, targets=False, metrics=False)
     if embeddings:
         parser.add_argument("--embeddings", help="embedding matrix file (text-vec format)")
     if targets:
-        parser.add_argument("--targets", help="target-terms file, one per line, # comments")
+        parser.add_argument("--targets", required=True,
+                            help="target-terms file, one per line, # comments")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are ValueErrors, so that main
+    ends them like any other bad argument; its subparsers are _Parsers too."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dmeter",
         description="Corpus measurement engine: measure, compare, assoc, dedup.",
     )
@@ -359,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and end it: a fatal error is one `error:` message and
     exit 1; otherwise the --out file is written first, then standard output."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         status, out, text = args.func(args)
         if out:
             path, body, what = out

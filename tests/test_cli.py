@@ -140,7 +140,7 @@ class TestMeasure:
 
     def test_missing_input_flag(self, capsys):
         assert main(["measure"]) == 1
-        assert "--input is required" in capsys.readouterr().err
+        assert "--input" in capsys.readouterr().err
 
     def test_malformed_lines_reported_on_stderr(self, tmp_path, capsys):
         p = tmp_path / "c.jsonl"
@@ -452,7 +452,7 @@ class TestAssoc:
 
     def test_targets_required(self, corpus_path, capsys):
         assert main(["assoc", "--input", corpus_path]) == 1
-        assert "--targets is required" in capsys.readouterr().err
+        assert "--targets" in capsys.readouterr().err
 
     def test_empty_targets_file(self, corpus_path, tmp_path, capsys):
         targets = tmp_path / "targets.txt"
@@ -675,13 +675,73 @@ def test_reader_closing_stdout_early_leaves_out_file_whole(tmp_path, command):
 
 
 class TestParser:
-    def test_missing_subcommand_exits(self):
-        with pytest.raises(SystemExit):
-            main([])
+    """A usage error ends like every bad argument: one `error:` line, exit 1,
+    no usage text, and no file but the config file opened."""
 
-    def test_unknown_subcommand_exits(self):
-        with pytest.raises(SystemExit):
-            main(["destroy"])
+    @staticmethod
+    def _one_error_line(capsys) -> str:
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "usage:" not in line
+        return line
+
+    def test_missing_subcommand_exits(self, capsys):
+        assert main([]) == 1
+        assert "command" in self._one_error_line(capsys)
+
+    def test_unknown_subcommand_exits(self, capsys):
+        assert main(["destroy"]) == 1
+        assert "'destroy'" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv, named", [
+        (["measure", "--input", "c.jsonl", "--bogus"], "--bogus"),
+        (["measure", "--input", "c.jsonl", "--format", "xml"], "'xml'"),
+        (["dedup", "--input"], "--input"),
+        (["compare", "one.json"], "candidate"),
+        (["assoc", "--input", "c.jsonl"], "--targets"),
+    ], ids=["unknown-flag", "format-xml", "flag-without-value", "compare-one-report",
+            "missing-targets"])
+    def test_usage_error_is_one_line_and_exit_one(self, tmp_path, monkeypatch, capsys,
+                                                  argv, named):
+        monkeypatch.chdir(tmp_path)  # no file named here exists
+        assert main(argv) == 1
+        assert named in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--embeddings", "nope.vec"],
+        ["assoc", "--targets", "nope.txt"],
+        ["dedup", "--config", "nope.ini"],
+    ], ids=["measure", "assoc", "dedup"])
+    def test_missing_input_is_named_before_any_file_is_read(self, tmp_path, monkeypatch,
+                                                             capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        line = self._one_error_line(capsys)
+        assert "--input" in line and "nope" not in line
+
+    def test_tokenizer_flag_is_checked_before_the_side_files(self, corpus_path, tmp_path,
+                                                             capsys):
+        argv = ["measure", "--input", corpus_path, "--tokenizer", "bogus",
+                "--embeddings", str(tmp_path / "nope.vec")]
+        assert main(argv) == 1
+        line = self._one_error_line(capsys)
+        assert "tokenizer mode 'bogus'" in line and "nope.vec" not in line
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "-h"])
+        assert exc.value.code == 0
+        assert "--input" in capsys.readouterr().out
+
+    def test_entry_point_exits_one_with_one_line(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(dmeter.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "dmeter.cli", "measure", "--bogus"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1  # argparse's own exit would be 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "usage:" not in line
 
 
 def test_import_does_not_load_scipy_stats():
