@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedValueError, check_choice
+from .errors import check_choice
 from .vectors import _CHUNK_CELLS, EmbeddingMatrix, euclidean_matrix, unit_rows
 
 SIMILARITIES = ("cosine", "inverse-euclidean")
@@ -128,8 +128,6 @@ def data_density(emb: EmbeddingMatrix, volume_mode: str = "bounding-box") -> Dat
             flags.append("degenerate-extent")
 
     log_density = math.log(n) - log_volume
-    if not math.isfinite(log_density):
-        raise UndefinedValueError(f"log density is non-finite ({log_density})")
     try:
         density = math.exp(log_density)
     except OverflowError:

@@ -130,8 +130,6 @@ def kl_divergence(p: Distribution, q: Distribution, smoothing: float = 1e-9) -> 
     q_map = q.as_dict()
     q_masses = [q_map.get(item, 0.0) + smoothing for item in union]
     q_total = math.fsum(q_masses)
-    if q_total == 0.0:
-        raise ValueError("q has no mass on the union support and smoothing is 0")
 
     terms = []
     for item, q_mass in zip(union, q_masses):
@@ -160,8 +158,6 @@ def emd_1d(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 
 def _check_support_sizes(n: int, m: int) -> None:
-    if n == 0 or m == 0:
-        raise ValueError("distributions must have non-empty support")
     if n > EMD_SUPPORT_CAP or m > EMD_SUPPORT_CAP:
         raise ValueError(
             f"support sizes {n}x{m} exceed the exact-solver cap of {EMD_SUPPORT_CAP}; "

@@ -132,8 +132,6 @@ def ngram_diversity(corpus: Corpus, n: int, denominator: str = "total-ngrams") -
         raise UndefinedValueError(f"corpus has no {n}-grams (all records shorter than {n} tokens)")
     if denominator == "total-ngrams":
         return len(counts) / counts.total
-    if not corpus.vocabulary:
-        raise UndefinedValueError("corpus has an empty vocabulary")
     return len(counts) / len(corpus.vocabulary)
 
 

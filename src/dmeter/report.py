@@ -378,13 +378,9 @@ def parse_report(source) -> MeasurementReport:
 
     The report must be a JSON object with every required key, its
     measurements an object of objects, and an entry's flags, when present, a
-    list of strings; anything else raises ValueError.  A string that starts
-    with "{" is the report's JSON text; a path or stream is read by read_lines."""
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        text = source
-    else:
-        text = "".join(line for _, line in read_lines(source))
-    obj = json.loads(text)
+    list of strings; anything else raises ValueError.  source is a path or a
+    text stream, read by read_lines; a string is always a path."""
+    obj = json.loads("".join(line for _, line in read_lines(source)))
     if not isinstance(obj, dict):
         raise ValueError(f"report must be a JSON object, got {type(obj).__name__}")
     keys = [field.name for field in fields(MeasurementReport)]

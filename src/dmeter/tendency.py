@@ -564,6 +564,8 @@ def perplexity_from_logprobs(source, corpus: Corpus | None = None) -> Perplexity
             rows[rid] = (logprob, n)
     except ValueError as exc:
         raise ValueError(f"logprob file {exc}") from None
+    except OSError as exc:
+        raise OSError(f"cannot read logprob file {source!r}: {exc.strerror}") from None
     partial = known_ids is not None and len(rows) < len(known_ids)
     return _aggregate(rows, "logprob file contains no records", provenance="external-model",
                       extra_flags=("partial-coverage",) if partial else ())

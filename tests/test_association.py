@@ -297,6 +297,12 @@ class TestCorrelations:
         with pytest.raises(ValueError, match="at least 2"):
             pearson([1], [2])
 
+    def test_spearman_refuses_mismatched_lengths_and_one_pair(self):
+        with pytest.raises(ValueError, match="length mismatch: 2 vs 3"):
+            spearman([1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="at least 2 pairs, got 1"):
+            spearman([1], [2])
+
     def test_spearman_invariant_to_monotone_transform(self):
         rng = np.random.default_rng(42)
         xs = rng.standard_normal(30)

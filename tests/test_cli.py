@@ -238,7 +238,9 @@ class TestMeasure:
         (b"2 4\na 1 0 0 0\n\nb 0 1 nan 0\n", "line 4: non-finite value"),
         (b"2 4\na 1 0 0 0\nb\xff 0 1 0 0\n", "line 3: not valid UTF-8"),
         (b"2 4\na 1 0 0 0\n\na 0 1 0 0\n", "line 4: duplicate label 'a'"),
-    ], ids=["non-finite", "not-utf8", "duplicate-label"])
+        (b"\n", "empty embedding file"),
+        (b"-1 4\n", "invalid header n=-1 d=4"),
+    ], ids=["non-finite", "not-utf8", "duplicate-label", "empty", "negative-rows"])
     def test_bad_embedding_file_names_path_and_line(self, corpus_path, tmp_path, capsys,
                                                      body, reason):
         emb = tmp_path / "emb.vec"
@@ -308,6 +310,13 @@ class TestCompare:
         assert main(["compare", base, base]) == 0
         out = capsys.readouterr().out
         assert "+0" in out
+
+    def test_report_name_starting_with_a_brace_is_a_path(self, tmp_path, monkeypatch, capsys):
+        name = Path(self.make_report(tmp_path, "{r}", ["same text here."])).name
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["compare", name, name]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unparseable_report_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

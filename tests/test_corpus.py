@@ -237,6 +237,9 @@ class TestIngestOtherFormats:
         assert corpus.records[0].timestamp == 5
         assert corpus.records[1].timestamp is None
 
+    def test_empty_csv_is_an_empty_corpus(self):
+        assert ingest(io.StringIO(""), format="csv").n_records == 0
+
     def test_csv_missing_text_column_fatal(self):
         stream = io.StringIO("id,body\nr1,hello\n")
         with pytest.raises(ValueError, match="no 'text' column"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dmeter import density
 from dmeter.density import SIMILARITIES, _similarity_block, data_density, knn_density
 from dmeter.errors import UndefinedValueError
 from dmeter.vectors import EmbeddingMatrix, unit_rows
@@ -58,6 +59,11 @@ class TestKnnDensity:
             knn_density(emb, 0)
         with pytest.raises(ValueError, match="k must be in"):
             knn_density(emb, 3)
+
+    def test_search_cap_refuses_more_points(self, monkeypatch):
+        monkeypatch.setattr(density, "EXACT_SEARCH_CAP", 3)
+        with pytest.raises(ValueError, match="n = 4 exceeds the exact-search cap of 3"):
+            knn_density(emb_from(np.eye(4)), 1)
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError, match="at least 2 points"):

@@ -196,6 +196,17 @@ class TestDistribution:
         with pytest.raises(ValueError, match="unique"):
             Distribution(["a", "a"], [0.5, 0.5])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Distribution(["a", "b"], [1.0]), "2 support items for 1 probabilities"),
+        (lambda: Distribution(["a", "b"], [1.5, -0.5]), "must be non-negative"),
+        (lambda: Distribution(["a", "b"], [0.5, 0.4]), "sum to 0.9, expected 1"),
+        (lambda: Distribution([], []), "sum to 0.0, expected 1"),
+        (lambda: Distribution.from_counts({"a": 0}), "positive total"),
+    ], ids=["length-mismatch", "negative", "sum", "empty", "zero-counts"])
+    def test_malformed_distribution_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 # --- KL divergence --------------------------------------------------------------
 

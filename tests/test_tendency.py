@@ -1,5 +1,6 @@
 """Summary statistics, burstiness, Zipf fitting, and LM perplexity."""
 
+import dataclasses
 import io
 import math
 import statistics
@@ -461,6 +462,15 @@ class TestNgramLM:
             train_lm(c, smoothing=-1.0)
         with pytest.raises(ValueError, match="empty"):
             train_lm(corpus_of([]))
+
+    def test_bigram_prob_needs_a_context(self):
+        with pytest.raises(ValueError, match="bigram model needs a context token"):
+            train_lm(corpus_of(["a b"]), order=2).prob("a")
+
+    def test_perplexity_refuses_an_order_past_two(self):
+        c = corpus_of(["a b"])
+        with pytest.raises(ValueError, match="order must be 1 or 2, got 3"):
+            perplexity(dataclasses.replace(train_lm(c), order=3), c)
 
     @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
     def test_non_finite_smoothing_rejected(self, smoothing):
