@@ -3,12 +3,14 @@
 Standard output carries human-readable summaries; files named by --out carry
 machine-readable JSON and are written first, so a reader that closes standard
 output early still finds them whole.  Flags override config-file values.
-Each cmd_* only computes; main alone reports a fatal error and writes --out
-and standard output.  A command reads every file through _read_side_file:
-the config file, then --targets and --embeddings, then the corpus.
-Exit codes: 0 success, 1 fatal (bad arguments, unreadable input, a malformed
-config file or report, unknown metric, an unwritable --out file), 2 when the
-report was written but contains per-metric error or skipped entries.
+Each cmd_* only computes; main alone parses the arguments, reports a fatal
+error and writes --out and standard output.  A command works in one order:
+the arguments, then the config file with the flags over it, then --targets
+and --embeddings, then the corpus, each file read through _read_side_file.
+Exit codes: 0 success, 1 fatal, as one `error:` line (bad arguments, usage
+errors included, unreadable input, a malformed config file or report,
+unknown metric, an unwritable --out file), 2 when the report was written
+but contains per-metric error or skipped entries.
 """
 
 from __future__ import annotations
