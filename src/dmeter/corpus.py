@@ -27,6 +27,8 @@ from .errors import check_choice
 TOKENIZER_MODES = ("unicode-word", "whitespace", "character")
 
 _WORD_RE = re.compile(r"\w+")
+# A lone surrogate: a byte read with surrogateescape, or a JSON escape such as "\ud800".
+_NOT_UTF8 = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -84,15 +86,21 @@ class Record:
 
     def __post_init__(self) -> None:
         # Exact types, so that _fingerprint_payload is the one payload writer.
-        for name, value in (("id", self.id), ("text", self.text)):
-            if type(value) is not str:
-                raise TypeError(f"Record {name} must be a str, got {type(value).__name__}")
+        # These are the checks and the messages of a JSONL line's fields.
+        if type(self.id) is not str:
+            raise TypeError("'id' must be a string")
+        if type(self.text) is not str:
+            raise TypeError("missing or non-string 'text' field")
         attrs, ts = self.attributes, self.timestamp
         if attrs is not None and not (type(attrs) is dict and all(
                 type(k) is str and type(v) is str for k, v in attrs.items())):
-            raise TypeError("Record attributes must be None or a dict of str to str")
+            raise TypeError("attributes must map strings to strings")
         if ts is not None and type(ts) is not int:
-            raise TypeError(f"Record timestamp must be None or an int, got {type(ts).__name__}")
+            raise TypeError("'timestamp' must be an integer")
+        strings = (self.id, self.text, *attrs, *attrs.values()) if attrs else (self.id, self.text)
+        if not all(map(str.isascii, strings)) and any(map(_NOT_UTF8.search, strings)):
+            raise ValueError(f"record {self.id!r} holds a lone surrogate, which UTF-8 "
+                             "cannot encode")
 
 
 @dataclass(frozen=True)
@@ -230,11 +238,7 @@ class Corpus:
 
         h = hashlib.sha256()
         for r in self._records:
-            try:
-                payload = _fingerprint_payload(r)
-            except UnicodeEncodeError:
-                raise ValueError(f"record {r.id!r} holds a lone surrogate, which UTF-8 "
-                                 "cannot encode") from None
+            payload = _fingerprint_payload(r)
             h.update(len(payload).to_bytes(8, "big"))
             h.update(payload)
         self._fingerprint = h.hexdigest()
@@ -410,7 +414,6 @@ def _open_text(source):
     return open(source, "r", encoding="utf-8", errors="surrogateescape", newline="")
 
 
-_NOT_UTF8 = re.compile("[\ud800-\udfff]")
 _NOT_UTF8_REASON = "line is not valid UTF-8"
 
 
@@ -467,39 +470,16 @@ def _read_jsonl(stream):
             continue
         try:
             obj = decode_json_line(line)
-        except ValueError as exc:
-            errors.append(IngestError(line_no, str(exc)))
-            continue
-        if not isinstance(obj, dict):
-            errors.append(IngestError(line_no, "record is not a JSON object"))
-            continue
-        text = obj.get("text")
-        if not isinstance(text, str):
-            errors.append(IngestError(line_no, "missing or non-string 'text' field"))
-            continue
-        try:
+            if not isinstance(obj, dict):
+                raise ValueError("record is not a JSON object")
             rid = str(line_no) if obj.get("id") is None else record_id(obj["id"])
-        except ValueError as exc:
+            record = Record(rid, obj.get("text"), obj.get("attributes"), obj.get("timestamp"))
+        except (TypeError, ValueError) as exc:
             errors.append(IngestError(line_no, str(exc)))
-            continue
-        attrs = obj.get("attributes")
-        if attrs is not None:
-            if not isinstance(attrs, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
-            ):
-                errors.append(IngestError(line_no, "attributes must map strings to strings"))
-                continue
-        # A JSON escape such as "\ud800" gives a lone surrogate, which UTF-8 cannot encode.
-        if any(map(_NOT_UTF8.search, [rid, text, *(attrs or {}), *(attrs or {}).values()])):
-            errors.append(IngestError(line_no, _NOT_UTF8_REASON))
-            continue
-        ts = obj.get("timestamp")
-        if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)):
-            errors.append(IngestError(line_no, "'timestamp' must be an integer"))
             continue
         # Reserve the id last, so a rejected line does not shadow a later valid one.
         if _dedupe_id(rid, seen, line_no, errors):
-            records.append(Record(id=rid, text=text, attributes=attrs, timestamp=ts))
+            records.append(record)
     return records, errors
 
 
