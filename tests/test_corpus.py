@@ -15,11 +15,18 @@ from dmeter.corpus import (
     IngestError,
     Record,
     TokenizerConfig,
+    decode_json_line,
     ingest,
     ngrams,
+    read_lines,
+    record_id,
     tokenize,
+    _NOT_UTF8,
+    _NOT_UTF8_REASON,
+    _dedupe_id,
     _fingerprint_payload,
     _normalize_for_fingerprint,
+    _read_jsonl,
 )
 
 
@@ -509,3 +516,121 @@ def test_direct_fingerprint_payload_matches_json_dumps(records):
         oracle.update(len(payload).to_bytes(8, "big"))
         oracle.update(payload)
     assert Corpus(records).fingerprint == oracle.hexdigest()
+
+
+# --- the JSONL reader against the reader that restated Record's rules ----------
+
+
+def parent_read_jsonl(stream):
+    """_read_jsonl as it was when it checked each field rule itself, before
+    it left them to Record; the oracle for the reader that builds a Record."""
+    records: list[Record] = []
+    errors: list[IngestError] = []
+    seen: set[str] = set()
+    for line_no, line in read_lines(stream, errors):
+        if not line.strip():
+            continue
+        try:
+            obj = decode_json_line(line)
+        except ValueError as exc:
+            errors.append(IngestError(line_no, str(exc)))
+            continue
+        if not isinstance(obj, dict):
+            errors.append(IngestError(line_no, "record is not a JSON object"))
+            continue
+        text = obj.get("text")
+        if not isinstance(text, str):
+            errors.append(IngestError(line_no, "missing or non-string 'text' field"))
+            continue
+        try:
+            rid = str(line_no) if obj.get("id") is None else record_id(obj["id"])
+        except ValueError as exc:
+            errors.append(IngestError(line_no, str(exc)))
+            continue
+        attrs = obj.get("attributes")
+        if attrs is not None:
+            if not isinstance(attrs, dict) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
+            ):
+                errors.append(IngestError(line_no, "attributes must map strings to strings"))
+                continue
+        # A JSON escape such as "\ud800" gives a lone surrogate, which UTF-8 cannot encode.
+        if any(map(_NOT_UTF8.search, [rid, text, *(attrs or {}), *(attrs or {}).values()])):
+            errors.append(IngestError(line_no, _NOT_UTF8_REASON))
+            continue
+        ts = obj.get("timestamp")
+        if ts is not None and (isinstance(ts, bool) or not isinstance(ts, int)):
+            errors.append(IngestError(line_no, "'timestamp' must be an integer"))
+            continue
+        # Reserve the id last, so a rejected line does not shadow a later valid one.
+        if _dedupe_id(rid, seen, line_no, errors):
+            records.append(Record(id=rid, text=text, attributes=attrs, timestamp=ts))
+    return records, errors
+
+
+# JSON strings, some holding a lone surrogate, which json.dumps writes as a
+# "\udXXX" escape unless the line is written with ensure_ascii off.
+_json_text = st.lists(
+    st.sampled_from(["a", "b", "c", "7", " ", "é", "ab", "xy", "\ud800", "\udfff"]), max_size=2,
+).map("".join)
+_json_scalar = st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | _json_text
+_json_value = (_json_scalar | st.lists(_json_scalar, max_size=2)
+               | st.dictionaries(_json_text, _json_text, max_size=2)
+               | st.dictionaries(_json_text, _json_scalar, max_size=2))
+
+
+def _mostly(good, other=_json_value):
+    """A draw from good three times in four, otherwise from other."""
+    return st.tuples(good, other, st.integers(0, 3)).map(lambda t: t[1] if t[2] == 0 else t[0])
+
+
+_json_object = st.fixed_dictionaries({"text": _mostly(_json_text)}, optional={
+    "id": _mostly(st.sampled_from(["a", "b", "1", "2"]) | st.integers(1, 3)),
+    "attributes": _mostly(st.dictionaries(_json_text, _json_text, max_size=2)),
+    "timestamp": _mostly(st.integers(-2**70, 2**70)),
+})
+_jsonl_line = _mostly(st.builds(json.dumps, _json_object, ensure_ascii=st.booleans()),
+                      st.sampled_from(["", "  ", "{bad"])
+                      | st.builds(json.dumps, _json_value, ensure_ascii=st.booleans()))
+
+
+def _field_faults(obj) -> tuple[int, bool]:
+    """How many of Record's type rules obj breaks, and whether a string field
+    that passes them holds a lone surrogate."""
+    if not isinstance(obj, dict):
+        return 1, False
+    rid, text = obj.get("id"), obj.get("text")
+    attrs, ts = obj.get("attributes"), obj.get("timestamp")
+    bad_id = rid is not None and (isinstance(rid, bool) or not isinstance(rid, (str, int)))
+    bad_text = not isinstance(text, str)
+    bad_attrs = attrs is not None and not (isinstance(attrs, dict) and all(
+        isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()))
+    bad_ts = ts is not None and (isinstance(ts, bool) or not isinstance(ts, int))
+    strings = [s for s in (rid, text) if isinstance(s, str)]
+    if isinstance(attrs, dict):
+        strings += [s for kv in attrs.items() for s in kv if isinstance(s, str)]
+    return bad_id + bad_text + bad_attrs + bad_ts, any(map(_NOT_UTF8.search, strings))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_jsonl_line, max_size=8))
+def test_read_jsonl_matches_the_rule_by_rule_reader(lines):
+    text = "".join(line + "\n" for line in lines)
+    records, errors = _read_jsonl(io.StringIO(text))
+    want_records, want_errors = parent_read_jsonl(io.StringIO(text))
+    assert records == want_records
+    assert [e.line for e in errors] == [e.line for e in want_errors]
+    reasons = {e.line: e.reason for e in errors}
+    for e in want_errors:
+        line = lines[e.line - 1]
+        raw = _NOT_UTF8.search(line) or line == "{bad"  # refused before it is decoded
+        faults, surrogate = (0, False) if raw else _field_faults(json.loads(line))
+        if faults + surrogate > 1:
+            continue  # either fault may name the line
+        if surrogate:
+            raw_id = json.loads(line).get("id")
+            rid = str(e.line) if raw_id is None else str(raw_id)
+            assert reasons[e.line] == (f"record {rid!r} holds a lone surrogate, "
+                                       "which UTF-8 cannot encode")
+        else:
+            assert reasons[e.line] == e.reason
