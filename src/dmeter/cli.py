@@ -73,7 +73,7 @@ def _load_config(path: str | None, tokenizer_flag: str | None = None) -> dict:
     """
     cfg = configparser.ConfigParser()
     try:
-        if path:
+        if path is not None:
             lines = _read_side_file("config file", lambda p: [*read_lines(p)], path)
             cfg.read_file(line for _, line in lines)
         settings = {section: _config_section(cfg, section, defaults)
@@ -81,7 +81,7 @@ def _load_config(path: str | None, tokenizer_flag: str | None = None) -> dict:
     except configparser.Error as exc:
         raise ValueError(f"{path}: {_config_file_error(exc)}") from None
     settings["tokenizer"] = TokenizerConfig(**settings["tokenizer"])
-    if tokenizer_flag:
+    if tokenizer_flag is not None:
         settings["tokenizer"] = TokenizerConfig(tokenizer_flag.removesuffix(":nofold"),
                                                 not tokenizer_flag.endswith(":nofold"))
     measure = settings["measure"]
@@ -102,7 +102,7 @@ def _metric_list(raw: str) -> list[str]:
 
 
 def _ingest_from(args, settings):
-    fmt = args.format or settings["measure"]["format"]
+    fmt = args.format if args.format is not None else settings["measure"]["format"]
     corpus = _read_side_file("input", ingest, args.input, fmt, settings["tokenizer"])
     for err in corpus.ingest_errors:
         _logger().warning("ingest: skipped line %d: %s", err.line, err.reason)
@@ -174,15 +174,16 @@ def cmd_measure(args):
     standard output, as every cmd_* returns them; a fatal error is raised."""
     settings = _load_config(args.config, args.tokenizer)
     measure = settings["measure"]
-    metrics_raw = args.metrics or measure["metrics"] or ",".join(METRIC_FAMILIES)
+    metrics_raw = (args.metrics if args.metrics is not None
+                   else measure["metrics"] or ",".join(METRIC_FAMILIES))
     metrics = _metric_list(metrics_raw)
     embeddings = (_read_side_file("embeddings", load_embeddings, args.embeddings)
-                  if args.embeddings else None)
+                  if args.embeddings is not None else None)
     corpus = _ingest_from(args, settings)
 
     rep = report.assemble_report(corpus, metrics, config={k: measure[k] for k in DEFAULT_CONFIG},
                                  embeddings=embeddings, embedding_source=args.embeddings)
-    out_path = args.out or measure["out"]
+    out_path = args.out if args.out is not None else measure["out"]
     out = (out_path, report.serialize_report(rep), "report")
 
     lines = [_entry_summary(name, entry) for name, entry in rep.measurements.items()]
@@ -198,7 +199,7 @@ def cmd_measure(args):
 def cmd_compare(args):
     delta = report.compare(*(_read_side_file("report", report.parse_report, path)
                              for path in (args.baseline, args.candidate)))
-    out = (args.out, report.serialize_delta(delta), "delta") if args.out else None
+    out = (args.out, report.serialize_delta(delta), "delta") if args.out is not None else None
     return 0, out, report.format_delta_table(delta)
 
 
@@ -245,7 +246,7 @@ def cmd_assoc(args):
                      "co_terms": [{"term": t, "npmi": v, "pair_count": c} for t, v, c in co]})
 
     out = None
-    if args.out:
+    if args.out is not None:
         payload = {
             "corpus_fingerprint": corpus.fingerprint,
             "context_mode": opts["context_mode"],
@@ -275,7 +276,7 @@ def cmd_dedup(args):
     entropy = quality.redundancy_entropy(rep)
 
     out = None
-    if args.out:
+    if args.out is not None:
         payload = {
             "corpus_fingerprint": corpus.fingerprint,
             "normalization": rep.normalization,

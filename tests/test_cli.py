@@ -737,6 +737,36 @@ class TestParser:
         line = self._one_error_line(capsys)
         assert "tokenizer mode 'bogus'" in line and "nope.vec" not in line
 
+    @pytest.mark.parametrize("command, flag, named", [
+        ("measure", "--out", "cannot write report to ''"),
+        ("assoc", "--out", "cannot write association table to ''"),
+        ("dedup", "--out", "cannot write dedup report to ''"),
+        ("compare", "--out", "cannot write delta to ''"),
+        ("measure", "--config", "cannot read config file ''"),
+        ("measure", "--tokenizer", "unknown tokenizer mode ''"),
+        ("measure", "--embeddings", "cannot read embeddings ''"),
+        ("measure", "--metrics", "metric selection is empty"),
+    ], ids=["measure-out", "assoc-out", "dedup-out", "compare-out", "config", "tokenizer",
+            "embeddings", "metrics"])
+    def test_flag_with_an_empty_value_is_used(self, corpus_path, tmp_path, monkeypatch, capsys,
+                                              command, flag, named):
+        monkeypatch.chdir(tmp_path)
+        report = str(tmp_path / "rep.json")
+        assert main(["measure", "--input", corpus_path, "--metrics", "quality",
+                     "--out", report]) == 0
+        (tmp_path / "targets.txt").write_text("fox\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = {
+            "measure": ["measure", "--input", corpus_path],
+            "compare": ["compare", report, report],
+            "assoc": ["assoc", "--input", corpus_path, "--targets", "targets.txt"],
+            "dedup": ["dedup", "--input", corpus_path],
+        }[command]
+        assert main(argv + [f"{flag}="]) == 1
+        assert named in self._one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "rep.json",
+                                                              "targets.txt"]
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["measure", "-h"])
