@@ -65,10 +65,14 @@ class MeasurementReport:
 
 def _default_created_at() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
+    if epoch is None:
         moment = datetime.now(tz=timezone.utc)
+    else:
+        try:
+            moment = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        except (ValueError, OverflowError, OSError):
+            raise ValueError(f"SOURCE_DATE_EPOCH must be an integer number of seconds that "
+                             f"a date can hold, got {epoch!r}") from None
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

@@ -235,6 +235,15 @@ class TestAssembleReport:
         rep2 = assemble_report(c, ["quality"])
         assert rep2.created_at == "1970-01-01T00:00:00Z"
 
+    @pytest.mark.parametrize("epoch", ["abc", "-99999999999", "99999999999999999999"],
+                             ids=["not-an-integer", "year-out-of-range", "past-time_t"])
+    def test_bad_source_date_epoch_is_named(self, monkeypatch, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        with pytest.raises(ValueError) as info:
+            assemble_report(small_corpus(), ["quality"])
+        assert str(info.value) == ("SOURCE_DATE_EPOCH must be an integer number of seconds "
+                                   f"that a date can hold, got {epoch!r}")
+
     def test_deterministic_given_created_at(self):
         a = assemble_report(small_corpus(), METRIC_FAMILIES, created_at="t")
         b = assemble_report(small_corpus(), METRIC_FAMILIES, created_at="t")
