@@ -77,6 +77,14 @@ class EmbeddingMatrix:
         return f"EmbeddingMatrix(n={self.n}, dim={self.dim})"
 
 
+def _row_fields(i: int, line: str, d: int) -> list[str]:
+    """The fields of file line i, which must be a label and d values."""
+    parts = line.split()
+    if len(parts) != d + 1:
+        raise ValueError(f"line {i}: expected label + {d} values, got {len(parts)} fields")
+    return parts
+
+
 def load_embeddings(source) -> EmbeddingMatrix:
     """Parse the labeled-vector text format from a path or stream."""
     lines = [(i, ln) for i, ln in read_lines(source) if ln.strip()]
@@ -94,13 +102,13 @@ def load_embeddings(source) -> EmbeddingMatrix:
         raise ValueError(f"invalid header n={n} d={d}")
     if len(lines) - 1 != n:
         raise ValueError(f"header declares {n} rows, found {len(lines) - 1}")
+    if n:  # a row, not the header alone, shows the matrix's width before it is allocated
+        _row_fields(*lines[1], d)
     labels = []
     seen = set()
     matrix = np.empty((n, d), dtype=np.float64)
     for row, (i, line) in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != d + 1:
-            raise ValueError(f"line {i}: expected label + {d} values, got {len(parts)} fields")
+        parts = _row_fields(i, line, d)
         if parts[0] in seen:
             raise ValueError(f"line {i}: duplicate label {parts[0]!r}")
         seen.add(parts[0])

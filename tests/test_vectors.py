@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ class TestLoadEmbeddings:
     def test_duplicate_label_fatal(self):
         with pytest.raises(ValueError, match="duplicate label"):
             load_embeddings(io.StringIO("2 1\na 1\na 2\n"))
+
+    def test_row_width_is_checked_before_the_matrix_is_allocated(self):
+        # The header alone would size a 745 GiB matrix.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                load_embeddings(io.StringIO("1 99999999999\na 1\n"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "line 2: expected label + 99999999999 values, got 2 fields"
+        assert peak < 2**20
 
     def test_non_finite_value_fatal(self):
         with pytest.raises(ValueError, match="non-finite"):
