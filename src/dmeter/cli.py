@@ -102,7 +102,7 @@ def _metric_list(raw: str) -> list[str]:
 
 
 def _ingest_from(args, settings):
-    fmt = args.format if args.format is not None else settings["measure"]["format"]
+    fmt = args.format or settings["measure"]["format"]
     corpus = _read_side_file("input", ingest, args.input, fmt, settings["tokenizer"])
     for err in corpus.ingest_errors:
         _logger().warning("ingest: skipped line %d: %s", err.line, err.reason)
