@@ -102,8 +102,14 @@ def load_embeddings(source) -> EmbeddingMatrix:
         raise ValueError(f"invalid header n={n} d={d}")
     if len(lines) - 1 != n:
         raise ValueError(f"header declares {n} rows, found {len(lines) - 1}")
-    if n:  # a row, not the header alone, shows the matrix's width before it is allocated
-        _row_fields(*lines[1], d)
+    # A label and d values take at least 2d + 1 characters.  Checking the rows
+    # up to the first shorter one, which cannot pass, names the first bad row
+    # before the n×d matrix is allocated; past this it is at most 4 bytes for
+    # each character of the rows.
+    short = next((k for k, (_, line) in enumerate(lines[1:]) if len(line) <= 2 * d), None)
+    if short is not None:
+        for i, line in lines[1:short + 2]:
+            _row_fields(i, line, d)
     labels = []
     seen = set()
     matrix = np.empty((n, d), dtype=np.float64)

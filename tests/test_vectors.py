@@ -60,17 +60,22 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError, match="duplicate label"):
             load_embeddings(io.StringIO("2 1\na 1\na 2\n"))
 
-    def test_row_width_is_checked_before_the_matrix_is_allocated(self):
-        # The header alone would size a 745 GiB matrix.
+    @pytest.mark.parametrize("text, reason", [
+        ("1 99999999999\na 1\n", "line 2: expected label + 99999999999 values, got 2 fields"),
+        ("1001 100000\na" + " 0" * 100_000 + "\n" + "b 1\n" * 1000,
+         "line 3: expected label + 100000 values, got 2 fields"),
+    ], ids=["header-alone", "one-wide-row"])
+    def test_row_width_is_checked_before_the_matrix_is_allocated(self, text, reason):
+        # The header would size a 745 GiB matrix; with the wide row, a 763 MiB one.
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as info:
-                load_embeddings(io.StringIO("1 99999999999\na 1\n"))
+                load_embeddings(io.StringIO(text))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(info.value) == "line 2: expected label + 99999999999 values, got 2 fields"
-        assert peak < 2**20
+        assert str(info.value) == reason
+        assert peak < 2**24
 
     def test_non_finite_value_fatal(self):
         with pytest.raises(ValueError, match="non-finite"):
