@@ -331,6 +331,8 @@ def assemble_report(
         if bad:
             raise ValueError(f"unknown config keys {bad}; valid keys: {sorted(DEFAULT_CONFIG)}")
         cfg.update(config)
+    if created_at is None:  # before any entry is computed, so a bad SOURCE_DATE_EPOCH costs none
+        created_at = _default_created_at()
 
     builder = _ReportBuilder(embedding_source=embedding_source)
     if embeddings is not None:
@@ -347,7 +349,7 @@ def assemble_report(
         schema_version=SCHEMA_VERSION,
         corpus_fingerprint=corpus.fingerprint,
         tokenizer_config=tok,
-        created_at=created_at if created_at is not None else _default_created_at(),
+        created_at=created_at,
         measurements=dict(sorted(builder.measurements.items())),
     )
 

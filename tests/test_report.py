@@ -16,6 +16,7 @@ from dmeter.report import (
     SCHEMA_VERSION,
     BatchDelta,
     MeasurementReport,
+    _FAMILIES,
     _ReportBuilder,
     assemble_report,
     compare,
@@ -239,6 +240,8 @@ class TestAssembleReport:
                              ids=["not-an-integer", "year-out-of-range", "past-time_t"])
     def test_bad_source_date_epoch_is_named(self, monkeypatch, epoch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        monkeypatch.setitem(_FAMILIES, "quality",
+                            lambda *_: pytest.fail("an entry was computed before the check"))
         with pytest.raises(ValueError) as info:
             assemble_report(small_corpus(), ["quality"])
         assert str(info.value) == ("SOURCE_DATE_EPOCH must be an integer number of seconds "
