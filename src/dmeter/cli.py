@@ -5,8 +5,9 @@ machine-readable JSON and are written first, so a reader that closes standard
 output early still finds them whole.  Flags override config-file values.
 Each cmd_* only computes; main alone parses the arguments, reports a fatal
 error and writes --out and standard output.  A command works in one order:
-the arguments, then the config file with the flags over it, then --targets
-and --embeddings, then the corpus, each file read through _read_side_file.
+the arguments, then the config file with the flags over it, then the --out
+path, then --targets and --embeddings, then the corpus, each file read
+through _read_side_file.
 Exit codes: 0 success, 1 fatal, as one `error:` line (bad arguments, usage
 errors included, unreadable input, a malformed config file or report,
 unknown metric, an unwritable --out file), 2 when the report was written
@@ -174,6 +175,8 @@ def cmd_measure(args):
     standard output, as every cmd_* returns them; a fatal error is raised."""
     settings = _load_config(args.config, args.tokenizer)
     measure = settings["measure"]
+    out_path = args.out if args.out is not None else measure["out"]
+    _check_out_path("report", out_path)
     metrics_raw = (args.metrics if args.metrics is not None
                    else measure["metrics"] or ",".join(METRIC_FAMILIES))
     metrics = _metric_list(metrics_raw)
@@ -183,7 +186,6 @@ def cmd_measure(args):
 
     rep = report.assemble_report(corpus, metrics, config={k: measure[k] for k in DEFAULT_CONFIG},
                                  embeddings=embeddings, embedding_source=args.embeddings)
-    out_path = args.out if args.out is not None else measure["out"]
     out = (out_path, report.serialize_report(rep), "report")
 
     lines = [_entry_summary(name, entry) for name, entry in rep.measurements.items()]
@@ -197,6 +199,7 @@ def cmd_measure(args):
 
 
 def cmd_compare(args):
+    _check_out_path("delta", args.out)
     delta = report.compare(*(_read_side_file("report", report.parse_report, path)
                              for path in (args.baseline, args.candidate)))
     out = (args.out, report.serialize_delta(delta), "delta") if args.out is not None else None
@@ -216,6 +219,24 @@ def _read_targets(path: str, tokenizer: TokenizerConfig) -> list[str]:
     return targets
 
 
+def _check_out_path(what: str, path: str | None) -> None:
+    """Refuse an --out path that cannot be a file in an existing directory,
+    before any input is read.  Only main writes the file, and its write stays
+    the last check (permissions, races)."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if not path:
+        reason = "the path is empty"
+    elif not os.path.isdir(parent):
+        reason = f"{parent!r} is not a directory"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    else:
+        return
+    raise OSError(f"cannot write {what} to {path!r}: {reason}")
+
+
 def _read_side_file(what: str, read, path: str, *args):
     """read(path, *args): the one way a command reads a file.  An OSError
     becomes "cannot read {what} {path!r}: {reason}", and a ValueError's
@@ -230,6 +251,7 @@ def _read_side_file(what: str, read, path: str, *args):
 
 def cmd_assoc(args):
     settings = _load_config(args.config, args.tokenizer)
+    _check_out_path("association table", args.out)
     targets = _read_side_file("targets", _read_targets, args.targets, settings["tokenizer"])
     corpus = _ingest_from(args, settings)
 
@@ -270,6 +292,7 @@ def cmd_assoc(args):
 
 def cmd_dedup(args):
     settings = _load_config(args.config, args.tokenizer)
+    _check_out_path("dedup report", args.out)
     corpus = _ingest_from(args, settings)
     opts = settings["dedup"]
     rep = quality.find_duplicates(corpus, opts["normalization"], opts["top_cap"])

@@ -165,6 +165,27 @@ def _check_support_sizes(n: int, m: int) -> None:
         )
 
 
+def _transport_constraints(n: int, m: int):
+    """Equality constraints of the n×m transport LP as a CSC array.
+
+    Flow f_ij is variable i * m + j.  Constraint i sums row i of the flows,
+    constraint n + j sums column j, and the final (redundant) column
+    constraint is dropped to keep the system full rank.  So column i * m + j
+    holds row i and, when j < m - 1, row n + j: written straight into the
+    compressed-column arrays that HiGHS reads.
+    """
+    from scipy.sparse import csc_array  # deferred: scipy.sparse is slow to import
+
+    # Column i * m + j starts after i full rows of 2m - 1 entries and j pairs.
+    starts = (np.arange(n)[:, None] * (2 * m - 1) + 2 * np.arange(m)).ravel()
+    nnz = n * (2 * m - 1)
+    indices = np.empty(nnz, dtype=np.int32)
+    indices[starts] = np.repeat(np.arange(n), m)
+    indices[starts.reshape(n, m)[:, : m - 1] + 1] = np.arange(n, n + m - 1)
+    indptr = np.append(starts, nnz).astype(np.int32)
+    return csc_array((np.ones(nnz), indices, indptr), shape=(n + m - 1, n * m))
+
+
 def emd_discrete(
     p: Distribution,
     q: Distribution,
@@ -179,8 +200,7 @@ def emd_discrete(
     non-negative.  Solved as a linear program; supports are capped at
     EMD_SUPPORT_CAP points each because the solve is exact, not approximate.
     """
-    from scipy.optimize import linprog  # deferred: scipy.optimize is slow to import
-    from scipy.sparse import coo_matrix  # deferred along with it
+    from scipy.optimize import Bounds, LinearConstraint, milp  # deferred: slow to import
 
     n, m = len(p), len(q)
     _check_support_sizes(n, m)
@@ -204,17 +224,11 @@ def emd_discrete(
     peak = c.max()
     exponent = math.frexp(peak)[1] if peak >= _HIGHS_LARGE_COST else 0
 
-    # Equality constraints: row sums = p (n rows), column sums = q (m rows).
-    # Drop the final (redundant) column constraint to keep the system full rank.
-    # Flow f_ij is variable i * m + j; constraint n + j sums column j down the rows.
-    flows = np.arange(n * m).reshape(n, m)
-    rows = np.concatenate([np.repeat(np.arange(n), m), np.repeat(np.arange(n, n + m - 1), n)])
-    cols = np.concatenate([flows.ravel(), flows[:, : m - 1].T.ravel()])
-    a_eq = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n + m - 1, n * m))
+    # Row sums = p, column sums = q but the last; milp with no integrality
+    # hands HiGHS this LP as linprog would, without linprog's input cleaning.
     b_eq = np.concatenate([np.asarray(p.probs), np.asarray(q.probs[: m - 1])])
-
-    res = linprog(np.ldexp(c, -exponent), A_eq=a_eq.tocsr(), b_eq=b_eq, bounds=(0, None),
-                  method="highs")
+    res = milp(np.ldexp(c, -exponent), bounds=Bounds(0, np.inf),
+               constraints=LinearConstraint(_transport_constraints(n, m), b_eq, b_eq))
     if not res.success:
         raise RuntimeError(f"transport solve failed: {res.message}")
     return math.ldexp(res.fun, exponent)

@@ -73,7 +73,8 @@ def _default_created_at() -> str:
         except (ValueError, OverflowError, OSError):
             raise ValueError(f"SOURCE_DATE_EPOCH must be an integer number of seconds that "
                              f"a date can hold, got {epoch!r}") from None
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    # strftime's %Y is not padded below year 1000 on every platform.
+    return f"{moment.year:04d}" + moment.strftime("-%m-%dT%H:%M:%SZ")
 
 
 def _sanitize(value, flags: list, suffix: str = ""):

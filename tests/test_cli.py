@@ -655,6 +655,45 @@ def test_unwritable_out_file_is_fatal_and_prints_nothing(corpus_path, tmp_path, 
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("out, reason", [
+    ("", "the path is empty"),
+    ("missing/out.json", "'missing' is not a directory"),
+    (".", "it is a directory"),
+], ids=["empty", "missing-directory", "directory"])
+@pytest.mark.parametrize("command, what", [
+    ("measure", "report"), ("compare", "delta"),
+    ("assoc", "association table"), ("dedup", "dedup report"),
+])
+def test_unwritable_out_path_is_refused_before_the_input_is_read(tmp_path, monkeypatch, capsys,
+                                                                 command, what, out, reason):
+    monkeypatch.chdir(tmp_path)  # no input named here exists
+    argv = {
+        "measure": ["measure", "--input", "nope.jsonl", "--embeddings", "nope.vec"],
+        "compare": ["compare", "nope.json", "nope.json"],
+        "assoc": ["assoc", "--input", "nope.jsonl", "--targets", "nope.txt"],
+        "dedup": ["dedup", "--input", "nope.jsonl"],
+    }[command]
+    assert main(argv + [f"--out={out}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {what} to {out!r}: {reason}\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_config_out_path_is_refused_before_the_input_is_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.ini").write_text("[measure]\nout = missing/report.json\n", encoding="utf-8")
+    assert main(["measure", "--input", "nope.jsonl", "--config", "m.ini"]) == 1
+    assert capsys.readouterr().err == ("error: cannot write report to 'missing/report.json': "
+                                       "'missing' is not a directory\n")
+
+
+def test_failed_command_leaves_an_existing_out_file_as_it_was(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.json").write_text("kept", encoding="utf-8")
+    assert main(["dedup", "--input", "nope.jsonl", "--out", "out.json"]) == 1
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == "kept"
+
+
 @pytest.mark.parametrize("command", ["assoc", "dedup"])
 def test_reader_closing_stdout_early_leaves_out_file_whole(tmp_path, command):
     # Far more than a pipe holds, so the command is still printing when the

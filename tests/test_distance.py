@@ -12,7 +12,9 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from dmeter.distance import (
+    _HIGHS_LARGE_COST,
     Distribution,
+    _transport_constraints,
     emd_1d,
     emd_discrete,
     kl_divergence,
@@ -465,6 +467,51 @@ def test_emd_matches_looped_constraint_solve(p_counts, q_counts, seed):
     res = linprog(costs.ravel(), A_eq=looped_transport_constraints(len(p), len(q)), b_eq=b_eq,
                   bounds=(0, None), method="highs")
     assert emd_discrete(p, q, cost) == float(res.fun)
+
+
+def test_transport_constraints_match_looped_builder():
+    # m == 1 included: no column constraint is left.
+    for n in range(1, 31):
+        for m in range(1, 31):
+            got, want = _transport_constraints(n, m), looped_transport_constraints(n, m).tocsc()
+            assert got.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), (n, m, part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=25),
+       st.lists(st.integers(1, 5), min_size=1, max_size=25),
+       st.integers(0, 2**32 - 1),
+       st.sampled_from([1.0, 1e15, 1e19, 1e100, 1e300]))
+def test_emd_matches_looped_constraint_solve_of_rescaled_costs(p_counts, q_counts, seed, scale):
+    # Doc-pairs-sized supports; costs of 1e15 and up, near and past what HiGHS
+    # reads as infinite, go through the power-of-two rescale, which the oracle
+    # repeats.
+    p = Distribution.from_counts({f"p{i}": c for i, c in enumerate(p_counts)})
+    q = Distribution.from_counts({f"q{j}": c for j, c in enumerate(q_counts)})
+    costs = np.random.default_rng(seed).uniform(0.0, 3.0, size=(len(p), len(q))) * scale
+    peak = costs.max()
+    exponent = math.frexp(peak)[1] if peak >= _HIGHS_LARGE_COST else 0
+    b_eq = np.concatenate([np.asarray(p.probs), np.asarray(q.probs[: len(q) - 1])])
+    res = linprog(np.ldexp(costs.ravel(), -exponent),
+                  A_eq=looped_transport_constraints(len(p), len(q)), b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    assert emd_discrete(p, q, costs) == math.ldexp(res.fun, exponent)
+
+
+def test_failed_transport_solve_names_the_solver_message(monkeypatch):
+    import scipy.optimize
+
+    def failed(*args, **kwargs):
+        return scipy.optimize.OptimizeResult(success=False, status=4, fun=None,
+                                             message="Numerical difficulties encountered.")
+
+    monkeypatch.setattr(scipy.optimize, "milp", failed)
+    p, q = Distribution(["a", "b"], [0.5, 0.5]), Distribution(["c"], [1.0])
+    with pytest.raises(RuntimeError) as info:
+        emd_discrete(p, q, np.ones((2, 1)))
+    assert str(info.value) == "transport solve failed: Numerical difficulties encountered."
 
 
 # --- cost arrays against the per-pair cost callbacks they replaced --------------

@@ -236,6 +236,14 @@ class TestAssembleReport:
         rep2 = assemble_report(c, ["quality"])
         assert rep2.created_at == "1970-01-01T00:00:00Z"
 
+    @pytest.mark.parametrize("epoch, want", [
+        ("-62135596800", "0001-01-01T00:00:00Z"),
+        ("-30610224001", "0999-12-31T23:59:59Z"),
+    ], ids=["year-1", "year-999"])
+    def test_created_at_year_has_four_digits(self, monkeypatch, epoch, want):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert assemble_report(small_corpus(), ["quality"]).created_at == want
+
     @pytest.mark.parametrize("epoch", ["abc", "-99999999999", "99999999999999999999"],
                              ids=["not-an-integer", "year-out-of-range", "past-time_t"])
     def test_bad_source_date_epoch_is_named(self, monkeypatch, epoch):
