@@ -22,7 +22,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import check_choice
+from .errors import check_choice, check_int
 
 TOKENIZER_MODES = ("unicode-word", "whitespace", "character")
 
@@ -321,6 +321,7 @@ class Corpus:
             yield tuple(map(vocab.__getitem__, ids[start:end]))
 
     def ngram_counts(self, n: int) -> FrequencyTable:
+        check_int("n", n)  # before the lookup: True would find the table cached under 1
         if n not in self._ngram_cache:
             self._ngram_cache[n] = ngrams(self, n)
         return self._ngram_cache[n]
@@ -335,32 +336,48 @@ class Corpus:
         )
 
 
+def check_ngram_n(n) -> None:
+    """ValueError unless n is an int >= 1."""
+    check_int("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def ngrams(corpus: Corpus, n: int) -> FrequencyTable:
     """Count n-grams within record boundaries (no cross-record n-grams).
 
     n=1 keys are plain tokens; n>=2 keys are token tuples, in the order of
     their first occurrence.  Total n-grams per record = max(0, token count - n + 1).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_ngram_n(n)
     if n == 1:
         return corpus.token_counts
-    ids, offsets = corpus.token_ids, corpus.record_offsets
-    lengths = np.diff(offsets)
-    if not lengths.size or n > lengths.max():
+    starts, codes = ngram_windows(corpus, n)
+    if not starts.size:
         return FrequencyTable({})
-    # A window starting at position i stays inside its record when i + n <= the record's end.
-    n_windows = ids.size - n + 1
-    ends = np.repeat(offsets[1:], lengths)[:n_windows]
-    starts = np.flatnonzero(np.arange(n_windows) + n <= ends)
-    codes = _window_codes(ids, len(corpus.vocabulary), n, starts)
     # return_index sorts stably, so first is each code's first window.
     _, first, counts = np.unique(codes, return_index=True, return_counts=True)
     order = np.argsort(first)
     first, counts = starts[first[order]], counts[order]
-    vocab = np.array(corpus.vocabulary, dtype=object)
+    ids, vocab = corpus.token_ids, np.array(corpus.vocabulary, dtype=object)
     keys = zip(*(vocab[ids[first + k]].tolist() for k in range(n)))
     return FrequencyTable._of_positive(dict(zip(keys, counts.tolist())), int(starts.size))
+
+
+def ngram_windows(corpus: Corpus, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, codes) for every n-token window inside one record, n >= 2: the
+    token_ids position each window starts at, ascending, and one int64 code
+    per window, equal exactly when the windows are."""
+    ids, offsets = corpus.token_ids, corpus.record_offsets
+    lengths = np.diff(offsets)
+    if not lengths.size or n > lengths.max():
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    # A window starting at position i stays inside its record when i + n <= the record's end.
+    n_windows = ids.size - n + 1
+    ends = np.repeat(offsets[1:], lengths)[:n_windows]
+    starts = np.flatnonzero(np.arange(n_windows) + n <= ends)
+    return starts, _window_codes(ids, len(corpus.vocabulary), n, starts)
 
 
 _INT64_MAX = np.iinfo(np.int64).max

@@ -14,6 +14,13 @@ def check_choice(what: str, value, choices: tuple) -> None:
         raise ValueError(f"unknown {what} {value!r}; choose from {choices}")
 
 
+def check_int(what: str, value) -> None:
+    """ValueError unless value is an int (a bool or a float is not one);
+    what names the argument."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def check_smoothing(smoothing: float) -> None:
     """ValueError unless the additive smoothing is a finite number >= 0."""
     if not 0 <= smoothing < math.inf:

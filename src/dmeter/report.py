@@ -175,13 +175,10 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
           lambda: tendency.zipf_fit(corpus.token_counts, cfg["zipf_method"]),
           fields=("alpha", "ks_distance", "n_ranks"))
 
-    def _ppl():
-        lm = tendency.train_lm(corpus, cfg["lm_order"], cfg["lm_smoothing"])
-        return tendency.perplexity(lm, corpus)
-
     b.add("perplexity_self", "perplexity",
           {"order": cfg["lm_order"], "smoothing": cfg["lm_smoothing"], "tokenizer": tok},
-          _ppl, fields=("perplexity",))
+          lambda: tendency._self_perplexity(corpus, cfg["lm_order"], cfg["lm_smoothing"]),
+          fields=("perplexity",))
 
     if cfg["perplexity_logprobs"]:
         path = cfg["perplexity_logprobs"]

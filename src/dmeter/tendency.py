@@ -9,12 +9,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus, FrequencyTable, decode_json_line, read_lines, record_id
-from .errors import UndefinedValueError, check_choice, check_smoothing
+from .errors import UndefinedValueError, check_choice, check_int, check_smoothing
 
 # --- summary statistics -------------------------------------------------------
 
@@ -414,17 +415,34 @@ def _contexts(corpus: Corpus) -> np.ndarray:
     return contexts
 
 
+def _bigram_outcomes(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (context, token) pairs of the corpus, ascending, as
+    (contexts, tokens, which, counts): the context as _contexts gives it and
+    the token as a vocabulary index, each corpus token's index into them, and
+    how many tokens each pair holds."""
+    n_keys = len(corpus.vocabulary) + 1  # the vocabulary and BOS
+    codes, which, counts = np.unique(_contexts(corpus) * n_keys + corpus.token_ids,
+                                     return_inverse=True, return_counts=True)
+    return *np.divmod(codes, n_keys), which, counts
+
+
+def _check_training(corpus: Corpus, order, smoothing) -> None:
+    """The argument checks of train_lm, which the self route shares."""
+    check_int("order", order)
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
+    check_smoothing(smoothing)
+    if corpus.n_records == 0:
+        raise ValueError("cannot train on an empty corpus")
+
+
 def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
     """Count-based unigram or bigram model over the corpus token stream.
 
     smoothing = 0 gives the exact MLE (safe only for evaluating the training
     corpus itself); larger values shift mass toward uniform over vocab + OOV.
     """
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    check_smoothing(smoothing)
-    if corpus.n_records == 0:
-        raise ValueError("cannot train on an empty corpus")
+    _check_training(corpus, order, smoothing)
 
     unigram = dict(corpus.token_counts.entries)
     bigram: dict = {}
@@ -462,31 +480,40 @@ class PerplexityResult:
     provenance: str = "self-contained"
 
 
+def _exp_rate(logprob: float, n: int) -> float:
+    """exp(-logprob / n): math.inf at logprob -inf, and past the float range."""
+    rate = -logprob / n
+    try:
+        return math.exp(rate)
+    except OverflowError:
+        return math.inf
+
+
 def _aggregate(rows, empty_message: str, provenance: str = "self-contained",
                extra_flags: tuple = ()) -> PerplexityResult:
     """Corpus and per-record perplexity from rows {record id: (logprob, n_tokens)},
-    summed in row order."""
+    summed in row order.  The result is flagged infinite when the corpus
+    value is, whatever one record's is."""
     total_logprob = 0.0
     total_tokens = 0
     per_record = {}
-    infinite = False
     for rid, (logprob, n) in rows.items():
-        record_ppl = math.inf if math.isinf(logprob) else math.exp(-logprob / n)
-        if math.isinf(record_ppl):
-            infinite = True
-        per_record[rid] = (record_ppl, n)
+        per_record[rid] = (_exp_rate(logprob, n), n)
         total_logprob += logprob
         total_tokens += n
     if total_tokens == 0:
         raise UndefinedValueError(empty_message)
-    value = math.inf if math.isinf(total_logprob) else math.exp(-total_logprob / total_tokens)
+    value = _exp_rate(total_logprob, total_tokens)
     return PerplexityResult(
         perplexity=value,
         n_tokens=total_tokens,
         per_record=per_record,
-        flags=(("infinite",) if infinite else ()) + extra_flags,
+        flags=(("infinite",) if math.isinf(value) else ()) + extra_flags,
         provenance=provenance,
     )
+
+
+_NO_TOKENS = "perplexity undefined for a corpus with no tokens"
 
 
 def perplexity(lm: NgramLM, corpus: Corpus) -> PerplexityResult:
@@ -499,12 +526,38 @@ def perplexity(lm: NgramLM, corpus: Corpus) -> PerplexityResult:
         raise ValueError(
             f"tokenizer mismatch: model {lm.tokenizer_config} vs corpus {corpus.tokenizer_config}"
         )
-    return _aggregate(_logprob_rows(lm, corpus), "perplexity undefined for a corpus with no tokens")
+    return _aggregate(_logprob_rows(lm, corpus), _NO_TOKENS)
+
+
+def _self_perplexity(corpus: Corpus, order: int, smoothing: float) -> PerplexityResult:
+    """perplexity(train_lm(corpus, order, smoothing), corpus), the same floats,
+    without building the model's count tables.
+
+    Every token is in the corpus's own vocabulary, so no outcome is OOV, and
+    each outcome's count comes from the token arrays: np.bincount at order 1,
+    the np.unique of the (context, token) codes at order 2.
+    """
+    _check_training(corpus, order, smoothing)
+    # All that _smoothed reads of a model.
+    model = SimpleNamespace(smoothing=float(smoothing), vocab_size=len(corpus.vocabulary))
+    if order == 1:
+        outcome = corpus.token_ids
+        counts, totals = np.bincount(outcome, minlength=model.vocab_size), corpus.total_tokens
+    else:
+        contexts, _, outcome, counts = _bigram_outcomes(corpus)
+        # A context's total is the number of tokens that follow it.
+        totals = np.bincount(contexts, weights=counts, minlength=model.vocab_size + 1)[contexts]
+    probs = _smoothed(model, counts.astype(np.float64), np.asarray(totals, dtype=np.float64))
+    return _aggregate(_record_sums(corpus, _outcome_logs(probs, outcome)), _NO_TOKENS)
 
 
 def _logprob_rows(lm: NgramLM, corpus: Corpus) -> dict:
     """{record id: (total log-probability, n_tokens)} for each non-empty record."""
-    logprobs = _token_logprobs(lm, corpus)
+    return _record_sums(corpus, _token_logprobs(lm, corpus))
+
+
+def _record_sums(corpus: Corpus, logprobs: np.ndarray) -> dict:
+    """{record id: (sum of its tokens' logprobs, n_tokens)} for each non-empty record."""
     bounds = corpus.record_offsets.tolist()
     rows = {}
     for record, start, end in zip(corpus.records, bounds, bounds[1:]):
@@ -525,15 +578,20 @@ def _token_logprobs(lm: NgramLM, corpus: Corpus) -> np.ndarray:
     """
     if lm.order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {lm.order}")
-    vocab, ids = corpus.vocabulary, corpus.token_ids
+    vocab = corpus.vocabulary
     if lm.order == 1:
-        outcome, probs = ids, _outcome_probs(lm, vocab, None)
+        outcome, probs = corpus.token_ids, _outcome_probs(lm, vocab, None)
     else:
         keys = (*vocab, BOS)
-        outcome_keys, outcome = np.unique(_contexts(corpus) * len(keys) + ids, return_inverse=True)
-        ctx_keys, tok_keys = np.divmod(outcome_keys, len(keys))
-        probs = _outcome_probs(lm, map(keys.__getitem__, tok_keys.tolist()),
-                               map(keys.__getitem__, ctx_keys.tolist()))
+        contexts, tokens, outcome, _ = _bigram_outcomes(corpus)
+        probs = _outcome_probs(lm, map(keys.__getitem__, tokens.tolist()),
+                               map(keys.__getitem__, contexts.tolist()))
+    return _outcome_logs(probs, outcome)
+
+
+def _outcome_logs(probs: np.ndarray, outcome: np.ndarray) -> np.ndarray:
+    """ln probs[outcome], -inf where the probability is zero; math.log runs
+    once per distinct probability."""
     distinct, which = np.unique(probs, return_inverse=True)
     logs = np.array([-math.inf if p <= 0.0 else math.log(p) for p in distinct.tolist()])
     return logs[which][outcome]

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main()."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1012,3 +1013,20 @@ class TestConfigSections:
         entry = parse_report(str(out)).measurements["perplexity_self"]
         assert entry["value"] == pytest.approx(5.0, rel=1e-12)
         assert entry["flags"] == []
+
+
+@pytest.mark.parametrize("lines, value, flags", [
+    (['{"id":"a","logprob":-1000,"n_tokens":1}'], None, ["infinite", "partial-coverage"]),
+    (['{"id":"a","logprob":-1000,"n_tokens":1}', '{"id":"b","logprob":0,"n_tokens":1000}'],
+     pytest.approx(math.exp(1000 / 1001), rel=1e-11), ["partial-coverage"]),
+], ids=["corpus-overflows", "one-record-overflows"])
+def test_external_perplexity_past_the_float_range_is_a_result(corpus_path, tmp_path, lines,
+                                                               value, flags):
+    scores, ini, out = tmp_path / "scores.jsonl", tmp_path / "m.ini", tmp_path / "rep.json"
+    scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ini.write_text(f"[measure]\nperplexity_logprobs = {scores}\n", encoding="utf-8")
+    code = main(["measure", "--input", corpus_path, "--metrics", "tendency",
+                 "--config", str(ini), "--out", str(out)])
+    assert code == 0
+    entry = parse_report(str(out)).measurements["perplexity_external"]
+    assert entry["value"] == value and entry["flags"] == flags

@@ -634,3 +634,17 @@ def test_read_jsonl_matches_the_rule_by_rule_reader(lines):
                                        "which UTF-8 cannot encode")
         else:
             assert reasons[e.line] == e.reason
+
+
+@pytest.mark.parametrize("n", [True, 2.0, 1.0, "2", None])
+def test_ngram_size_that_is_not_an_int_is_refused(n):
+    from dmeter.diversity import ngram_diversity
+
+    corpus = make_corpus(["a b a", "b"])
+    corpus.ngram_counts(1)  # True == 1: a cached table must not answer for True
+    routes = (lambda: ngrams(corpus, n), lambda: corpus.ngram_counts(n),
+              lambda: ngram_diversity(corpus, n))
+    for route in routes:
+        with pytest.raises(ValueError) as info:
+            route()
+        assert str(info.value) == f"n must be an integer, got {n!r}"

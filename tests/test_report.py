@@ -609,6 +609,22 @@ def parent_compare(baseline, candidate):
     )
 
 
+def test_measure_builds_no_tuple_keyed_ngram_table(monkeypatch):
+    import dmeter.corpus
+    import dmeter.tendency
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tuple-keyed n-gram table was built")
+
+    monkeypatch.setattr(dmeter.corpus, "ngrams", refuse)
+    monkeypatch.setattr(dmeter.tendency, "train_lm", refuse)
+    rep = assemble_report(small_corpus(), ["tendency", "diversity"], config={"lm_order": 2})
+    assert not [name for name, e in rep.measurements.items()
+                if any(f.startswith("error:") for f in e["flags"])]
+    assert rep.measurements["perplexity_self"]["flags"] == []
+    assert rep.measurements["ngram_diversity_2"]["flags"] == []
+
+
 _numbers = st.sampled_from([0, 1, -3, 0.0, -0.0, 2.5, 5e-324, 1e308, -1e308, 1.7976931348623157e308,
                             math.inf, -math.inf, math.nan, True, False]) | st.floats()
 _values = (_numbers | st.none() | st.text(max_size=2) | st.lists(_numbers, max_size=2)

@@ -860,3 +860,33 @@ def test_lookups_match_their_parent_oracles(train, scored, order, smoothing):
     for token in outcomes:
         for context in ([None] if order == 1 else outcomes):
             assert lm.prob(token, context) == parent_lookup_prob(lm, token, context)
+
+
+# --- perplexity past the float range -------------------------------------------
+
+
+def test_perplexity_past_the_float_range_is_infinite_and_flagged():
+    result = perplexity_from_logprobs(io.StringIO('{"id":"a","logprob":-1000,"n_tokens":1}\n'))
+    assert result.perplexity == math.inf
+    assert result.per_record == {"a": (math.inf, 1)}
+    assert result.flags == ("infinite",)
+
+
+def test_one_record_past_the_float_range_leaves_a_finite_corpus_value_unflagged():
+    result = perplexity_from_logprobs(io.StringIO('{"id":"a","logprob":-1000,"n_tokens":1}\n'
+                                                  '{"id":"b","logprob":0,"n_tokens":1000}\n'))
+    assert result.perplexity == math.exp(1000 / 1001)
+    assert result.per_record == {"a": (math.inf, 1), "b": (1.0, 1000)}
+    assert result.flags == ()
+
+
+# --- an order must be an int ------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [True, False, 2.0, 1.0, "2", None])
+def test_order_that_is_not_an_int_is_refused(order):
+    c = corpus_of(["a b", "b a"])
+    for route in (train_lm, tendency._self_perplexity):
+        with pytest.raises(ValueError) as info:
+            route(c, order, 1.0)
+        assert str(info.value) == f"order must be an integer, got {order!r}"

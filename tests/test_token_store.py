@@ -8,18 +8,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dmeter.corpus as corpus_module
 from dmeter.association import build_cooccurrence, top_npmi
 from dmeter.corpus import TOKENIZER_MODES, Corpus, Record, TokenizerConfig, ngrams, tokenize
+from dmeter.diversity import ngram_diversity
 from dmeter.errors import UndefinedValueError
 from dmeter.quality import FleschReport, count_syllables, flesch_reading_ease
 from dmeter.tendency import (
     BOS,
     _aggregate,
     _logprob_rows,
+    _self_perplexity,
     perplexity,
     summarize,
     token_recurrence_gaps,
@@ -206,6 +208,34 @@ def test_ngram_codes_past_int64_are_ranked_first(n):
     assert list(ngrams(corpus, n).entries.items()) == list(loop_ngrams(corpus, n).items())
 
 
+def assert_distinct_ngrams_match_table(corpus, n):
+    table = ngrams(corpus, n)
+    for denominator, size in (("total-ngrams", table.total), ("vocabulary", len(corpus.vocabulary))):
+        if table.total:
+            assert ngram_diversity(corpus, n, denominator) == len(table) / size
+        else:
+            with pytest.raises(UndefinedValueError, match=f"no {n}-grams"):
+                ngram_diversity(corpus, n, denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(texts, max_size=6), configs)
+def test_distinct_ngrams_match_the_tuple_table(record_texts, config):
+    corpus = corpus_of(record_texts, config)
+    for n in (1, 2, 3, 4, 10**9):
+        assert_distinct_ngrams_match_table(corpus, n)
+
+
+@pytest.mark.parametrize("n", [2, 9, 15])
+def test_distinct_ngram_codes_past_int64_match_the_tuple_table(n):
+    words = [f"w{i}" for i in range(256)]
+    tail = " ".join(words[10:24])
+    record_texts = [" ".join(words), f"w1 {tail}", f"w2 {tail}", f"w1 {tail}", ""]
+    rng = np.random.default_rng(7)
+    record_texts += [" ".join(rng.choice(words, size=rng.integers(0, 40))) for _ in range(40)]
+    assert_distinct_ngrams_match_table(corpus_of(record_texts), n)
+
+
 # --- language model and perplexity -------------------------------------------------
 
 
@@ -264,6 +294,30 @@ def test_bigram_lm_starts_and_contexts_match_loop(record_texts, config):
     starts, contexts = loop_bigram_lm_tables(corpus)
     assert lm.context_counts == contexts
     assert {tok: c for (ctx, tok), c in lm.bigram_counts.items() if ctx == BOS} == starts
+
+
+# Some records of hundreds of tokens, where a pairwise sum would differ in the last bits.
+long_texts = st.lists(st.sampled_from(["ab", "c", "é", "ß", "a1"]), min_size=100,
+                      max_size=600).map(" ".join)
+
+
+def outcome_of(compute):
+    """compute()'s result, or the type and message of the error it raises."""
+    try:
+        return compute()
+    except (ValueError, UndefinedValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(texts | long_texts, max_size=6), configs, st.sampled_from([1, 2]),
+       st.sampled_from([0.0, 0.5, 1.0, 1e-3, 1e308]))
+@example([], TokenizerConfig(), 2, 1.0)  # no records
+@example(["", "..."], TokenizerConfig(), 2, 0.0)  # records, but no tokens
+def test_self_perplexity_matches_the_general_route(record_texts, config, order, smoothing):
+    corpus = corpus_of(record_texts, config)
+    want = outcome_of(lambda: perplexity(train_lm(corpus, order, smoothing), corpus))
+    assert outcome_of(lambda: _self_perplexity(corpus, order, smoothing)) == want
 
 
 # --- co-occurrence -----------------------------------------------------------------
