@@ -243,8 +243,6 @@ class Corpus:
             h.update(payload)
         self._fingerprint = h.hexdigest()
 
-        self._ngram_cache: dict[int, FrequencyTable] = {}
-
     @cached_property
     def _store(self) -> _TokenStore:
         """The token store, built from every record in one pass on first read."""
@@ -321,10 +319,7 @@ class Corpus:
             yield tuple(map(vocab.__getitem__, ids[start:end]))
 
     def ngram_counts(self, n: int) -> FrequencyTable:
-        check_int("n", n)  # before the lookup: True would find the table cached under 1
-        if n not in self._ngram_cache:
-            self._ngram_cache[n] = ngrams(self, n)
-        return self._ngram_cache[n]
+        return ngrams(self, n)
 
     def __len__(self) -> int:
         return len(self._records)

@@ -415,15 +415,17 @@ def _contexts(corpus: Corpus) -> np.ndarray:
     return contexts
 
 
-def _bigram_outcomes(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _bigram_outcomes(corpus: Corpus) -> tuple[np.ndarray, ...]:
     """The distinct (context, token) pairs of the corpus, ascending, as
-    (contexts, tokens, which, counts): the context as _contexts gives it and
-    the token as a vocabulary index, each corpus token's index into them, and
-    how many tokens each pair holds."""
+    (contexts, tokens, which, counts, totals): the context as _contexts gives
+    it and the token as a vocabulary index, each corpus token's index into
+    them, how many tokens each pair holds, and, per context index, how many
+    tokens follow that context."""
     n_keys = len(corpus.vocabulary) + 1  # the vocabulary and BOS
-    codes, which, counts = np.unique(_contexts(corpus) * n_keys + corpus.token_ids,
+    contexts = _contexts(corpus)
+    codes, which, counts = np.unique(contexts * n_keys + corpus.token_ids,
                                      return_inverse=True, return_counts=True)
-    return *np.divmod(codes, n_keys), which, counts
+    return *np.divmod(codes, n_keys), which, counts, np.bincount(contexts, minlength=n_keys)
 
 
 def _check_training(corpus: Corpus, order, smoothing) -> None:
@@ -448,14 +450,11 @@ def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
     bigram: dict = {}
     contexts: dict = {}
     if order == 2:
-        vocab, ctx = corpus.vocabulary, _contexts(corpus)
-        keys = (*vocab, BOS)
-        starts = Counter(map(vocab.__getitem__, corpus.token_ids[ctx == len(vocab)].tolist()))
-        bigram = dict(corpus.ngram_counts(2).entries)
-        bigram.update(((BOS, tok), count) for tok, count in starts.items())
-        # A context's count is the number of tokens that follow it.
-        contexts = {keys[c]: n for c, n in enumerate(np.bincount(ctx, minlength=len(keys)).tolist())
-                    if n}
+        keys = (*corpus.vocabulary, BOS)
+        ctx, tokens, _, counts, totals = _bigram_outcomes(corpus)
+        pairs = zip(map(keys.__getitem__, ctx.tolist()), map(keys.__getitem__, tokens.tolist()))
+        bigram = dict(zip(pairs, counts.tolist()))
+        contexts = {keys[c]: n for c, n in enumerate(totals.tolist()) if n}
     return NgramLM(
         order=order,
         smoothing=float(smoothing),
@@ -544,9 +543,8 @@ def _self_perplexity(corpus: Corpus, order: int, smoothing: float) -> Perplexity
         outcome = corpus.token_ids
         counts, totals = np.bincount(outcome, minlength=model.vocab_size), corpus.total_tokens
     else:
-        contexts, _, outcome, counts = _bigram_outcomes(corpus)
-        # A context's total is the number of tokens that follow it.
-        totals = np.bincount(contexts, weights=counts, minlength=model.vocab_size + 1)[contexts]
+        contexts, _, outcome, counts, totals = _bigram_outcomes(corpus)
+        totals = totals[contexts]
     probs = _smoothed(model, counts.astype(np.float64), np.asarray(totals, dtype=np.float64))
     return _aggregate(_record_sums(corpus, _outcome_logs(probs, outcome)), _NO_TOKENS)
 
@@ -583,7 +581,7 @@ def _token_logprobs(lm: NgramLM, corpus: Corpus) -> np.ndarray:
         outcome, probs = corpus.token_ids, _outcome_probs(lm, vocab, None)
     else:
         keys = (*vocab, BOS)
-        contexts, tokens, outcome, _ = _bigram_outcomes(corpus)
+        contexts, tokens, outcome, _, _ = _bigram_outcomes(corpus)
         probs = _outcome_probs(lm, map(keys.__getitem__, tokens.tolist()),
                                map(keys.__getitem__, contexts.tolist()))
     return _outcome_logs(probs, outcome)

@@ -396,3 +396,15 @@ def test_flesch_matches_per_record_scores(record_texts, config):
         return
     expected = FleschReport(summarize(list(per_record.values())), per_record, skipped)
     assert flesch_reading_ease(corpus) == expected
+
+
+def test_train_lm_builds_no_tuple_keyed_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tuple-keyed n-gram table was built")
+
+    train, other = corpus_of(["a b a c", "", "c a b", "b"]), corpus_of(["a b", "d a", "c"])
+    monkeypatch.setattr(corpus_module, "ngrams", refuse)
+    for smoothing in (0.0, 1.0):
+        lm = train_lm(train, 2, smoothing)
+        assert_perplexity_matches_loop(lm, train)
+        assert_perplexity_matches_loop(lm, other)
