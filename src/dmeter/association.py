@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus
-from .errors import UndefinedValueError, check_choice, check_smoothing
+from .corpus import Corpus, _distinct
+from .errors import UndefinedValueError, check_choice, check_int, check_smoothing
 from .vectors import cosine_similarity
 
 CONTEXT_MODES = ("document", "window")
@@ -60,16 +60,6 @@ class CooccurrenceTable:
         for co in index.values():
             co.sort()
         return index
-
-
-def _distinct(codes: np.ndarray):
-    """Distinct codes, sorted, and how often each occurs; sorts codes in place.
-    One sort: a bare np.unique hashes, which on this many codes is far slower."""
-    codes.sort()
-    first = np.ones(codes.size, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    first = np.flatnonzero(first)
-    return codes[first], np.diff(first, append=codes.size)
 
 
 def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
@@ -122,6 +112,8 @@ def _count(ranks: np.ndarray, offsets: np.ndarray, n_terms: int, window_size: in
 def check_context_options(context_mode: str, window_size: int | None) -> None:
     """ValueError unless build_cooccurrence takes this context mode and window size."""
     check_choice("context mode", context_mode, CONTEXT_MODES)
+    if window_size is not None:
+        check_int("window_size", window_size)
     if context_mode == "window":
         if window_size is None or window_size < 1:
             raise ValueError(f"window mode requires window_size >= 1, got {window_size}")
@@ -218,6 +210,7 @@ def npmi(table: CooccurrenceTable, x: str, y: str, smoothing: float = 0.0) -> fl
 
 def check_top_npmi_options(k: int, smoothing: float) -> None:
     """ValueError unless top_npmi takes this k and smoothing."""
+    check_int("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     check_smoothing(smoothing)

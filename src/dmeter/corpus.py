@@ -375,6 +375,17 @@ def ngram_windows(corpus: Corpus, n: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, _window_codes(ids, len(corpus.vocabulary), n, starts)
 
 
+def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct codes, sorted, and how often each occurs; sorts codes in place.
+    One sort: numpy 2's np.unique without return_* hashes, which on this many
+    codes is over ten times slower."""
+    codes.sort()
+    first = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    return codes[first], np.diff(first, append=codes.size)
+
+
 _INT64_MAX = np.iinfo(np.int64).max
 
 

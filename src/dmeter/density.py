@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_choice
+from .errors import check_choice, check_int
 from .vectors import _CHUNK_CELLS, EmbeddingMatrix, euclidean_matrix, unit_rows
 
 SIMILARITIES = ("cosine", "inverse-euclidean")
@@ -67,6 +67,7 @@ def knn_density(emb: EmbeddingMatrix, k: int, similarity: str = "cosine") -> Den
     pairwise, capped at 50,000 points.
     """
     check_choice("similarity", similarity, SIMILARITIES)
+    check_int("k", k)
     n = emb.n
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")

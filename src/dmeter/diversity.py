@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, FrequencyTable, check_ngram_n, ngram_windows
+from .corpus import Corpus, FrequencyTable, _distinct, check_ngram_n, ngram_windows
 from .errors import KernelInvalidError, UndefinedValueError, check_choice
 from .vectors import EmbeddingMatrix, overflow_safe_norms, unit_rows
 
@@ -131,11 +131,8 @@ def ngram_diversity(corpus: Corpus, n: int, denominator: str = "total-ngrams") -
     if n == 1:
         distinct, total = len(corpus.token_counts), corpus.total_tokens
     else:
-        # np.unique(codes).size, counted on a sort: numpy 2's np.unique without
-        # return_* hashes, which is over ten times slower on these codes.
-        codes = np.sort(ngram_windows(corpus, n)[1])
-        total = codes.size
-        distinct = int(np.count_nonzero(codes[1:] != codes[:-1])) + (total > 0)
+        codes = ngram_windows(corpus, n)[1]
+        total, distinct = codes.size, _distinct(codes)[0].size
     if total == 0:
         raise UndefinedValueError(f"corpus has no {n}-grams (all records shorter than {n} tokens)")
     return distinct / (total if denominator == "total-ngrams" else len(corpus.vocabulary))

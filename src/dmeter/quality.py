@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import _WORD_RE, Corpus, FrequencyTable
 from .diversity import shannon_entropy
-from .errors import UndefinedValueError, check_choice
+from .errors import UndefinedValueError, check_choice, check_int
 from .tendency import SummaryStats, summarize
 
 NORMALIZATIONS = ("exact", "fold-and-collapse")
@@ -48,6 +48,7 @@ def _normalize(text: str, normalization: str) -> str:
 def check_duplicates_options(normalization: str, top_cap: int) -> None:
     """ValueError unless find_duplicates takes this normalization and top_cap."""
     check_choice("normalization", normalization, NORMALIZATIONS)
+    check_int("top_cap", top_cap)
     if top_cap < 0:
         raise ValueError(f"top_cap must be >= 0, got {top_cap}")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import density, diversity, quality, tendency
 from .corpus import Corpus, read_lines
-from .errors import MeasurementError, UndefinedValueError
+from .errors import MeasurementError, UndefinedValueError, check_int
 from .vectors import EmbeddingMatrix, align_to_corpus
 
 SCHEMA_VERSION = "1.0"
@@ -246,6 +246,7 @@ def _add_diversity(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> N
 def _add_density(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> None:
     def _knn():
         emb = b.embeddings
+        check_int("k", cfg["knn_k"])  # min could pick emb.n - 1 over a bool or a float
         k = min(cfg["knn_k"], emb.n - 1)
         rep = density.knn_density(emb, k, cfg["knn_similarity"])
         return {"global": rep.global_density,

@@ -7,6 +7,7 @@ All logs are natural; entropy-adjacent quantities are in nats.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -491,8 +492,11 @@ def _exp_rate(logprob: float, n: int) -> float:
 def _aggregate(rows, empty_message: str, provenance: str = "self-contained",
                extra_flags: tuple = ()) -> PerplexityResult:
     """Corpus and per-record perplexity from rows {record id: (logprob, n_tokens)},
-    summed in row order.  The result is flagged infinite when the corpus
-    value is, whatever one record's is."""
+    summed in row order.  Where the log-probability sum or the token count
+    passes the float range, both are taken over 2**k, 2**k above the row
+    count, which brings them back into it; other rows keep their bits.  The
+    result is flagged infinite when the corpus value is, whatever one
+    record's is."""
     total_logprob = 0.0
     total_tokens = 0
     per_record = {}
@@ -502,7 +506,12 @@ def _aggregate(rows, empty_message: str, provenance: str = "self-contained",
         total_tokens += n
     if total_tokens == 0:
         raise UndefinedValueError(empty_message)
-    value = _exp_rate(total_logprob, total_tokens)
+    if math.isinf(total_logprob) or total_tokens > sys.float_info.max:
+        k = len(rows).bit_length()
+        total_logprob = math.fsum(math.ldexp(logprob, -k) for logprob, _ in rows.values())
+        value = _exp_rate(total_logprob, total_tokens / 2 ** k)
+    else:
+        value = _exp_rate(total_logprob, total_tokens)
     return PerplexityResult(
         perplexity=value,
         n_tokens=total_tokens,

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from dmeter.association import (
+    CONTEXT_MODES,
     build_cooccurrence,
+    check_context_options,
+    check_top_npmi_options,
     npmi,
     pearson,
     pmi,
@@ -400,3 +403,25 @@ class TestPearsonAtExtremeScales:
         xs, ys = (np.array(col, dtype=np.float64) for col in zip(*pairs))
         assume(len(set(xs)) > 1 and len(set(ys)) > 1)
         assert abs(pearson(np.ldexp(xs, k), ys) - pearson(xs, ys)) <= 4 * math.ulp(1.0)
+
+
+# --- a window size and a k must be ints --------------------------------------------
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, "2"])
+def test_window_size_that_is_not_an_int_is_refused(value):
+    for mode in CONTEXT_MODES:
+        with pytest.raises(ValueError) as info:
+            check_context_options(mode, value)
+        assert str(info.value) == f"window_size must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match="window_size must be an integer"):
+        build_cooccurrence(corpus_of(["a b c"]), context_mode="window", window_size=value)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, "2", None])
+def test_top_npmi_k_that_is_not_an_int_is_refused(k):
+    with pytest.raises(ValueError) as info:
+        check_top_npmi_options(k, 0.0)
+    assert str(info.value) == f"k must be an integer, got {k!r}"
+    with pytest.raises(ValueError, match="k must be an integer"):
+        top_npmi(build_cooccurrence(corpus_of(["x b", "x c"])), "x", k=k)

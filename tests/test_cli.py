@@ -1030,3 +1030,20 @@ def test_external_perplexity_past_the_float_range_is_a_result(corpus_path, tmp_p
     assert code == 0
     entry = parse_report(str(out)).measurements["perplexity_external"]
     assert entry["value"] == value and entry["flags"] == flags
+
+
+@pytest.mark.parametrize("n_tokens, logprob, value", [
+    (10**306, -1e308, pytest.approx(math.exp(100), rel=1e-11)),
+    (10**308, -1, pytest.approx(1.0, rel=1e-11)),
+], ids=["logprob-sum-overflows", "token-count-overflows"])
+def test_external_perplexity_of_an_overflowing_sum_is_finite(corpus_path, tmp_path, n_tokens,
+                                                             logprob, value):
+    scores, ini, out = tmp_path / "scores.jsonl", tmp_path / "m.ini", tmp_path / "rep.json"
+    scores.write_text("".join(json.dumps({"id": rid, "logprob": logprob, "n_tokens": n_tokens})
+                              + "\n" for rid in ("a", "b")), encoding="utf-8")
+    ini.write_text(f"[measure]\nperplexity_logprobs = {scores}\n", encoding="utf-8")
+    code = main(["measure", "--input", corpus_path, "--metrics", "tendency",
+                 "--config", str(ini), "--out", str(out)])
+    assert code == 0
+    entry = parse_report(str(out)).measurements["perplexity_external"]
+    assert entry["value"] == value and entry["flags"] == ["partial-coverage"]

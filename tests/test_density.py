@@ -299,3 +299,10 @@ def test_data_density_matches_the_dimension_loop_oracle(matrix, volume_mode):
     res = data_density(emb, volume_mode)
     # repr tells -0.0 from 0.0 and numpy integers from ints.
     assert repr((res.log_density, res.density, res.degenerate_dims)) == repr(want)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, "2", None])
+def test_k_that_is_not_an_int_is_refused(k):
+    with pytest.raises(ValueError) as info:
+        knn_density(emb_from(np.eye(4)), k)
+    assert str(info.value) == f"k must be an integer, got {k!r}"

@@ -13,6 +13,7 @@ from dmeter.errors import UndefinedValueError
 from dmeter.quality import (
     NORMALIZATIONS,
     RedundancyReport,
+    check_duplicates_options,
     count_syllables,
     find_duplicates,
     flesch_reading_ease,
@@ -312,3 +313,12 @@ class TestFleschReport:
         assert rep.stats.mean == pytest.approx(sum(vals) / len(vals), rel=1e-12)
         assert rep.stats.min == min(vals)
         assert rep.stats.max == max(vals)
+
+
+@pytest.mark.parametrize("top_cap", [True, False, 2.0, "2", None])
+def test_top_cap_that_is_not_an_int_is_refused(top_cap):
+    with pytest.raises(ValueError) as info:
+        check_duplicates_options("exact", top_cap)
+    assert str(info.value) == f"top_cap must be an integer, got {top_cap!r}"
+    with pytest.raises(ValueError, match="top_cap must be an integer"):
+        find_duplicates(corpus_of(["x", "x"]), top_cap=top_cap)

@@ -647,3 +647,12 @@ def test_compare_matches_the_per_reason_oracle(base, cand):
     assert repr(got) == repr(want)
     for value in (*base.values(), *cand.values()):
         assert repr(_numeric_fields(value["value"])) == repr(parent_numeric_fields(value["value"]))
+
+
+@pytest.mark.parametrize("knn_k", [True, 2.0, 10.0])
+def test_knn_k_that_is_not_an_int_is_an_argument_error(knn_k):
+    c = small_corpus()
+    rep = assemble_report(c, ["density"], config={"knn_k": knn_k}, embeddings=embeddings_for(c))
+    entry = rep.measurements["knn_density"]
+    assert entry["flags"] == ["error:argument"] and entry["value"] is None
+    assert entry["note"] == f"k must be an integer, got {knn_k!r}"

@@ -890,3 +890,35 @@ def test_order_that_is_not_an_int_is_refused(order):
         with pytest.raises(ValueError) as info:
             route(c, order, 1.0)
         assert str(info.value) == f"order must be an integer, got {order!r}"
+
+
+# --- corpus sums past the float range ------------------------------------------------
+
+
+def test_log_probability_sum_past_the_float_range_is_taken_scaled():
+    lines = '{"id":"a","logprob":-1e308,"n_tokens":%d}\n{"id":"b","logprob":-1e308,"n_tokens":%d}\n'
+    result = perplexity_from_logprobs(io.StringIO(lines % (10**306, 10**306)))
+    assert result.perplexity == pytest.approx(math.exp(100), rel=1e-12)
+    assert result.per_record == {"a": (math.exp(100), 10**306), "b": (math.exp(100), 10**306)}
+    assert result.n_tokens == 2 * 10**306
+    assert result.flags == ()
+
+
+def test_token_count_past_the_float_range_is_taken_scaled():
+    lines = '{"id":"a","logprob":-1,"n_tokens":%d}\n{"id":"b","logprob":-1,"n_tokens":%d}\n'
+    result = perplexity_from_logprobs(io.StringIO(lines % (10**308, 10**308)))
+    assert result.perplexity == pytest.approx(1.0, rel=1e-12)
+    assert result.n_tokens == 2 * 10**308
+    assert result.flags == ()
+
+
+def test_an_infinite_record_beside_an_overflowing_token_count_stays_infinite():
+    rows = {"a": (-math.inf, 1), "b": (-1.0, 10**308), "c": (-1.0, 10**308)}
+    result = tendency._aggregate(rows, "")
+    assert result.perplexity == math.inf and result.flags == ("infinite",)
+
+
+def test_in_range_sums_keep_their_bits():
+    rows = {"a": (-1e307, 10**305), "b": (-2.5, 10**300), "c": (-0.1, 7)}
+    want = math.exp(-(-1e307 + -2.5 + -0.1) / (10**305 + 10**300 + 7))
+    assert tendency._aggregate(rows, "").perplexity == want
