@@ -494,7 +494,7 @@ def _aggregate(rows, empty_message: str, provenance: str = "self-contained",
     """Corpus and per-record perplexity from rows {record id: (logprob, n_tokens)},
     summed in row order.  Where the log-probability sum or the token count
     passes the float range, both are taken over 2**k, 2**k above the row
-    count, which brings them back into it; other rows keep their bits.  The
+    count, which brings them back into it; sums in range keep their bits.  The
     result is flagged infinite when the corpus value is, whatever one
     record's is."""
     total_logprob = 0.0
@@ -508,8 +508,8 @@ def _aggregate(rows, empty_message: str, provenance: str = "self-contained",
         raise UndefinedValueError(empty_message)
     if math.isinf(total_logprob) or total_tokens > sys.float_info.max:
         k = len(rows).bit_length()
-        total_logprob = math.fsum(math.ldexp(logprob, -k) for logprob, _ in rows.values())
-        value = _exp_rate(total_logprob, total_tokens / 2 ** k)
+        scaled = math.fsum(math.ldexp(logprob, -k) for logprob, _ in rows.values())
+        value = _exp_rate(scaled, total_tokens / 2 ** k)
     else:
         value = _exp_rate(total_logprob, total_tokens)
     return PerplexityResult(
