@@ -27,6 +27,10 @@ from .errors import check_choice, check_int
 TOKENIZER_MODES = ("unicode-word", "whitespace", "character")
 
 _WORD_RE = re.compile(r"\w+")
+# The bytes a \w+ run never holds in ASCII text ([^A-Za-z0-9_]) as spaces; bytes
+# >= 128 unchanged.  On ASCII text, or text whose every non-ASCII character is
+# inside a \w+ run, translate then split() gives the runs _WORD_RE finds.
+_WORD_BYTES = bytes(b if b >= 128 or _WORD_RE.match(chr(b)) else 32 for b in range(256))
 # A lone surrogate: a byte read with surrogateescape, or a JSON escape such as "\ud800".
 _NOT_UTF8 = re.compile("[\ud800-\udfff]")
 
@@ -49,6 +53,8 @@ class TokenizerConfig:
 
     def __post_init__(self) -> None:
         check_choice("tokenizer mode", self.mode, TOKENIZER_MODES)
+        if type(self.case_fold) is not bool:
+            raise ValueError(f"case_fold must be a bool, got {self.case_fold!r}")
 
     def as_dict(self) -> dict:
         return {"mode": self.mode, "case_fold": self.case_fold}
@@ -65,7 +71,8 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
         # text before the split gives the tokens folding each one after does.
         text, fold_each = text.lower(), False
     if config.mode == "unicode-word":
-        tokens = _WORD_RE.findall(text)
+        tokens = (text.encode().translate(_WORD_BYTES).decode().split() if text.isascii()
+                  else _WORD_RE.findall(text))
     elif config.mode == "whitespace":
         tokens = text.split()
     else:  # character
@@ -245,21 +252,28 @@ class Corpus:
 
     @cached_property
     def _store(self) -> _TokenStore:
-        """The token store, built from every record in one pass on first read."""
+        """The token store, built from every record in one pass on first read:
+        under unicode-word, one byte-table pass over the joined record text
+        (see _word_stream); under the other modes, tokenize() per record."""
         # One flat token stream; each record's tokens are ids[offsets[i]:offsets[i + 1]].
-        stream: list[str] = []
-        lengths = []
-        for r in self._records:
-            toks = tokenize(r.text, self._tokenizer_config)
-            stream.extend(toks)
-            lengths.append(len(toks))
+        config = self._tokenizer_config
+        texts = [r.text for r in self._records]
+        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+        if config.mode == "unicode-word":
+            stream, offsets[1:] = _word_stream(texts, config)
+        else:
+            stream: list[str] = []
+            lengths = []
+            for text in texts:
+                toks = tokenize(text, config)
+                stream.extend(toks)
+                lengths.append(len(toks))
+            np.cumsum(lengths, out=offsets[1:])
         counts = Counter(stream)
         # Counter keeps first-occurrence order, so its keys are the vocabulary.
         vocabulary = tuple(counts)
         index = {t: i for i, t in enumerate(vocabulary)}
         ids = np.fromiter(map(index.__getitem__, stream), dtype=np.int32, count=len(stream))
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
         return _TokenStore(vocabulary, index, _frozen(ids), _frozen(offsets),
                            FrequencyTable._of_positive(dict(counts), len(stream)))
 
@@ -329,6 +343,39 @@ class Corpus:
             f"Corpus({self.n_records} records, {len(self.vocabulary)} types, "
             f"{self.total_tokens} tokens, fingerprint={self._fingerprint[:12]}...)"
         )
+
+
+def _word_stream(texts: list[str], config: TokenizerConfig) -> tuple[list[str], np.ndarray]:
+    """The unicode-word tokens of texts as one list, and the stream position
+    each text's tokens end at, as tokenize() per text would give them.
+
+    Each text becomes one piece of a string joined by spaces: an ASCII text
+    as it is (lowercased under case_fold), any other as its tokenize() tokens
+    joined by spaces, since the byte table keeps non-ASCII punctuation.
+    _WORD_BYTES turns every other separator into a space, so one split gives
+    the stream; a token starts at each non-space byte after a space, and texts
+    up to text i hold the tokens that start before the end of its piece.
+    Each copy of the text is dropped once used, so the peak is the stream
+    and one copy.
+    """
+    fold = config.case_fold
+    # A leading empty piece, so the joined text starts with a space.
+    pieces = ["", *((t.lower() if fold else t) if t.isascii() else " ".join(tokenize(t, config))
+                    for t in texts)]
+    # Text i's piece ends (exclusive) at its and the earlier pieces' byte sizes,
+    # plus one separator each.
+    ends = np.cumsum(np.fromiter((len(p) if p.isascii() else len(p.encode()) for p in pieces[1:]),
+                                 dtype=np.int64, count=len(texts)) + 1)
+    data = " ".join(pieces).encode().translate(_WORD_BYTES)
+    del pieces
+    word = np.frombuffer(data, dtype=np.uint8) != 32
+    # The space before each token: inside the token's piece or just before it,
+    # and so before that piece's end and at or past the end of the piece before.
+    ends = np.searchsorted(np.flatnonzero(word[1:] > word[:-1]), ends)
+    del word
+    text = data.decode()
+    del data
+    return text.split(), ends
 
 
 def check_ngram_n(n) -> None:

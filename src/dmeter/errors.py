@@ -22,8 +22,9 @@ def check_int(what: str, value) -> None:
 
 
 def check_smoothing(smoothing: float) -> None:
-    """ValueError unless the additive smoothing is a finite number >= 0."""
-    if not 0 <= smoothing < math.inf:
+    """ValueError unless the additive smoothing is a finite number >= 0 (a
+    bool is not one)."""
+    if isinstance(smoothing, bool) or not 0 <= smoothing < math.inf:
         raise ValueError(f"smoothing must be a finite number >= 0, got {smoothing}")
 
 

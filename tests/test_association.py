@@ -209,6 +209,15 @@ class TestPmiNpmi:
         with pytest.raises(ValueError, match="smoothing must be a finite number >= 0"):
             measure(t, "x", "y", smoothing=smoothing)
 
+    @pytest.mark.parametrize("smoothing", [True, False])
+    def test_bool_smoothing_rejected(self, smoothing):
+        t = build_cooccurrence(corpus_of(["x y", "x z"]))
+        message = f"smoothing must be a finite number >= 0, got {smoothing}"
+        for measure in (pmi, npmi, lambda t, x, y, smoothing: top_npmi(t, x, smoothing=smoothing)):
+            with pytest.raises(ValueError, match=message):
+                measure(t, "x", "y", smoothing=smoothing)
+        assert [row[0] for row in top_npmi(t, "x", smoothing=float(smoothing))] == ["y", "z"]
+
     def test_smoothed_terms_may_be_absent(self):
         t = build_cooccurrence(corpus_of(["x y"]))
         v = npmi(t, "x", "zzz", smoothing=1.0)

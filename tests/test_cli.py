@@ -1000,6 +1000,21 @@ class TestConfigSections:
         assert rep.tokenizer_config == {"mode": "unicode-word", "case_fold": folded}
         assert rep.measurements["token_count_stats"]["value"]["count"] == (2 if folded else 4)
 
+    @pytest.mark.parametrize("ini_text, flag", [
+        ("[tokenizer]\ncase_fold = false\n", []),
+        ("[tokenizer]\ncase_fold = 0\n", []),
+        ("[tokenizer]\ncase_fold = true\n", ["--tokenizer", "unicode-word:nofold"]),
+    ], ids=["config-false", "config-0", "nofold-flag"])
+    def test_case_fold_reaches_the_report_as_a_bool(self, corpus_path, tmp_path, ini_text, flag):
+        ini = tmp_path / "c.ini"
+        ini.write_text(ini_text, encoding="utf-8")
+        tokenizer = _load_config(str(ini), flag[-1] if flag else None)["tokenizer"]
+        assert tokenizer.case_fold is False
+        out = tmp_path / "rep.json"
+        assert main(["measure", "--input", corpus_path, "--config", str(ini),
+                     "--metrics", "quality", "--out", str(out), *flag]) == 0
+        assert parse_report(str(out)).tokenizer_config["case_fold"] is False
+
     def test_huge_lm_smoothing_gives_vocabulary_plus_one(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
         corpus.write_text('{"id": "a", "text": "the cat sat"}\n{"id": "b", "text": "the dog"}\n',

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import re
 import time
 
 import pytest
@@ -90,6 +91,12 @@ class TestTokenize:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown tokenizer mode"):
             TokenizerConfig(mode="sentencepiece")
+
+    @pytest.mark.parametrize("case_fold", ["false", "true", 0, 1, None])
+    def test_non_bool_case_fold_rejected(self, case_fold):
+        # "false" would fold and 0 would not; both would reach the provenance as given.
+        with pytest.raises(ValueError, match=re.escape(f"case_fold must be a bool, got {case_fold!r}")):
+            TokenizerConfig("unicode-word", case_fold)
 
     def test_matches_character_class_reference(self):
         # Random-ish unicode strings spanning scripts, digits, punctuation.

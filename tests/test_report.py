@@ -158,6 +158,15 @@ class TestAssembleReport:
         assert "error:argument" in e["flags"]
         assert "cap" in e["note"]
 
+    @pytest.mark.parametrize("smoothing", [True, False])
+    def test_bool_lm_smoothing_is_an_argument_error(self, smoothing):
+        rep = assemble_report(small_corpus(), ["tendency"], config={"lm_smoothing": smoothing})
+        e = rep.measurements["perplexity_self"]
+        assert e["flags"] == ["error:argument"] and e["value"] is None
+        assert e["note"] == f"smoothing must be a finite number >= 0, got {smoothing}"
+        rep = assemble_report(small_corpus(), ["tendency"], config={"lm_smoothing": 0.5})
+        assert rep.measurements["perplexity_self"]["flags"] == []
+
     def test_metric_failure_is_isolated(self):
         # one distinct token: Zipf fit is undefined, everything else still lands
         c = Corpus([Record(id="a", text="w w w w")])

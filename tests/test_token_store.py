@@ -146,15 +146,25 @@ def loop_flesch(corpus):
 
 def test_store_is_built_once_on_first_read(monkeypatch):
     calls = []
-    monkeypatch.setattr(corpus_module, "tokenize",
-                        lambda text, config: calls.append(text) or tokenize(text, config))
+    word_stream = corpus_module._word_stream
+    monkeypatch.setattr(corpus_module, "_word_stream",
+                        lambda texts, config: calls.append(texts) or word_stream(texts, config))
     corpus = corpus_of(["b a", "", "a c"])
     assert calls == [] and corpus.n_records == 3 and len(corpus.fingerprint) == 64
     assert corpus.ngram_counts(1) is corpus.token_counts
-    assert calls == ["b a", "", "a c"]
+    assert calls == [["b a", "", "a c"]]
     assert corpus.vocabulary == ("b", "a", "c") and corpus.token_id("c") == 2
     assert corpus.token_ids is corpus.token_ids and corpus.total_tokens == 4
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def test_store_tokenizes_only_non_ascii_records_one_by_one(monkeypatch):
+    calls = []
+    monkeypatch.setattr(corpus_module, "tokenize",
+                        lambda text, config: calls.append(text) or tokenize(text, config))
+    corpus = corpus_of(["B a", "Été, b", "", "a—c ß"])
+    assert corpus.vocabulary == ("b", "a", "été", "c", "ß")
+    assert calls == ["Été, b", "a—c ß"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -168,6 +178,49 @@ def test_store_rebuilds_each_records_tokens(record_texts, config):
     assert corpus.token_ids.dtype == np.int32 and corpus.record_offsets.dtype == np.int64
     assert [corpus.vocabulary[i] for i in corpus.token_ids] == [t for ts in expected for t in ts]
     assert all(corpus.token_id(t) == i for i, t in enumerate(corpus.vocabulary))
+
+
+# Every ASCII code point, separators that only the byte table's spaces split
+# (NUL, DEL, vertical tab, form feed, the \x1c-\x1f separators), and
+# non-ASCII separators and punctuation that the byte table keeps.
+ASCII_CHARS = [chr(b) for b in range(128)]
+EDGE_CHARS = list("\x00\x7f\x0b\x0c\x1c\x1d\x1e\x1f_09") + ["\xa0", "\x85", "\u2028", "\u3000",
+                                                              "—", "«"]
+byte_table_texts = st.one_of(
+    st.text(alphabet=st.sampled_from(ASCII_CHARS) | st.sampled_from(EDGE_CHARS + ALPHABET),
+            max_size=24),
+    st.sampled_from(["", " ", "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ", "\xa0\u3000"]),
+)
+
+
+def loop_store(record_texts, config):
+    """(vocabulary, ids, offsets, counts) from loop_tokenize, record by record."""
+    token_lists = [loop_tokenize(t, config) for t in record_texts]
+    stream = [tok for toks in token_lists for tok in toks]
+    vocabulary = tuple(dict.fromkeys(stream))
+    offsets = [0]
+    for toks in token_lists:
+        offsets.append(offsets[-1] + len(toks))
+    return vocabulary, [vocabulary.index(t) for t in stream], offsets, Counter(stream)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(byte_table_texts, max_size=8), st.booleans())
+@example([], True)  # no records
+@example(["", " \x00 ", "\x1f"], False)  # records, but no tokens
+def test_byte_table_store_matches_the_loop(record_texts, case_fold):
+    config = TokenizerConfig("unicode-word", case_fold)
+    corpus = corpus_of(record_texts, config)
+    vocabulary, ids, offsets, counts = loop_store(record_texts, config)
+    assert corpus.vocabulary == vocabulary
+    assert corpus.token_ids.tolist() == ids
+    assert corpus.record_offsets.tolist() == offsets
+    assert list(corpus.token_counts.entries.items()) == list(counts.items())
+    assert corpus.total_tokens == len(ids)
+    assert list(corpus.iter_record_tokens()) == [
+        tuple(vocabulary[i] for i in ids[a:b]) for a, b in zip(offsets, offsets[1:])]
+    assert [tokenize(t, config) for t in record_texts] == [
+        loop_tokenize(t, config) for t in record_texts]
 
 
 def test_store_arrays_are_read_only():
