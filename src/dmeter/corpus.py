@@ -27,9 +27,10 @@ from .errors import check_choice, check_int
 TOKENIZER_MODES = ("unicode-word", "whitespace", "character")
 
 _WORD_RE = re.compile(r"\w+")
-# The bytes a \w+ run never holds in ASCII text ([^A-Za-z0-9_]) as spaces; bytes
-# >= 128 unchanged.  On ASCII text, or text whose every non-ASCII character is
-# inside a \w+ run, translate then split() gives the runs _WORD_RE finds.
+# A bytes.translate table: each ASCII byte that \w does not match ([^A-Za-z0-9_])
+# becomes a space, and bytes >= 128 stay.  On the UTF-8 of ASCII text, or of
+# text whose every non-ASCII character is inside a \w+ run, translate then
+# split() gives the runs _WORD_RE finds.
 _WORD_BYTES = bytes(b if b >= 128 or _WORD_RE.match(chr(b)) else 32 for b in range(256))
 # A lone surrogate: a byte read with surrogateescape, or a JSON escape such as "\ud800".
 _NOT_UTF8 = re.compile("[\ud800-\udfff]")
@@ -223,8 +224,11 @@ class Corpus:
     Record ids are checked and the fingerprint computed at construction.
     Tokens are stored once, as integer ids, built in one pass when any token
     attribute is first read: a flat int32 array indexing vocabulary
-    (first-occurrence order) and int64 record offsets.  The text layers read
-    these arrays; iter_record_tokens() rebuilds string tuples.
+    (first-occurrence order) and int64 record offsets.  Under unicode-word the
+    pass is one byte-table split of the joined record text, with tokenize()
+    run only on non-ASCII records (_word_stream); under the other modes,
+    tokenize() per record.  The text layers read these arrays;
+    iter_record_tokens() rebuilds string tuples.
     """
 
     def __init__(
@@ -253,8 +257,8 @@ class Corpus:
     @cached_property
     def _store(self) -> _TokenStore:
         """The token store, built from every record in one pass on first read:
-        under unicode-word, one byte-table pass over the joined record text
-        (see _word_stream); under the other modes, tokenize() per record."""
+        _word_stream's byte-table split of the joined text under unicode-word
+        (non-ASCII records through tokenize()), tokenize() per record otherwise."""
         # One flat token stream; each record's tokens are ids[offsets[i]:offsets[i + 1]].
         config = self._tokenizer_config
         texts = [r.text for r in self._records]
@@ -262,8 +266,7 @@ class Corpus:
         if config.mode == "unicode-word":
             stream, offsets[1:] = _word_stream(texts, config)
         else:
-            stream: list[str] = []
-            lengths = []
+            stream, lengths = [], []
             for text in texts:
                 toks = tokenize(text, config)
                 stream.extend(toks)

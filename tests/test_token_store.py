@@ -180,9 +180,11 @@ def test_store_rebuilds_each_records_tokens(record_texts, config):
     assert all(corpus.token_id(t) == i for i, t in enumerate(corpus.vocabulary))
 
 
-# Every ASCII code point, separators that only the byte table's spaces split
-# (NUL, DEL, vertical tab, form feed, the \x1c-\x1f separators), and
-# non-ASCII separators and punctuation that the byte table keeps.
+# Every ASCII code point, with more weight on the edges of the two rules: NUL
+# and DEL, which \w separates and str.split() does not; \x0b, \x0c and
+# \x1c-\x1f, which both separate; "_" and digits, which \w keeps.  Non-ASCII
+# separators and punctuation stay under the byte table, so their records take
+# the tokenize() fallback.
 ASCII_CHARS = [chr(b) for b in range(128)]
 EDGE_CHARS = list("\x00\x7f\x0b\x0c\x1c\x1d\x1e\x1f_09") + ["\xa0", "\x85", "\u2028", "\u3000",
                                                               "—", "«"]
