@@ -37,6 +37,8 @@ class Distribution:
         p = dict(zip(support, probs))
         if len(p) != len(support):
             raise ValueError("support items must be unique")
+        if not all(map(math.isfinite, probs)):
+            raise ValueError("probabilities must be finite")
         if any(x < 0 for x in probs):
             raise ValueError("probabilities must be non-negative")
         total = math.fsum(probs)
@@ -46,9 +48,12 @@ class Distribution:
 
     @classmethod
     def from_counts(cls, counts) -> "Distribution":
-        """Normalize a FrequencyTable or mapping of non-negative counts."""
+        """Normalize a FrequencyTable or mapping of finite non-negative counts."""
         entries = getattr(counts, "entries", counts)
         items = sorted(entries, key=repr)
+        for item in items:
+            if not math.isfinite(entries[item]):
+                raise ValueError(f"count of {item!r} is {entries[item]}; must be finite")
         total = math.fsum(entries[i] for i in items)
         if total <= 0:
             raise ValueError("counts must have positive total")
@@ -200,7 +205,9 @@ def emd_discrete(
     non-negative.  Solved as a linear program; supports are capped at
     EMD_SUPPORT_CAP points each because the solve is exact, not approximate.
     """
-    from scipy.optimize import Bounds, LinearConstraint, milp  # deferred: slow to import
+    # Deferred: scipy.optimize is slow to import.  These are scipy's private
+    # HiGHS bindings, under its public solvers; see the README.
+    from scipy.optimize._highspy import _core as highs
 
     n, m = len(p), len(q)
     _check_support_sizes(n, m)
@@ -224,14 +231,28 @@ def emd_discrete(
     peak = c.max()
     exponent = math.frexp(peak)[1] if peak >= _HIGHS_LARGE_COST else 0
 
-    # Row sums = p, column sums = q but the last; milp with no integrality
-    # hands HiGHS this LP as linprog would, without linprog's input cleaning.
+    # Row sums = p, column sums = q but the last, over flows in [0, inf),
+    # handed to HiGHS as the arrays of one column-wise LP: what milp with no
+    # integrality passes it, without milp's checks or its reading back of a
+    # solution and duals that only the objective here needs.  Every array is
+    # read for as many entries as the counts before it say, so the integrality
+    # codes are given, all 0 (continuous), as milp gives them.
     b_eq = np.concatenate([np.asarray(p.probs), np.asarray(q.probs[: m - 1])])
-    res = milp(np.ldexp(c, -exponent), bounds=Bounds(0, np.inf),
-               constraints=LinearConstraint(_transport_constraints(n, m), b_eq, b_eq))
-    if not res.success:
-        raise RuntimeError(f"transport solve failed: {res.message}")
-    return math.ldexp(res.fun, exponent)
+    a_eq = _transport_constraints(n, m)
+    solver = highs._Highs()
+    solver.setOptionValue("log_to_console", False)
+    solver.passModel(
+        n * m, n + m - 1, a_eq.nnz, int(highs.MatrixFormat.kColwise),
+        int(highs.ObjSense.kMinimize), 0.0, np.ldexp(c, -exponent),
+        np.zeros(n * m), np.full(n * m, np.inf), b_eq, b_eq,
+        a_eq.indptr, a_eq.indices, a_eq.data, np.zeros(n * m, dtype=np.int32),
+    )
+    solver.run()
+    # A failed passModel or run leaves a status other than optimal too.
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"transport solve failed: {solver.modelStatusToString(status)}")
+    return math.ldexp(solver.getInfo().objective_function_value, exponent)
 
 
 class WmdResult(NamedTuple):

@@ -209,6 +209,17 @@ class TestDistribution:
         with pytest.raises(ValueError, match=message):
             make()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        # A NaN once passed every check: its sum test compares False both ways.
+        with pytest.raises(ValueError, match="^probabilities must be finite$"):
+            Distribution(["a", "b"], [bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_count_rejected_by_name(self, bad):
+        with pytest.raises(ValueError, match=f"^count of 'b' is {bad}; must be finite$"):
+            Distribution.from_counts({"a": 1, "b": bad})
+
 
 # --- KL divergence --------------------------------------------------------------
 
@@ -480,8 +491,8 @@ def test_transport_constraints_match_looped_builder():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 5), min_size=1, max_size=25),
-       st.lists(st.integers(1, 5), min_size=1, max_size=25),
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=40),
+       st.lists(st.integers(1, 5), min_size=1, max_size=40),
        st.integers(0, 2**32 - 1),
        st.sampled_from([1.0, 1e15, 1e19, 1e100, 1e300]))
 def test_emd_matches_looped_constraint_solve_of_rescaled_costs(p_counts, q_counts, seed, scale):
@@ -501,17 +512,27 @@ def test_emd_matches_looped_constraint_solve_of_rescaled_costs(p_counts, q_count
 
 
 def test_failed_transport_solve_names_the_solver_message(monkeypatch):
-    import scipy.optimize
+    from scipy.optimize._highspy import _core
 
-    def failed(*args, **kwargs):
-        return scipy.optimize.OptimizeResult(success=False, status=4, fun=None,
-                                             message="Numerical difficulties encountered.")
+    class Unsolved(_core._Highs):
+        def getModelStatus(self):
+            return _core.HighsModelStatus.kSolveError
 
-    monkeypatch.setattr(scipy.optimize, "milp", failed)
+    monkeypatch.setattr(_core, "_Highs", Unsolved)
     p, q = Distribution(["a", "b"], [0.5, 0.5]), Distribution(["c"], [1.0])
     with pytest.raises(RuntimeError) as info:
         emd_discrete(p, q, np.ones((2, 1)))
-    assert str(info.value) == "transport solve failed: Numerical difficulties encountered."
+    assert str(info.value) == "transport solve failed: Solve error"
+
+
+def test_transport_solve_writes_nothing(capfd):
+    # HiGHS logs to stdout unless told not to.
+    p = Distribution(["a", "b"], [0.25, 0.75])
+    q = Distribution(["c", "d", "e"], [0.5, 0.25, 0.25])
+    assert emd_discrete(p, q, np.arange(6.0).reshape(2, 3)) > 0
+    assert word_movers_distance(["cat", "wall"], ["dog", "stone", "stone"],
+                                toy_embedding()).distance > 0
+    assert capfd.readouterr() == ("", "")
 
 
 # --- cost arrays against the per-pair cost callbacks they replaced --------------
