@@ -231,19 +231,19 @@ def emd_discrete(
     peak = c.max()
     exponent = math.frexp(peak)[1] if peak >= _HIGHS_LARGE_COST else 0
 
-    # Row sums = p, column sums = q but the last, over flows in [0, inf),
-    # handed to HiGHS as the arrays of one column-wise LP: what milp with no
-    # integrality passes it, without milp's checks or its reading back of a
-    # solution and duals that only the objective here needs.  Every array is
-    # read for as many entries as the counts before it say, so the integrality
-    # codes are given, all 0 (continuous), as milp gives them.
+    # Row sums = p, column sums = q but the last, over flows in [0, inf): the
+    # LP and the one option that milp with no integrality hands HiGHS, passed
+    # as arrays, without milp's checks or its read-back of a solution and
+    # duals that dmeter never uses.  HiGHS reads each array for as many
+    # entries as the counts say, so the integrality codes are given, all 0
+    # (continuous), as milp gives them.
     b_eq = np.concatenate([np.asarray(p.probs), np.asarray(q.probs[: m - 1])])
     a_eq = _transport_constraints(n, m)
     solver = highs._Highs()
     solver.setOptionValue("log_to_console", False)
     solver.passModel(
-        n * m, n + m - 1, a_eq.nnz, int(highs.MatrixFormat.kColwise),
-        int(highs.ObjSense.kMinimize), 0.0, np.ldexp(c, -exponent),
+        n * m, n + m - 1, a_eq.nnz, highs.MatrixFormat.kColwise,
+        highs.ObjSense.kMinimize, 0.0, np.ldexp(c, -exponent),
         np.zeros(n * m), np.full(n * m, np.inf), b_eq, b_eq,
         a_eq.indptr, a_eq.indices, a_eq.data, np.zeros(n * m, dtype=np.int32),
     )
