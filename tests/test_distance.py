@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
@@ -276,6 +276,66 @@ class TestKlDivergence:
         with pytest.raises(ValueError, match="smoothing must be a finite number >= 0"):
             kl_divergence(p, q, smoothing=smoothing)
 
+    def test_ratio_past_the_float_range_keeps_a_finite_divergence(self):
+        # p_a * q'_total / q'_a = 1 / 5e-324 overflows; its log does not.
+        p = Distribution(["a"], [1.0])
+        q = Distribution(["a", "b"], [5e-324, 1.0])
+        assert kl_divergence(p, q, smoothing=0) == -math.log(5e-324)
+
+    def test_smoothing_whose_total_passes_the_float_range(self):
+        # Masses of 1e308 + q_i sum past the float range; q' is uniform.
+        p = Distribution(["a", "b"], [0.25, 0.75])
+        q = Distribution(["a"], [1.0])
+        want = 0.25 * math.log(0.25 / 0.5) + 0.75 * math.log(0.75 / 0.5)
+        assert kl_divergence(p, q, smoothing=1e308) == pytest.approx(want, rel=1e-12)
+
+
+def direct_kl_divergence(p, q, smoothing):
+    """kl_divergence as it was before its overflow routes, or None where its
+    total or a ratio passed the float range: the oracle for in-range inputs."""
+    union = list(p.support)
+    seen = set(union)
+    union.extend(item for item in q.support if item not in seen)
+    p_map, q_map = p.as_dict(), q.as_dict()
+    q_masses = [q_map.get(item, 0.0) + smoothing for item in union]
+    try:
+        q_total = math.fsum(q_masses)
+    except OverflowError:
+        return None
+    terms = []
+    for item, q_mass in zip(union, q_masses):
+        p_i = p_map.get(item, 0.0)
+        if p_i == 0.0:
+            continue
+        if q_mass == 0.0:
+            return math.inf
+        ratio = p_i * q_total / q_mass
+        if ratio == math.inf:
+            return None
+        terms.append(p_i * math.log(ratio))
+    return max(0.0, math.fsum(terms))
+
+
+_KL_WEIGHTS = st.sampled_from([0.0, 5e-324, 1e-310, 1e-200, 1e-9, 0.5, 1.0, 3.0, 1e300])
+
+
+@st.composite
+def _weighted_distributions(draw):
+    items = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(_KL_WEIGHTS, min_size=len(items), max_size=len(items)))
+    if not any(weights):
+        weights[0] = 1.0
+    return Distribution.from_counts(dict(zip(items, weights)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_distributions(), _weighted_distributions(),
+       st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 1.0, 1e300, 1e308, 1.7e308]))
+def test_kl_divergence_keeps_the_direct_formulas_bits_in_range(p, q, smoothing):
+    want = direct_kl_divergence(p, q, smoothing)
+    assume(want is not None)
+    assert kl_divergence(p, q, smoothing) == want
+
 
 # --- earth mover's distance -----------------------------------------------------
 
@@ -459,54 +519,99 @@ def looped_transport_constraints(n, m):
     return coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, n * m)).tocsr()
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 5), min_size=1, max_size=5),
-       st.lists(st.integers(1, 5), min_size=1, max_size=5),
-       st.integers(0, 2**32 - 1))
-def test_emd_matches_looped_constraint_solve(p_counts, q_counts, seed):
-    p = Distribution.from_counts(dict(enumerate(p_counts)))
+# Problems on which HiGHS's presolve sums the objective in another order:
+# one side a single point, ties among rounded costs, costs past 1.
+_COST_KINDS = ("uniform", "times ten", "rounded")
+
+
+@st.composite
+def _transport_problems(draw, max_size):
+    """(p, q, costs) with count supports of 1 to max_size points, one side
+    sometimes a single point, and costs uniform on [0, 3), ten times that, or
+    rounded to the integers 0..4."""
+    sizes = st.lists(st.integers(1, 5), min_size=1, max_size=max_size)
+    p_counts, q_counts = draw(sizes), draw(sizes)
+    single = draw(st.sampled_from([None, "p", "q"]))
+    if single == "p":
+        p_counts = p_counts[:1]
+    elif single == "q":
+        q_counts = q_counts[:1]
+    p = Distribution.from_counts({f"p{i}": c for i, c in enumerate(p_counts)})
     q = Distribution.from_counts({f"q{j}": c for j, c in enumerate(q_counts)})
-    costs = np.random.default_rng(seed).uniform(0.0, 3.0, size=(len(p), len(q)))
-    column = {item: j for j, item in enumerate(q.support)}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(_COST_KINDS))
+    if kind == "rounded":
+        costs = np.round(rng.uniform(0.0, 4.0, size=(len(p), len(q))))
+    else:
+        costs = rng.uniform(0.0, 3.0, size=(len(p), len(q))) * (10.0 if kind == "times ten" else 1.0)
+    return p, q, costs
 
-    def cost(a, b):
-        return costs[a, column[b]]
 
+def _linprog_objective(p, q, costs, **options):
+    """The transport LP of emd_discrete, solved by linprog over the looped
+    constraint matrix, with any HiGHS options given."""
     b_eq = np.concatenate([np.asarray(p.probs), np.asarray(q.probs[: len(q) - 1])])
     res = linprog(costs.ravel(), A_eq=looped_transport_constraints(len(p), len(q)), b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    assert emd_discrete(p, q, cost) == float(res.fun)
+                  bounds=(0, None), method="highs", options=options)
+    return float(res.fun)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_transport_problems(max_size=5))
+def test_emd_matches_looped_constraint_solve(problem):
+    p, q, costs = problem
+    column = {item: j for j, item in enumerate(q.support)}
+    row = {item: i for i, item in enumerate(p.support)}
+
+    def cost(a, b):
+        return costs[row[a], column[b]]
+
+    assert emd_discrete(p, q, cost) == _linprog_objective(p, q, costs, presolve=False)
 
 
 def test_transport_constraints_match_looped_builder():
     # m == 1 included: no column constraint is left.
     for n in range(1, 31):
         for m in range(1, 31):
-            got, want = _transport_constraints(n, m), looped_transport_constraints(n, m).tocsc()
-            assert got.shape == want.shape
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, part), getattr(want, part)), (n, m, part)
+            indptr, indices = _transport_constraints(n, m)
+            want = looped_transport_constraints(n, m).tocsc()
+            assert want.shape == (n + m - 1, n * m)
+            assert np.array_equal(want.data, np.ones(indices.size)), (n, m)
+            assert np.array_equal(indptr, want.indptr), (n, m)
+            assert np.array_equal(indices, want.indices), (n, m)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 5), min_size=1, max_size=40),
-       st.lists(st.integers(1, 5), min_size=1, max_size=40),
-       st.integers(0, 2**32 - 1),
-       st.sampled_from([1.0, 1e15, 1e19, 1e100, 1e300]))
-def test_emd_matches_looped_constraint_solve_of_rescaled_costs(p_counts, q_counts, seed, scale):
+@given(_transport_problems(max_size=40), st.sampled_from([1.0, 1e15, 1e19, 1e100, 1e300]))
+def test_emd_matches_looped_constraint_solve_of_rescaled_costs(problem, scale):
     # Doc-pairs-sized supports; costs of 1e15 and up, near and past what HiGHS
     # reads as infinite, go through the power-of-two rescale, which the oracle
     # repeats.
-    p = Distribution.from_counts({f"p{i}": c for i, c in enumerate(p_counts)})
-    q = Distribution.from_counts({f"q{j}": c for j, c in enumerate(q_counts)})
-    costs = np.random.default_rng(seed).uniform(0.0, 3.0, size=(len(p), len(q))) * scale
+    p, q, costs = problem
+    costs = costs * scale
     peak = costs.max()
     exponent = math.frexp(peak)[1] if peak >= _HIGHS_LARGE_COST else 0
-    b_eq = np.concatenate([np.asarray(p.probs), np.asarray(q.probs[: len(q) - 1])])
-    res = linprog(np.ldexp(costs.ravel(), -exponent),
-                  A_eq=looped_transport_constraints(len(p), len(q)), b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    assert emd_discrete(p, q, costs) == math.ldexp(res.fun, exponent)
+    want = _linprog_objective(p, q, np.ldexp(costs, -exponent), presolve=False)
+    assert emd_discrete(p, q, costs) == math.ldexp(want, exponent)
+
+
+def test_emd_matches_presolve_off_where_presolve_on_differs_in_the_last_bit():
+    # Default linprog (presolve on) gives 4.2441257836936845 here, one ulp
+    # above the presolve-off objective 4.244125783693684.
+    p = Distribution(["p"], [1.0])
+    q = Distribution.from_counts({f"q{j}": j % 5 + 1 for j in range(31)})
+    costs = np.sqrt(np.arange(31.0) + 3.0)[None, :]
+    assert emd_discrete(p, q, costs) == _linprog_objective(p, q, costs, presolve=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_transport_problems(max_size=40))
+def test_emd_stays_within_rounding_of_default_linprog(problem):
+    # Presolve on and off reach the same optimum; only the order in which the
+    # objective is summed differs.
+    p, q, costs = problem
+    want = _linprog_objective(p, q, costs)
+    assert abs(emd_discrete(p, q, costs) - want) <= 1e-15 * abs(want)
 
 
 def test_failed_transport_solve_names_the_solver_message(monkeypatch):
