@@ -517,6 +517,27 @@ def decode_json_line(line: str):
         raise ValueError("invalid JSON: number or nesting too large") from None
 
 
+_scan_json = json.JSONDecoder().scan_once
+_JSON_TAIL = re.compile(r"[ \t\n\r]*\Z")
+
+
+def _decode_record_line(line: str):
+    """decode_json_line(line), through json's scanner alone where json.loads
+    would make the same one call: the line starts with neither JSON whitespace
+    nor a BOM, and after the value holds only JSON whitespace.  (str.strip()
+    also strips characters such as \\x0b and \\x85, which json.loads refuses.)
+    Every other line, and every error, goes through decode_json_line."""
+    if line[:1] not in " \t\n\r\ufeff":
+        try:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            pass
+        else:
+            if _JSON_TAIL.match(line, end):
+                return obj
+    return decode_json_line(line)
+
+
 def record_id(raw) -> str:
     """A JSON id as a record id: a string, or an integer (a bool is not one)
     as its decimal string; anything else is a ValueError."""
@@ -542,7 +563,7 @@ def _read_jsonl(stream):
         if not line.strip():
             continue
         try:
-            obj = decode_json_line(line)
+            obj = _decode_record_line(line)
             if not isinstance(obj, dict):
                 raise ValueError("record is not a JSON object")
             rid = str(line_no) if obj.get("id") is None else record_id(obj["id"])

@@ -20,13 +20,14 @@ VOLUME_MODES = ("bounding-box", "unit-hypercube")
 
 EXACT_SEARCH_CAP = 50_000
 """Most points knn_density searches exactly.  The search compares all n² pairs:
-at d=64 on a 2-vCPU Xeon it takes about 1.6 s at n=10,000 and 3.9 s at
-n=20,000, so about 25 s at this cap, and it grows fourfold per doubling past
-it.  Memory stays bounded (pairwise blocks of _CHUNK_CELLS floats), so the cap
-bounds time only.  inverse-euclidean forms every row difference, which keeps
-the distances exact far from the origin but costs 10 to 20 times the cosine
-search: with one BLAS thread, 0.72 s against 0.07 s at n=2,000, d=64, and
-2.8 s against 0.14 s at n=4,000, d=64, so about 7 minutes at this cap."""
+at d=64 on a 2-vCPU Xeon with 2 BLAS threads the cosine search takes about
+0.44 s at n=10,000 and 1.8 s at n=20,000, so about 11 s at this cap, and it
+grows fourfold per doubling past it.  Memory stays bounded (cosine holds one
+block of _CHUNK_CELLS similarities at a time), so the cap bounds time only.
+inverse-euclidean forms every row difference, which keeps the distances exact
+far from the origin but costs 20 to 30 times the cosine search: with one BLAS
+thread, 0.81 s against 0.04 s at n=2,000, d=64, and 2.8 s against 0.10 s at
+n=4,000, d=64, so about 7 minutes at this cap."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,8 @@ class DataDensity:
 
 def _similarity_block(block: np.ndarray, all_rows: np.ndarray, similarity: str) -> np.ndarray:
     if similarity == "cosine":
-        return np.clip(block @ all_rows.T, -1.0, 1.0)
+        sims = block @ all_rows.T
+        return np.clip(sims, -1.0, 1.0, out=sims)
     # inverse-euclidean: 1 / (1 + dist), from the row differences themselves;
     # |a|² + |b|² - 2a·b cancels every digit of rows far from the origin.
     return 1.0 / (1.0 + euclidean_matrix(block, all_rows))
@@ -87,14 +89,18 @@ def knn_density(emb: EmbeddingMatrix, k: int, similarity: str = "cosine") -> Den
         stop = min(start + chunk, n)
         sims = _similarity_block(rows[start:stop], rows, similarity)
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        # Ties share one value, so the k largest do not depend on which tie is
-        # picked; summed in descending order they match a stable ranking bit for bit.
-        top = -np.sort(np.partition(-sims, k - 1, axis=1)[:, :k], axis=1)
+        # The k largest, selected in place.  Ties share one value, so they do
+        # not depend on which tie is picked; summed in descending order they
+        # match a stable ranking bit for bit.  EmbeddingMatrix refuses
+        # non-finite rows, so no NaN is there to be ranked.
+        sims.partition(n - k, axis=1)
+        top = -np.sort(-sims[:, n - k:], axis=1)
         per_point[start:stop] = top.mean(axis=1)
+        del sims, top  # before the next block is allocated
 
     return DensityReport(
         global_density=float(per_point.mean()),
-        per_point_density=tuple(float(x) for x in per_point),
+        per_point_density=tuple(per_point.tolist()),
         params={"k": k, "similarity": similarity, "n": n},
     )
 

@@ -5,11 +5,13 @@ import io
 import json
 import re
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dmeter import corpus as corpus_module
 from dmeter.corpus import (
     Corpus,
     FrequencyTable,
@@ -26,6 +28,7 @@ from dmeter.corpus import (
     _NOT_UTF8_REASON,
     _dedupe_id,
     _fingerprint_payload,
+    _decode_record_line,
     _normalize_for_fingerprint,
     _read_jsonl,
 )
@@ -641,6 +644,46 @@ def test_read_jsonl_matches_the_rule_by_rule_reader(lines):
                                        "which UTF-8 cannot encode")
         else:
             assert reasons[e.line] == e.reason
+
+
+# --- the scanner fast path against json.loads on every line ------------------------
+
+# JSON whitespace, which json.loads skips around a value; characters str.strip()
+# also strips, which it refuses; a BOM; and a no-break space.
+_line_edge = st.sampled_from([" ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                              "\x1f", "\x85", "\ufeff", "\xa0"])
+_odd_json = st.sampled_from([
+    "{bad", "{}", "[1,]", '"open', '{"text": "a"} x', '{"text": "a"}{}', '{"text": "a"}\x0b{}',
+    "NaN", "-Infinity", '{"text": "a", "timestamp": NaN}', '{"text": Infinity}',
+    '{"text": "a", "timestamp": ' + "9" * 5000 + "}", "-" + "1" * 4301,
+    "[" * 50 + "]" * 50, '{"text": "a", "x": ' + "[" * 5000 + "]" * 5000 + "}",
+    '{"text": "\\ud800"}', '{"text": "a\\u0000b"}', '{"text": "tab\there"}',
+])
+_framed_line = st.tuples(
+    st.lists(_line_edge, max_size=2).map("".join),
+    _mostly(st.builds(json.dumps, _json_object, ensure_ascii=st.booleans()),
+            _odd_json | st.builds(json.dumps, _json_value, ensure_ascii=st.booleans())),
+    st.lists(_line_edge, max_size=2).map("".join),
+).map("".join)
+
+
+def _decoded(decode, line):
+    try:
+        return repr(decode(line))  # repr tells -0.0 from 0.0, and shows NaN
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_framed_line, max_size=6))
+@example(["\x0b{}", "{}\x0c", '\ufeff{"text": "a"}', '{"text": "a"}\x85', ' {"text": "a"}\t\r'])
+def test_scanner_fast_path_matches_json_loads(lines):
+    for line in lines:
+        assert _decoded(_decode_record_line, line) == _decoded(decode_json_line, line)
+    text = "".join(line + "\n" for line in lines)
+    with mock.patch.object(corpus_module, "_decode_record_line", decode_json_line):
+        want = _read_jsonl(io.StringIO(text))
+    assert _read_jsonl(io.StringIO(text)) == want
 
 
 @pytest.mark.parametrize("n", [True, 2.0, 1.0, "2", None])

@@ -1,6 +1,7 @@
 """KNN density and points-per-volume measurements."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,51 @@ def test_top_k_matches_stable_argsort_oracle_bit_for_bit(matrix):
         for k in range(1, n):
             got = np.array(knn_density(emb, k, similarity).per_point_density)
             assert np.array_equal(got, stable_argsort_knn_density(matrix, k, similarity))
+
+
+def _block_invariant_rows(rng, n, similarity):
+    """n rows, some repeated, whose similarities have the same bits in every
+    block size.  inverse-euclidean takes one dot per pair, so any rows do; the
+    cosine matmul sums in an order that depends on the block's shape, so its
+    rows hold 1 or 4 nonzero entries ±c, whose unit rows hold 0, ±0.5 and ±1
+    and make every product and sum exact."""
+    if similarity == "cosine":
+        rows = rng.choice([-1.0, 1.0], size=(n, 4)) * rng.integers(1, 4, size=(n, 1))
+        single = rng.random(n) < 0.5
+        rows[single] *= np.eye(4)[rng.integers(0, 4, size=single.sum())]
+    else:
+        grid = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 3.0], size=(n, 3))
+        rows = np.where(rng.random((n, 1)) < 0.5, grid, rng.standard_normal((n, 3)))
+    rows[rng.integers(0, n, size=n // 4)] = rows[0]
+    return rows
+
+
+@pytest.mark.parametrize("similarity", SIMILARITIES)
+@pytest.mark.parametrize("n, rows_per_block", [(2, 1), (17, 2), (23, 3), (40, 1), (40, 3)])
+def test_top_k_across_many_blocks_matches_stable_argsort_oracle(monkeypatch, similarity, n,
+                                                                 rows_per_block):
+    # Blocks of 1 to 3 rows, the last one short where the size does not divide
+    # n; k past 8 reaches numpy's pairwise summation of each row's top k.
+    monkeypatch.setattr(density, "_CHUNK_CELLS", rows_per_block * n)
+    matrix = _block_invariant_rows(np.random.default_rng(n * 10 + rows_per_block), n, similarity)
+    emb = emb_from(matrix)
+    for k in range(1, n):
+        got = np.array(knn_density(emb, k, similarity).per_point_density)
+        assert np.array_equal(got, stable_argsort_knn_density(matrix, k, similarity))
+
+
+def test_cosine_search_allocates_about_one_similarity_block():
+    n = 2_000
+    emb = emb_from(np.random.default_rng(42).standard_normal((n, 16)))
+    assert density._CHUNK_CELLS // n == n  # so the whole search is one block
+    block_bytes = n * n * 8
+    tracemalloc.start()
+    try:
+        knn_density(emb, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * block_bytes
 
 
 # --- data_density against the per-dimension loop it replaced ---------------------
