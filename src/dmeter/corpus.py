@@ -518,14 +518,13 @@ def decode_json_line(line: str):
 
 
 _scan_json = json.JSONDecoder().scan_once
-_JSON_TAIL = re.compile(r"[ \t\n\r]*\Z")
 
 
 def _decode_record_line(line: str):
     """decode_json_line(line), through json's scanner alone where json.loads
     would make the same one call: the line starts with neither JSON whitespace
-    nor a BOM, and after the value holds only JSON whitespace.  (str.strip()
-    also strips characters such as \\x0b and \\x85, which json.loads refuses.)
+    nor a BOM, and after the value holds only JSON whitespace (not whatever
+    str.strip() strips, such as \\x0b or \\x85, which json.loads refuses).
     Every other line, and every error, goes through decode_json_line."""
     if line[:1] not in " \t\n\r\ufeff":
         try:
@@ -533,7 +532,7 @@ def _decode_record_line(line: str):
         except (StopIteration, ValueError, RecursionError):
             pass
         else:
-            if _JSON_TAIL.match(line, end):
+            if not line[end:].strip(" \t\n\r"):
                 return obj
     return decode_json_line(line)
 
