@@ -262,14 +262,28 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return cosine_similarity(xd, yd)
 
 
+def _average_ranks(values: Sequence) -> np.ndarray:
+    """1-based ranks with each run of ties at its average, as
+    scipy.stats.rankdata(method="average") gives them; NaN anywhere makes
+    every rank NaN, as rankdata's default does."""
+    values = np.asarray(values)
+    if values.dtype.kind in "fc" and np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # each tie run's start
+    end = np.r_[first[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((first + end + 1) / 2, end - first)
+    return ranks
+
+
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation of fractional ranks; ties get their average rank."""
-    from scipy.stats import rankdata  # deferred: scipy.stats takes most of a second to import
-
     xs = list(xs)
     ys = list(ys)
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError(f"need at least 2 pairs, got {len(xs)}")
-    return pearson(rankdata(xs, method="average"), rankdata(ys, method="average"))
+    return pearson(_average_ranks(xs), _average_ranks(ys))

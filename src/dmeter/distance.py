@@ -7,7 +7,12 @@ problem), and word mover's distance between token bags under an embedding.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from collections import Counter
 from typing import Callable, Hashable, NamedTuple, Sequence
 
@@ -22,6 +27,8 @@ from .vectors import cosine_matrix, euclidean_matrix
 EMD_SUPPORT_CAP = 2000
 GROUND_COSTS = ("euclidean", "cosine")
 _HIGHS_LARGE_COST = 1e15
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_HIGHS_LOCK = threading.Lock()
 
 
 class Distribution:
@@ -203,6 +210,37 @@ def _transport_constraints(n: int, m: int):
     return indptr, indices
 
 
+def _highs():
+    """scipy's private HiGHS bindings, loaded without scipy.optimize.
+
+    Importing the module by name would first run scipy.optimize's __init__,
+    hundreds of modules that take most of a second.  The extension alone is
+    found in scipy's package directory and registered in sys.modules under
+    its full name, so a later import of scipy.optimize reuses it and the
+    bindings are never initialised twice.  Where scipy has no such file, the
+    plain import runs, so any error is the one it raises.
+    """
+    with _HIGHS_LOCK:
+        module = sys.modules.get(_HIGHS_MODULE)
+        if module is not None:
+            return module
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, [
+            os.path.join(d, "optimize", "_highspy") for d in scipy.submodule_search_locations
+        ])
+        if spec is None:
+            from scipy.optimize._highspy import _core
+            return _core
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_MODULE] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[_HIGHS_MODULE]
+            raise
+        return module
+
+
 def emd_discrete(
     p: Distribution,
     q: Distribution,
@@ -217,10 +255,7 @@ def emd_discrete(
     non-negative.  Solved as a linear program; supports are capped at
     EMD_SUPPORT_CAP points each because the solve is exact, not approximate.
     """
-    # Deferred: scipy.optimize is slow to import.  These are scipy's private
-    # HiGHS bindings, under its public solvers; see the README.
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()  # scipy's private bindings, under its public solvers; see the README
     n, m = len(p), len(q)
     _check_support_sizes(n, m)
     if callable(cost):

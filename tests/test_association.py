@@ -1,7 +1,11 @@
 """Co-occurrence tables, pointwise mutual information, and correlations."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +13,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import dmeter
 from dmeter.association import (
     CONTEXT_MODES,
+    _average_ranks,
     build_cooccurrence,
     check_context_options,
     check_top_npmi_options,
@@ -338,6 +344,38 @@ class TestCorrelations:
         xs = list(rng.integers(0, 10, size=50).astype(float))
         ys = list(rng.integers(0, 10, size=50).astype(float))
         assert spearman(xs, ys) == pytest.approx(sps.spearmanr(xs, ys).statistic, abs=1e-12)
+
+    @pytest.mark.parametrize("xs, ys, error, message", [
+        ([1.0, math.nan, 3.0], [1, 2, 3], ValueError, "cosine similarity needs finite values"),
+        ([2.0, 2.0, 2.0], [1, 2, 3], UndefinedValueError, "zero-variance"),
+        ([1.0, 2.0], [3.0, 2.0, 1.0], ValueError, "length mismatch: 2 vs 3"),
+    ], ids=["nan", "zero-variance", "length-mismatch"])
+    def test_spearman_refuses_as_with_scipy_ranks(self, xs, ys, error, message):
+        with pytest.raises(error, match=message):
+            spearman(xs, ys)
+
+
+_TIED_FLOATS = st.sampled_from([-math.inf, -2.5, -0.0, 0.0, 1.0, 1e308, math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TIED_FLOATS | st.floats(), min_size=1, max_size=40))
+def test_average_ranks_match_scipy_rankdata(values):
+    # Ties, signed zeros and infinities share average ranks; NaN anywhere
+    # makes every rank NaN, as in rankdata's default.
+    want = sps.rankdata(values, method="average")
+    got = _average_ranks(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+
+def test_spearman_does_not_load_scipy_stats():
+    env = dict(os.environ, PYTHONPATH=str(Path(dmeter.__file__).parents[1]))
+    code = ("import sys; from dmeter.association import spearman; "
+            "print(spearman([1, 2, 2, 5], [3, 1, 4, 4]), 'scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    value, loaded = out.stdout.split()
+    assert float(value) == pytest.approx(0.5, abs=1e-12) and loaded == "False"
 
 
 def parent_pearson(xs, ys) -> float:

@@ -824,8 +824,9 @@ class TestParser:
 
 
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats and scipy.optimize take most of a second to import; only
-    # spearman and the exact EMD solve need them.
+    # scipy.stats and scipy.optimize take most of a second to import, and
+    # dmeter needs neither: spearman ranks with numpy and the exact EMD solve
+    # loads only scipy's HiGHS extension.
     env = dict(os.environ, PYTHONPATH=str(Path(dmeter.__file__).parents[1]))
     modules = ("scipy.stats", "scipy.optimize", "scipy.sparse")
     code = f"import sys, dmeter.cli; print([m for m in {modules!r} if m in sys.modules])"

@@ -1,8 +1,13 @@
 """Edit distance, KL divergence, and optimal-transport distances."""
 
 import functools
+import importlib.machinery
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
+import dmeter
+from dmeter import distance
 from dmeter.distance import (
     _HIGHS_LARGE_COST,
     Distribution,
@@ -636,6 +643,108 @@ def test_transport_solve_writes_nothing(capfd):
     assert word_movers_distance(["cat", "wall"], ["dog", "stone", "stone"],
                                 toy_embedding()).distance > 0
     assert capfd.readouterr() == ("", "")
+
+
+# --- loading the HiGHS bindings without scipy.optimize ---------------------------
+
+
+def _fresh_interpreter(code: str) -> list[str]:
+    """Lines that code prints in a new interpreter that imports this dmeter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dmeter.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return out.stdout.splitlines()
+
+
+def test_wmd_leaves_scipy_optimize_unloaded_and_its_solvers_working():
+    # scipy.optimize, imported after the bindings were loaded alone, takes
+    # them over from sys.modules and its HiGHS solvers still work.
+    code = """if True:
+        import sys
+        from dmeter.distance import word_movers_distance
+        from dmeter.vectors import EmbeddingMatrix
+        emb = EmbeddingMatrix(["cat", "dog", "stone"], [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
+        print(word_movers_distance(["cat", "stone"], ["dog"], emb).distance > 0)
+        print("scipy.optimize" in sys.modules)
+        loaded = sys.modules["scipy.optimize._highspy._core"]
+        from scipy.optimize import LinearConstraint, linprog, milp
+        from scipy.optimize._highspy import _highs_wrapper
+        print(linprog([-1, -1], A_ub=[[2, 2]], b_ub=[3], method="highs").fun)
+        print(milp([-1, -1], constraints=LinearConstraint([[2, 2]], ub=3), integrality=[1, 1]).fun)
+        print(sys.modules["scipy.optimize._highspy._core"] is loaded is _highs_wrapper._h)
+    """
+    assert _fresh_interpreter(code) == ["True", "False", "-1.5", "-1.0", "True"]
+
+
+def test_emd_reuses_bindings_that_scipy_optimize_loaded():
+    code = """if True:
+        import sys
+        {first}
+        import numpy as np
+        from dmeter.distance import Distribution, _highs, emd_discrete
+        rng = np.random.default_rng(5)
+        for n, m in [(1, 4), (3, 3), (7, 5), (12, 20)]:
+            p = Distribution.from_counts({{i: c for i, c in enumerate(rng.integers(1, 9, n))}})
+            q = Distribution.from_counts({{j: c for j, c in enumerate(rng.integers(1, 9, m))}})
+            print(repr(emd_discrete(p, q, rng.uniform(0.0, 3.0, (n, m)))))
+        print(_highs() is sys.modules["scipy.optimize._highspy._core"])
+        print("scipy.optimize" in sys.modules)
+    """
+    after = _fresh_interpreter(code.format(first="import scipy.optimize"))
+    alone = _fresh_interpreter(code.format(first=""))
+    assert after[-2:] == ["True", "True"] and alone[-2:] == ["True", "False"]
+    assert after[:-2] == alone[:-2]
+
+
+def test_concurrent_first_calls_load_the_bindings_once():
+    # The finder is slowed so that both threads reach it unless the load is
+    # serialised.
+    code = """if True:
+        import importlib.machinery, threading, time
+        from dmeter import distance
+        find_spec, calls = importlib.machinery.PathFinder.find_spec, []
+        def slow_find_spec(name, path=None, target=None):
+            if name == distance._HIGHS_MODULE:
+                calls.append(name)
+                time.sleep(0.2)
+            return find_spec(name, path, target)
+        importlib.machinery.PathFinder.find_spec = slow_find_spec
+        start, loaded = threading.Barrier(2), []
+        def first_call():
+            start.wait()
+            loaded.append(distance._highs())
+        threads = [threading.Thread(target=first_call) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        print(len(calls), loaded[0] is loaded[1])
+    """
+    assert _fresh_interpreter(code) == ["1 True"]
+
+
+def _no_spec(name, path=None, target=None):
+    return None
+
+
+def test_bindings_fall_back_to_the_plain_import_without_a_spec(monkeypatch):
+    # A scipy layout without the extension file: the plain import runs, so
+    # whatever it gives or raises is what emd_discrete gives or raises.
+    core = sys.modules[distance._HIGHS_MODULE]
+    package = sys.modules["scipy.optimize._highspy"]
+    monkeypatch.delitem(sys.modules, distance._HIGHS_MODULE)
+    monkeypatch.delattr(package, "_core", raising=False)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", _no_spec)
+    p, q = Distribution(["a", "b"], [0.25, 0.75]), Distribution(["c"], [1.0])
+    with pytest.raises(ImportError) as plain:
+        from scipy.optimize._highspy import _core  # noqa: F401
+    with pytest.raises(ImportError) as fallback:
+        emd_discrete(p, q, np.ones((2, 1)))
+    assert (type(fallback.value), str(fallback.value)) == (type(plain.value), str(plain.value))
+
+    monkeypatch.setattr(package, "_core", core, raising=False)
+    assert distance._highs() is core
+    assert emd_discrete(p, q, np.array([[2.0], [4.0]])) == 3.5
 
 
 # --- cost arrays against the per-pair cost callbacks they replaced --------------
