@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,6 +227,17 @@ class TestDistribution:
         with pytest.raises(ValueError, match=message):
             make()
 
+    @pytest.mark.parametrize("count, message", [
+        (True, "^count of 'a' is True; must be a number, not a bool$"),
+        (False, "^count of 'a' is False; must be a number, not a bool$"),
+        (np.True_, "^count of 'a' is True; must be a number, not a bool$"),
+        (10**400, "^count of 'a' is past the float range$"),
+        (-10**400, "^count of 'a' is past the float range$"),
+    ], ids=["true", "false", "numpy-bool", "int-past-float", "negative-int-past-float"])
+    def test_count_that_is_no_finite_number_is_named(self, count, message):
+        with pytest.raises(ValueError, match=message):
+            Distribution.from_counts({"a": count, "b": 3})
+
 
 # --- KL divergence --------------------------------------------------------------
 
@@ -362,6 +375,16 @@ class TestEmd1d:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="emd_discrete"):
             emd_1d([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([math.nan], [1.0]),
+        ([math.inf], [math.inf]),
+        ([1.0, 2.0], [0.0, -math.inf]),
+        ([0.0, 1.0], [math.nan, math.nan]),
+    ], ids=["nan", "inf-both", "-inf", "nan-both"])
+    def test_non_finite_sample_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            emd_1d(xs, ys)
 
 
 class TestEmdDiscrete:
@@ -633,6 +656,145 @@ def test_failed_transport_solve_names_the_solver_message(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         emd_discrete(p, q, np.ones((2, 1)))
     assert str(info.value) == "transport solve failed: Solve error"
+
+
+# --- one solver per thread against a fresh solver per solve ----------------------
+
+
+def _fresh_solve(p, q, costs):
+    """emd_discrete on a solver built for this call alone."""
+    distance._HIGHS_SOLVERS.solver = None
+    return emd_discrete(p, q, costs)
+
+
+def _above_bound_problem():
+    """A transport problem of one flow more than a thread keeps its solver after."""
+    m = 100
+    n = distance._HIGHS_KEEP_FLOWS // m + 1
+    rng = np.random.default_rng(3)
+    p = Distribution.from_counts({f"p{i}": c for i, c in enumerate(rng.integers(1, 6, n))})
+    q = Distribution.from_counts({f"q{j}": c for j, c in enumerate(rng.integers(1, 6, m))})
+    return p, q, rng.uniform(0.0, 3.0, (n, m))
+
+
+def _assert_kept_solver_holds_no_model():
+    solver = distance._HIGHS_SOLVERS.solver
+    assert (solver.getNumCol(), solver.getNumRow()) == (0, 0)
+    assert solver.getOptionValue("presolve")[1] == "off"
+    assert solver.getOptionValue("log_to_console")[1] is False
+
+
+def _failing_solver_class(core):
+    """A _Highs class whose getModelStatus reports a solve error once per
+    count its `failures` holds, and the true status after."""
+    class Failing(core._Highs):
+        failures = 0
+
+        def getModelStatus(self):
+            if Failing.failures:
+                Failing.failures -= 1
+                return core.HighsModelStatus.kSolveError
+            return super().getModelStatus()
+    return Failing
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_transport_problems(max_size=40), min_size=1, max_size=6),
+       st.sampled_from(["nothing", "a failed solve", "an above-bound solve"]))
+def test_reused_solver_matches_a_fresh_solver(problems, before):
+    from scipy.optimize._highspy import _core
+
+    want = [_fresh_solve(*problem) for problem in problems]
+    failing = _failing_solver_class(_core)
+    with mock.patch.object(_core, "_Highs", failing):
+        _fresh_solve(*problems[0])  # a kept solver of the class the solves below take
+        if before == "a failed solve":
+            failing.failures = 1
+            with pytest.raises(RuntimeError, match="^transport solve failed: Solve error$"):
+                emd_discrete(*problems[0])
+        elif before == "an above-bound solve":
+            emd_discrete(*_above_bound_problem())
+        kept = distance._HIGHS_SOLVERS.solver
+        got = [emd_discrete(*problem) for problem in problems]
+        assert distance._HIGHS_SOLVERS.solver is not None
+        if kept is not None:
+            assert distance._HIGHS_SOLVERS.solver is kept
+    assert got == want
+
+
+def test_thread_keeps_its_solver_only_after_an_lp_within_the_bound():
+    p, q, costs = _above_bound_problem()
+    at_bound = Distribution.from_counts(dict(zip(p.support[:-1], range(1, len(p)))))
+    emd_discrete(at_bound, q, costs[:-1])
+    solver = distance._HIGHS_SOLVERS.solver
+    assert len(at_bound) * len(q) == distance._HIGHS_KEEP_FLOWS
+    assert type(solver) is distance._highs()._Highs
+    _assert_kept_solver_holds_no_model()
+    assert emd_discrete(p, q, costs) == _fresh_solve(p, q, costs)
+    assert distance._HIGHS_SOLVERS.solver is None
+    emd_discrete(Distribution(["a"], [1.0]), q, costs[:1])
+    assert type(distance._HIGHS_SOLVERS.solver) is distance._highs()._Highs
+    _assert_kept_solver_holds_no_model()
+
+
+def test_patched_solver_class_is_replaced_once_unpatched(monkeypatch):
+    from scipy.optimize._highspy import _core
+
+    real = _core._Highs
+    p, q, costs = Distribution(["a", "b"], [0.5, 0.5]), Distribution(["c"], [1.0]), np.ones((2, 1))
+    emd_discrete(p, q, costs)
+    failing = _failing_solver_class(_core)
+    failing.failures = 1
+    monkeypatch.setattr(_core, "_Highs", failing)
+    with pytest.raises(RuntimeError):
+        emd_discrete(p, q, costs)
+    assert type(distance._HIGHS_SOLVERS.solver) is failing
+    _assert_kept_solver_holds_no_model()
+    monkeypatch.setattr(_core, "_Highs", real)
+    assert emd_discrete(p, q, np.array([[2.0], [4.0]])) == 3.0
+    assert type(distance._HIGHS_SOLVERS.solver) is real
+
+
+def test_threads_solving_interleaved_problems_each_get_the_serial_objectives():
+    # More threads than cores, switching as often as the interpreter allows,
+    # each solving the problems from its own starting point in lockstep.
+    rng = np.random.default_rng(17)
+    problems = []
+    for n, m in [(1, 4), (3, 3), (7, 5), (12, 20), (30, 33), (5, 1)]:
+        p = Distribution.from_counts({i: c for i, c in enumerate(rng.integers(1, 9, n))})
+        q = Distribution.from_counts({j: c for j, c in enumerate(rng.integers(1, 9, m))})
+        problems.append((p, q, rng.uniform(0.0, 3.0, (n, m))))
+    serial = [_fresh_solve(*problem) for problem in problems]
+    main_solver = distance._HIGHS_SOLVERS.solver
+    n_threads, rounds = 4, 5
+    step = threading.Barrier(n_threads, timeout=60)
+    got, solvers = [None] * n_threads, [None] * n_threads
+
+    def solve_all(t):
+        order = [(t + k) % len(problems) for k in range(len(problems))]
+        out = {}
+        for _ in range(rounds):
+            for k in order:
+                step.wait()
+                out.setdefault(k, []).append(emd_discrete(*problems[k]))
+        got[t], solvers[t] = out, distance._HIGHS_SOLVERS.solver
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve_all, args=(t,)) for t in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for out in got:
+        assert out == {k: [want] * rounds for k, want in enumerate(serial)}
+    assert len({id(solver) for solver in solvers}) == n_threads
+    assert all(type(solver) is distance._highs()._Highs for solver in solvers)
+    assert distance._HIGHS_SOLVERS.solver is main_solver
 
 
 def test_transport_solve_writes_nothing(capfd):

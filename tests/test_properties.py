@@ -2,8 +2,9 @@
 non-finite encoding and the blocking-flag rule that decides comparability),
 for the bounds of association and distance measures, for ingest on
 arbitrary bytes, and for the line reader that ingest shares with the
-logprob, embedding and target files, and for the translation and
-power-of-two scale invariance of the embedding measures and of the mean."""
+logprob, embedding and target files, for the translation and
+power-of-two scale invariance of the embedding measures and of the mean,
+and for whole reports that no renaming of record ids moves."""
 
 import io
 import json
@@ -23,10 +24,12 @@ from dmeter.density import data_density, knn_density
 from dmeter.distance import Distribution, emd_discrete, kl_divergence
 from dmeter.diversity import embedding_dispersion, vendi_score
 from dmeter.report import (
+    METRIC_FAMILIES,
     SCHEMA_VERSION,
     MeasurementReport,
     _ReportBuilder,
     _sanitize,
+    assemble_report,
     compare,
     is_blocking,
     parse_report,
@@ -373,3 +376,43 @@ def test_summarize_mean_scales_with_a_power_of_two(values, k):
     # correctly rounded, so its last bit can move with the scale.
     here = summarize(values)
     assert summarize([math.ldexp(v, k) for v in values]).mean == math.ldexp(here.mean, k)
+
+
+# --- whole reports under a renaming of record ids ---------------------------------
+
+
+_report_words = st.sampled_from(["the", "cat", "sat", "on", "a", "mat", "dog", "ran",
+                                 "quietly", "The", "beautiful", "x"])
+_report_text = st.builds(
+    lambda sentences: " ".join(" ".join(words) + end for words, end in sentences),
+    st.lists(st.tuples(st.lists(_report_words, max_size=8), st.sampled_from([".", "!", "?", ""])),
+             max_size=3),
+)
+_report_ids = st.lists(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                       min_size=1, max_size=8, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_renaming_record_ids_moves_no_report_value_or_flag(data):
+    ids = data.draw(_report_ids, label="ids")
+    n = len(ids)
+    renamed = data.draw(_report_ids.filter(lambda new: len(new) == n), label="renamed")
+    texts = data.draw(st.lists(_report_text, min_size=n, max_size=n), label="texts")
+    stamps = data.draw(st.lists(st.one_of(st.none(), st.integers(0, 10**6)),
+                                min_size=n, max_size=n), label="timestamps")
+    sources = data.draw(st.lists(st.sampled_from([None, "web", "news"]), min_size=n, max_size=n),
+                        label="sources")
+    rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")) \
+        .standard_normal((n, 3))
+    config = {"lm_order": 2, "burstiness_token": "the", "diversity_attribute": "source"}
+
+    def report(names):
+        records = [Record(id=i, text=t, timestamp=ts, attributes=src and {"source": src})
+                   for i, t, ts, src in zip(names, texts, stamps, sources)]
+        rep = assemble_report(Corpus(records), METRIC_FAMILIES, config=config,
+                              embeddings=EmbeddingMatrix(names, rows),
+                              created_at="2026-01-01T00:00:00Z")
+        return {name: (e["value"], e["flags"]) for name, e in rep.measurements.items()}
+
+    assert report(renamed) == report(ids)
