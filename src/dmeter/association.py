@@ -2,10 +2,11 @@
 
 Co-occurrence counts are binary per context (a term pair counts once per
 document or window containing both), which keeps nPMI's [-1, 1] bounds exact.
-Every context mode, with targets or without, counts by one array route: a
-sorted (context, term) incidence, term counts by np.bincount, and pair counts
-from each target's entries expanded against the terms of their own contexts
-(with no targets, every term is a target).
+Every context mode, with targets or without, counts by one array route, a
+block of contexts at a time: a sorted (context, term) incidence, term counts
+by np.bincount, and pair counts from each target's entries expanded against
+the terms of their own contexts (with no targets, every term is a target),
+merged across blocks by one sort.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, _distinct
+from .corpus import Corpus, _blocks, _distinct, _run_starts
 from .errors import UndefinedValueError, check_choice, check_int, check_smoothing
 from .vectors import cosine_similarity
 
@@ -68,45 +69,79 @@ def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1:].sum()) - np.repeat(ends - lengths, lengths)
 
 
-def _incidence(ranks: np.ndarray, offsets: np.ndarray, n_terms: int, window_size: int | None):
-    """Context count, and the contexts and terms of the sorted incidence that
-    lists each distinct term once per context.  A context is a record when
-    window_size is None, else a sliding window, where a non-empty record
-    shorter than the window is one context.  (A function of its own, so its
-    per-token temporaries are freed before _count expands the pairs.)"""
+# (context, term) codes, or expanded term pairs, that the co-occurrence count
+# makes at once: each int64 temporary of a block is 512 KiB.  On the
+# benchmark's text-zipf batch A, the targeted document-mode count peaked at
+# 34.7 MiB under tracemalloc with the whole corpus as one block, and at 4.8
+# MiB with blocks of 2**16 cells (5.8 with 2**15, where the merge of more
+# blocks' pair codes grows; 6.9 with 2**17, 28 with 2**20), in the same
+# 0.05 to 0.06 s (2-vCPU Xeon).
+_COOC_CHUNK_CELLS = 1 << 16
+
+
+def _context_spans(offsets: np.ndarray, window_size: int | None):
+    """Where each context starts in the token stream, and how many tokens it
+    spans.  A context is a record when window_size is None, else a sliding
+    window, where a non-empty record shorter than the window is one context."""
     lengths = np.diff(offsets)
     if window_size is None:
-        n_windows, widths = np.ones_like(lengths), lengths
-    else:
-        # Clamped first: window_size may be a Python int past any C integer.
-        window_size = min(window_size, int(lengths.max()))
-        n_windows = np.where(lengths > 0, np.maximum(lengths - window_size, 0) + 1, 0)
-        widths = np.minimum(lengths, window_size)
+        return offsets[:-1], lengths
+    # Clamped first: window_size may be a Python int past any C integer.
+    window_size = min(window_size, int(lengths.max()))
+    n_windows = np.where(lengths > 0, np.maximum(lengths - window_size, 0) + 1, 0)
     starts = np.repeat(offsets[:-1], n_windows) + _ragged_arange(n_windows)
-    spans = np.repeat(widths, n_windows)
+    return starts, np.repeat(np.minimum(lengths, window_size), n_windows)
+
+
+def _incidence(ids: np.ndarray, rank: np.ndarray, starts: np.ndarray, spans: np.ndarray):
+    """How many distinct terms each of these contexts holds, and those terms
+    as ranks (rank[ids]), ascending within each context, context after context."""
+    n_terms = rank.size
     codes = np.repeat(np.arange(spans.size) * n_terms, spans)
-    codes += ranks[np.repeat(starts, spans) + _ragged_arange(spans)]
-    incidence, _ = _distinct(codes)
-    return spans.size, *np.divmod(incidence, n_terms)
+    codes += rank[ids[np.repeat(starts, spans) + _ragged_arange(spans)]]
+    codes.sort()
+    contexts, present = np.divmod(codes[_run_starts(codes)], n_terms)
+    return np.bincount(contexts, minlength=spans.size), present
 
 
-def _count(ranks: np.ndarray, offsets: np.ndarray, n_terms: int, window_size: int | None,
+def _count(ids: np.ndarray, rank: np.ndarray, offsets: np.ndarray, window_size: int | None,
            source: np.ndarray):
     """Context count, contexts holding each term rank, and the sorted codes
     lo * n_terms + hi of the rank pairs lo < hi holding a source term, with the
-    contexts holding each."""
-    n_contexts, contexts, present = _incidence(ranks, offsets, n_terms, window_size)
-    # Each source entry meets every entry of its own context.  A pair is kept
-    # once per context: from its smaller term, or from its only source.
-    sizes = np.bincount(contexts, minlength=n_contexts)
-    held = np.flatnonzero(source[present])
-    own = sizes[contexts[held]]
-    b = present[np.repeat(np.cumsum(sizes)[contexts[held]] - own, own) + _ragged_arange(own)]
-    a = np.repeat(present[held], own)
-    keep = (b > a) | ((b < a) & ~source[b])
-    a, b = a[keep], b[keep]
-    pairs, pair_counts = _distinct(np.minimum(a, b) * n_terms + np.maximum(a, b))
-    return n_contexts, np.bincount(present, minlength=n_terms), pairs, pair_counts
+    contexts holding each.
+
+    The contexts are taken a block at a time (_blocks), and each block's
+    source entries expanded a block at a time, so no temporary spans the
+    corpus; the blocks' distinct pair codes are merged by one sort at the end,
+    their counts summed."""
+    n_terms = rank.size
+    starts, spans = _context_spans(offsets, window_size)
+    term_counts = np.zeros(n_terms, dtype=np.int64)
+    codes, counts = [], []
+    for lo, hi in _blocks(spans, _COOC_CHUNK_CELLS):
+        sizes, present = _incidence(ids, rank, starts[lo:hi], spans[lo:hi])
+        term_counts += np.bincount(present, minlength=n_terms)
+        # Each source entry meets every entry of its own context.  A pair is
+        # kept once per context: from its smaller term, or from its only source.
+        ends = np.cumsum(sizes)
+        held = np.flatnonzero(source[present])
+        context = np.searchsorted(ends, held, side="right")
+        own = sizes[context]
+        begin = ends[context] - own
+        for start, stop in _blocks(own, _COOC_CHUNK_CELLS):
+            n = own[start:stop]
+            b = present[np.repeat(begin[start:stop], n) + _ragged_arange(n)]
+            a = np.repeat(present[held[start:stop]], n)
+            keep = (b > a) | ((b < a) & ~source[b])
+            a, b = a[keep], b[keep]
+            part, part_counts = _distinct(np.minimum(a, b) * n_terms + np.maximum(a, b))
+            codes.append(part)
+            counts.append(part_counts)
+    codes, counts = np.concatenate(codes), np.concatenate(counts)
+    order = codes.argsort()
+    codes = codes[order]
+    first = _run_starts(codes)
+    return spans.size, term_counts, codes[first], np.add.reduceat(counts[order], first)
 
 
 def check_context_options(context_mode: str, window_size: int | None) -> None:
@@ -152,7 +187,7 @@ def build_cooccurrence(
     rank[order] = np.arange(len(vocab))
     source = np.array([target_set is None or term in target_set for term in terms], dtype=bool)
     n_contexts, term_counts, pairs, pair_counts = _count(
-        rank[corpus.token_ids], corpus.record_offsets, len(terms), window_size, source)
+        corpus.token_ids, rank, corpus.record_offsets, window_size, source)
     lo, hi = np.divmod(pairs, len(terms))
     present = np.flatnonzero(term_counts)
     return CooccurrenceTable(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import re
 import unicodedata
@@ -34,6 +35,13 @@ _WORD_RE = re.compile(r"\w+")
 _WORD_BYTES = bytes(b if b >= 128 or _WORD_RE.match(chr(b)) else 32 for b in range(256))
 # A lone surrogate: a byte read with surrogateescape, or a JSON escape such as "\ud800".
 _NOT_UTF8 = re.compile("[\ud800-\udfff]")
+# Characters of record text the token store tokenizes at once, about 13,000
+# tokens of the benchmark's text-zipf batch A.  The token strings, some 60
+# bytes each, set the store's peak: tracemalloc saw 38.5 MiB with the whole
+# corpus as one chunk and 5.5 MiB with chunks of 2**16 (the ids and tables
+# are the rest).  Chunks of 2**13 to 2**18 characters built the store in 0.14
+# to 0.16 s against 0.17 to 0.23 s as one chunk (2-vCPU Xeon).
+_STORE_CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -222,13 +230,15 @@ class Corpus:
     """Immutable snapshot of records with token streams and frequency tables.
 
     Record ids are checked and the fingerprint computed at construction.
-    Tokens are stored once, as integer ids, built in one pass when any token
-    attribute is first read: a flat int32 array indexing vocabulary
-    (first-occurrence order) and int64 record offsets.  Under unicode-word the
-    pass is one byte-table split of the joined record text, with tokenize()
-    run only on non-ASCII records (_word_stream); under the other modes,
-    tokenize() per record.  The text layers read these arrays;
-    iter_record_tokens() rebuilds string tuples.
+    Tokens are stored once, as integer ids, built when any token attribute is
+    first read: a flat int32 array indexing vocabulary (first-occurrence
+    order) and int64 record offsets.  The records are tokenized a chunk of
+    about _STORE_CHUNK_CHARS characters at a time, so only one chunk's token
+    strings are held at once.  Under unicode-word a chunk is one byte-table
+    split of its joined record text, with tokenize() run only on non-ASCII
+    records (_word_stream); under the other modes, tokenize() per record.
+    The text layers read these arrays; iter_record_tokens() rebuilds string
+    tuples.
     """
 
     def __init__(
@@ -256,29 +266,45 @@ class Corpus:
 
     @cached_property
     def _store(self) -> _TokenStore:
-        """The token store, built from every record in one pass on first read:
-        _word_stream's byte-table split of the joined text under unicode-word
-        (non-ASCII records through tokenize()), tokenize() per record otherwise."""
+        """The token store, built on first read from the records a chunk of
+        about _STORE_CHUNK_CHARS characters at a time (_blocks): _word_stream's
+        byte-table split of the chunk's text under unicode-word (non-ASCII
+        records through tokenize()), tokenize() per record otherwise.  Each
+        chunk's token strings are dropped once its ids are written, so the
+        strings held at once are those of one chunk, not of the corpus."""
         # One flat token stream; each record's tokens are ids[offsets[i]:offsets[i + 1]].
         config = self._tokenizer_config
-        texts = [r.text for r in self._records]
-        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-        if config.mode == "unicode-word":
-            stream, offsets[1:] = _word_stream(texts, config)
-        else:
-            stream, lengths = [], []
-            for text in texts:
-                toks = tokenize(text, config)
-                stream.extend(toks)
-                lengths.append(len(toks))
-            np.cumsum(lengths, out=offsets[1:])
-        counts = Counter(stream)
+        records = self._records
+        offsets = np.zeros(len(records) + 1, dtype=np.int64)
         # Counter keeps first-occurrence order, so its keys are the vocabulary.
-        vocabulary = tuple(counts)
-        index = {t: i for i, t in enumerate(vocabulary)}
-        ids = np.fromiter(map(index.__getitem__, stream), dtype=np.int32, count=len(stream))
-        return _TokenStore(vocabulary, index, _frozen(ids), _frozen(offsets),
-                           FrequencyTable._of_positive(dict(counts), len(stream)))
+        counts: Counter = Counter()
+        index: dict[str, int] = {}
+        ids = []
+        n_tokens = 0
+        sizes = np.fromiter((len(r.text) for r in records), dtype=np.int64, count=len(records))
+        for start, stop in _blocks(sizes, _STORE_CHUNK_CHARS):
+            texts = [r.text for r in records[start:stop]]
+            if config.mode == "unicode-word":
+                stream, ends = _word_stream(texts, config)
+            else:
+                stream, lengths = [], []
+                for text in texts:
+                    toks = tokenize(text, config)
+                    stream.extend(toks)
+                    lengths.append(len(toks))
+                ends = np.cumsum(lengths, dtype=np.int64)
+            counts.update(stream)
+            # The chunk's new types are the last len(counts) - len(index) keys.
+            new_types = list(itertools.islice(reversed(counts), len(counts) - len(index)))
+            for token in reversed(new_types):
+                index[token] = len(index)
+            ids.append(np.fromiter(map(index.__getitem__, stream), dtype=np.int32,
+                                   count=len(stream)))
+            offsets[start + 1:stop + 1] = ends + n_tokens
+            n_tokens += len(stream)
+            del stream  # before the next chunk's strings are made
+        return _TokenStore(tuple(counts), index, _frozen(np.concatenate(ids)), _frozen(offsets),
+                           FrequencyTable._of_positive(dict(counts), n_tokens))
 
     @property
     def records(self) -> tuple[Record, ...]:
@@ -359,7 +385,8 @@ def _word_stream(texts: list[str], config: TokenizerConfig) -> tuple[list[str], 
     the stream; a token starts at each non-space byte after a space, and texts
     up to text i hold the tokens that start before the end of its piece.
     Each copy of the text is dropped once used, so the peak is the stream
-    and one copy.
+    and one copy of the texts given: Corpus._store gives one chunk of
+    records at a time.
     """
     fold = config.case_fold
     # A leading empty piece, so the joined text starts with a space.
@@ -425,15 +452,35 @@ def ngram_windows(corpus: Corpus, n: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, _window_codes(ids, len(corpus.vocabulary), n, starts)
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """The index of each value of a sorted array that differs from the one before."""
+    first = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct codes, sorted, and how often each occurs; sorts codes in place.
     One sort: numpy 2's np.unique without return_* hashes, which on this many
     codes is over ten times slower."""
     codes.sort()
-    first = np.ones(codes.size, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    first = np.flatnonzero(first)
+    first = _run_starts(codes)
     return codes[first], np.diff(first, append=codes.size)
+
+
+def _blocks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) bounds that cut sizes, in order, into blocks whose sizes
+    sum to at most limit; an item larger than limit is a block of its own.
+    No items give one empty block."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while True:
+        reach = (int(ends[start - 1]) if start else 0) + limit
+        stop = max(int(np.searchsorted(ends, reach, side="right")), min(start + 1, ends.size))
+        yield start, stop
+        if stop == ends.size:
+            return
+        start = stop
 
 
 _INT64_MAX = np.iinfo(np.int64).max

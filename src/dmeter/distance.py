@@ -65,6 +65,8 @@ class Distribution:
         """Normalize a FrequencyTable or mapping of finite non-negative counts.
 
         A bool count, or an int past the float range, is refused by item.
+        Counts whose total passes the float range are normalized scaled by a
+        power of two; counts in range keep the plain division's bits.
         """
         entries = getattr(counts, "entries", counts)
         items = sorted(entries, key=repr)
@@ -78,10 +80,19 @@ class Distribution:
                 raise ValueError(f"count of {item!r} is past the float range") from None
             if not finite:
                 raise ValueError(f"count of {item!r} is {count}; must be finite")
-        total = math.fsum(entries[i] for i in items)
+        values = [entries[i] for i in items]
+        try:
+            total = math.fsum(values)
+        except OverflowError:
+            # Every probability is the same for the counts scaled by a power of
+            # two; 2**-shift with 2**shift > len(values) brings the total below
+            # the float range.
+            shift = len(values).bit_length()
+            values = [math.ldexp(value, -shift) for value in values]
+            total = math.fsum(values)
         if total <= 0:
             raise ValueError("counts must have positive total")
-        return cls(items, [entries[i] / total for i in items])
+        return cls(items, [value / total for value in values])
 
     @property
     def support(self) -> tuple:
@@ -189,7 +200,9 @@ def emd_1d(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Optimal-transport distance between two equal-size real samples.
 
     In one dimension the optimum is the sorted matching: mean |x_(i) - y_(i)|.
-    Every sample value must be finite.
+    Every sample value must be finite.  Where a difference or their sum passes
+    the float range, the samples are scaled by a power of two first, so only
+    a distance that is itself past the range comes out as math.inf.
     """
     if len(xs) == 0 or len(ys) == 0:
         raise ValueError("samples must be non-empty")
@@ -199,7 +212,19 @@ def emd_1d(xs: Sequence[float], ys: Sequence[float]) -> float:
     ys_sorted = np.sort(np.asarray(ys, dtype=np.float64))
     if not (np.isfinite(xs_sorted).all() and np.isfinite(ys_sorted).all()):
         raise ValueError("samples must be finite")
-    return float(np.mean(np.abs(xs_sorted - ys_sorted)))
+    with np.errstate(over="ignore"):
+        distance = float(np.mean(np.abs(xs_sorted - ys_sorted)))
+    if math.isinf(distance):
+        # Samples scaled by 2**-k, with 2**k > 2n, differ by less than the
+        # float range over n, so the n differences sum in range; the mean is
+        # scaled back after.
+        k = xs_sorted.size.bit_length() + 1
+        distance = float(np.mean(np.abs(np.ldexp(xs_sorted, -k) - np.ldexp(ys_sorted, -k))))
+        try:
+            distance = math.ldexp(distance, k)
+        except OverflowError:
+            distance = math.inf
+    return distance
 
 
 def _check_support_sizes(n: int, m: int) -> None:

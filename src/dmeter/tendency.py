@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FrequencyTable, decode_json_line, read_lines, record_id
+from .corpus import Corpus, FrequencyTable, _run_starts, decode_json_line, read_lines, record_id
 from .errors import UndefinedValueError, check_choice, check_int, check_smoothing
 
 # --- summary statistics -------------------------------------------------------
@@ -421,12 +421,31 @@ def _bigram_outcomes(corpus: Corpus) -> tuple[np.ndarray, ...]:
     (contexts, tokens, which, counts, totals): the context as _contexts gives
     it and the token as a vocabulary index, each corpus token's index into
     them, how many tokens each pair holds, and, per context index, how many
-    tokens follow that context."""
+    tokens follow that context.
+
+    What np.unique(codes, return_inverse=True, return_counts=True) gives, by
+    its steps, with the codes built in place and each per-token temporary
+    dropped once used: at most three arrays of one int64 per token are held
+    at once, where the np.unique route held eight."""
     n_keys = len(corpus.vocabulary) + 1  # the vocabulary and BOS
-    contexts = _contexts(corpus)
-    codes, which, counts = np.unique(contexts * n_keys + corpus.token_ids,
-                                     return_inverse=True, return_counts=True)
-    return *np.divmod(codes, n_keys), which, counts, np.bincount(contexts, minlength=n_keys)
+    codes = _contexts(corpus)
+    totals = np.bincount(codes, minlength=n_keys)
+    codes *= n_keys
+    codes += corpus.token_ids
+    perm = codes.argsort()
+    codes = codes[perm]
+    first = _run_starts(codes)
+    counts = np.diff(first, append=codes.size)
+    codes = codes[first]
+    # The pair at each sorted position: how many runs start at or before it, less one.
+    runs = np.zeros(perm.size, dtype=np.intp)
+    runs[first[1:]] = 1
+    del first
+    np.cumsum(runs, out=runs)
+    which = np.empty_like(runs)
+    which[perm] = runs
+    del perm, runs
+    return *np.divmod(codes, n_keys), which, counts, totals
 
 
 def _check_training(corpus: Corpus, order, smoothing) -> None:
@@ -543,7 +562,8 @@ def _self_perplexity(corpus: Corpus, order: int, smoothing: float) -> Perplexity
 
     Every token is in the corpus's own vocabulary, so no outcome is OOV, and
     each outcome's count comes from the token arrays: np.bincount at order 1,
-    the np.unique of the (context, token) codes at order 2.
+    _bigram_outcomes at order 2, which holds at most three int64 arrays of one
+    entry per token at once.
     """
     _check_training(corpus, order, smoothing)
     # All that _smoothed reads of a model.
@@ -552,9 +572,11 @@ def _self_perplexity(corpus: Corpus, order: int, smoothing: float) -> Perplexity
         outcome = corpus.token_ids
         counts, totals = np.bincount(outcome, minlength=model.vocab_size), corpus.total_tokens
     else:
-        contexts, _, outcome, counts, totals = _bigram_outcomes(corpus)
+        contexts, tokens, outcome, counts, totals = _bigram_outcomes(corpus)
         totals = totals[contexts]
+        del contexts, tokens
     probs = _smoothed(model, counts.astype(np.float64), np.asarray(totals, dtype=np.float64))
+    del counts, totals  # before _outcome_logs makes its per-token array
     return _aggregate(_record_sums(corpus, _outcome_logs(probs, outcome)), _NO_TOKENS)
 
 

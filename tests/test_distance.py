@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -238,6 +239,32 @@ class TestDistribution:
         with pytest.raises(ValueError, match=message):
             Distribution.from_counts({"a": count, "b": 3})
 
+    @pytest.mark.parametrize("counts, probs", [
+        ({"a": 1e308, "b": 1e308}, {"a": 0.5, "b": 0.5}),
+        ({"a": 10**308, "b": 0, "c": 10**308}, {"a": 0.5, "b": 0.0, "c": 0.5}),
+        (dict.fromkeys("abcd", sys.float_info.max), dict.fromkeys("abcd", 0.25)),
+    ], ids=["floats", "ints-and-a-zero", "float-max"])
+    def test_counts_summing_past_the_float_range_are_normalized(self, counts, probs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Distribution.from_counts(counts).as_dict() == probs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1.0, sys.float_info.max)), min_size=1,
+                    max_size=8), st.integers(1, 60))
+    def test_probabilities_do_not_move_with_a_power_of_two_scale(self, counts, k):
+        assume(any(counts))
+        counts = {str(i): c for i, c in enumerate(counts)}
+        probs = Distribution.from_counts(counts).as_dict()
+        assert Distribution.from_counts(
+            {i: math.ldexp(c, -k) for i, c in counts.items()}).as_dict() == probs
+        try:
+            total = math.fsum(counts.values())
+        except OverflowError:
+            return
+        # In range, the counts are divided by their total as they are.
+        assert probs == {i: c / total for i, c in counts.items()}
+
 
 # --- KL divergence --------------------------------------------------------------
 
@@ -385,6 +412,40 @@ class TestEmd1d:
     def test_non_finite_sample_rejected(self, xs, ys):
         with pytest.raises(ValueError, match="^samples must be finite$"):
             emd_1d(xs, ys)
+
+    @pytest.mark.parametrize("xs, ys, distance", [
+        ([1.5e308, 1.5e308], [0.0, 0.0], 1.5e308),  # the sum of the differences overflows
+        ([1e308, 0.0], [-1e308, 0.0], 1e308),  # each difference overflows... once sorted, not
+        ([sys.float_info.max, 0.0], [-sys.float_info.max, 0.0], sys.float_info.max),
+        ([1e308], [-1e308], math.inf),  # 2e308 itself is past the float range
+    ], ids=["sum", "sorted-differences", "float-max", "past-the-range"])
+    def test_distance_whose_sum_passes_the_float_range(self, xs, ys, distance):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert emd_1d(xs, ys) == distance
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_distance_scales_with_a_power_of_two_to_the_float_range(self, data):
+        # Magnitudes from 2**-900 to 2**1000, so that neither 2**k nor the
+        # rescale makes a subnormal; k is often the largest that keeps every
+        # sample finite, or a few less, where the differences overflow.
+        sample = st.one_of(st.just(0.0), st.floats(2.0**-900, 2.0**1000),
+                           st.floats(-(2.0**1000), -(2.0**-900)))
+        n = data.draw(st.integers(1, 8), label="n")
+        xs = data.draw(st.lists(sample, min_size=n, max_size=n), label="xs")
+        ys = data.draw(st.lists(sample, min_size=n, max_size=n), label="ys")
+        top = 1024 - math.frexp(max(map(abs, xs + ys)))[1]  # 2**k * |sample| < 2**1024
+        k = data.draw(st.integers(max(0, top - 4), top) | st.integers(0, top), label="k")
+        here = emd_1d(xs, ys)
+        assert here == float(np.mean(np.abs(np.sort(xs) - np.sort(ys))))  # in range: its bits
+        try:
+            want = math.ldexp(here, k)
+        except OverflowError:
+            want = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert emd_1d([math.ldexp(x, k) for x in xs], [math.ldexp(y, k) for y in ys]) == want
 
 
 class TestEmdDiscrete:

@@ -416,3 +416,35 @@ def test_renaming_record_ids_moves_no_report_value_or_flag(data):
         return {name: (e["value"], e["flags"]) for name, e in rep.measurements.items()}
 
     assert report(renamed) == report(ids)
+
+
+# --- whole reports of a corpus joined with a copy of itself -----------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_report_text, min_size=1, max_size=8))
+def test_a_corpus_joined_with_its_copy_keeps_its_shares_and_halves_its_diversity(texts):
+    n = len(texts)
+    records = [Record(id=f"a{i}", text=t) for i, t in enumerate(texts)]
+    copies = [Record(id=f"b{i}", text=t) for i, t in enumerate(texts)]
+
+    def entries(records):
+        rep = assemble_report(Corpus(records), ["tendency", "diversity", "quality"],
+                              created_at="2026-01-01T00:00:00Z")
+        return {name: (e["value"], e["flags"]) for name, e in rep.measurements.items()}
+
+    here, joined = entries(records), entries(records + copies)
+    # Every type's share of the tokens is the same.
+    for name in ("token_entropy", "token_gini"):
+        assert joined[name] == here[name]
+    # Twice the n-grams, and no new distinct one.
+    ngram_entries = [name for name in here if name.startswith("ngram_diversity_")]
+    assert ngram_entries and ngram_entries == [
+        name for name in joined if name.startswith("ngram_diversity_")]
+    for name in ngram_entries:
+        value, flags = here[name]
+        assert joined[name] == ((None if value is None else value / 2), flags)
+    # Each record's text is the copy's.
+    dup, dup_joined = here["duplicates_exact"][0], joined["duplicates_exact"][0]
+    assert dup_joined["n_distinct"] == dup["n_distinct"]
+    assert dup_joined["excess_duplicates"] == dup["excess_duplicates"] + n

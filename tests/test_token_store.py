@@ -11,15 +11,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dmeter.association as association_module
 import dmeter.corpus as corpus_module
 from dmeter.association import build_cooccurrence, top_npmi
-from dmeter.corpus import TOKENIZER_MODES, Corpus, Record, TokenizerConfig, ngrams, tokenize
+from dmeter.corpus import (
+    TOKENIZER_MODES,
+    Corpus,
+    Record,
+    TokenizerConfig,
+    _blocks,
+    ngrams,
+    tokenize,
+)
 from dmeter.diversity import ngram_diversity
 from dmeter.errors import UndefinedValueError
 from dmeter.quality import FleschReport, count_syllables, flesch_reading_ease
 from dmeter.tendency import (
     BOS,
     _aggregate,
+    _bigram_outcomes,
+    _contexts,
     _logprob_rows,
     _self_perplexity,
     perplexity,
@@ -463,3 +474,110 @@ def test_train_lm_builds_no_tuple_keyed_table(monkeypatch):
         lm = train_lm(train, 2, smoothing)
         assert_perplexity_matches_loop(lm, train)
         assert_perplexity_matches_loop(lm, other)
+
+
+# --- chunked builds ------------------------------------------------------------------
+# The chunk constants hold every example above in one chunk.  These tests shrink
+# them to one and to a few units, so each example spans many chunks.
+
+CHUNK_SIZES = [1, 2, 5, 13]
+
+
+def loop_blocks(sizes, limit):
+    """Greedy blocks: a block takes the next item while its sum stays within
+    limit, and always takes its first item."""
+    blocks, start, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > limit:
+            blocks.append((start, i))
+            start, total = i, 0
+        total += size
+    return blocks + [(start, len(sizes))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=12), st.integers(1, 12))
+@example([], 3)  # no items: one empty block
+@example([0, 0, 4, 0, 1, 20, 0, 0], 4)  # zero sizes at the edges, an item past the limit
+def test_blocks_match_the_greedy_loop(sizes, limit):
+    assert list(_blocks(np.array(sizes, dtype=np.int64), limit)) == loop_blocks(sizes, limit)
+
+
+def test_store_tokenizes_a_chunk_at_a_time(monkeypatch):
+    calls = []
+    word_stream = corpus_module._word_stream
+    monkeypatch.setattr(corpus_module, "_word_stream",
+                        lambda texts, config: calls.append(texts) or word_stream(texts, config))
+    monkeypatch.setattr(corpus_module, "_STORE_CHUNK_CHARS", 4)
+    corpus = corpus_of(["b a", "", "c a b e", "", "d", "e"])
+    assert corpus.vocabulary == ("b", "a", "c", "e", "d")
+    # A record longer than a chunk is a chunk of its own, even beside an empty record.
+    assert calls == [["b a", ""], ["c a b e"], ["", "d", "e"]]
+    assert corpus.token_ids.tolist() == [0, 1, 2, 1, 0, 3, 4, 3]
+    assert corpus.record_offsets.tolist() == [0, 2, 2, 6, 6, 7, 8]
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@settings(max_examples=150, deadline=None)
+@given(record_texts=st.lists(texts | byte_table_texts, max_size=8), config=configs)
+@example(record_texts=["a b", "c a", "d"], config=TokenizerConfig())  # types new in later chunks
+@example(record_texts=["a", "", "", "b a", ""], config=TokenizerConfig("whitespace"))
+@example(record_texts=[], config=TokenizerConfig("character"))  # no records
+@example(record_texts=["", " . ", "!?"], config=TokenizerConfig())  # records, but no tokens
+def test_chunked_store_matches_the_loop(chunk, record_texts, config):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "_STORE_CHUNK_CHARS", chunk)
+        corpus = corpus_of(record_texts, config)
+        vocabulary, ids, offsets, counts = loop_store(record_texts, config)
+        assert corpus.vocabulary == vocabulary
+        assert corpus.token_ids.dtype == np.int32 and corpus.token_ids.tolist() == ids
+        assert corpus.record_offsets.dtype == np.int64 and corpus.record_offsets.tolist() == offsets
+        assert list(corpus.token_counts.entries.items()) == list(counts.items())
+        assert corpus.total_tokens == len(ids)
+        assert all(corpus.token_id(t) == i for i, t in enumerate(vocabulary))
+
+
+def unique_bigram_outcomes(corpus):
+    """_bigram_outcomes by the np.unique call it replaced."""
+    n_keys = len(corpus.vocabulary) + 1
+    contexts = _contexts(corpus)
+    codes, which, counts = np.unique(contexts * n_keys + corpus.token_ids,
+                                     return_inverse=True, return_counts=True)
+    return *np.divmod(codes, n_keys), which, counts, np.bincount(contexts, minlength=n_keys)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(texts | long_texts, max_size=6), configs)
+@example([], TokenizerConfig())  # no records
+@example(["", "...", ""], TokenizerConfig())  # records, but no tokens
+def test_bigram_outcomes_match_np_unique(record_texts, config):
+    corpus = corpus_of(record_texts, config)
+    got, want = _bigram_outcomes(corpus), unique_bigram_outcomes(corpus)
+    assert [a.dtype for a in got] == [a.dtype for a in want]
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+@pytest.mark.parametrize("chunk", CHUNK_SIZES)
+@settings(max_examples=150, deadline=None)
+@given(record_texts=st.lists(texts, min_size=1, max_size=6), config=configs,
+       mode=st.sampled_from(["document", "window"]), window=st.integers(1, 4),
+       extra=st.one_of(st.none(), st.lists(texts, min_size=1, max_size=3)),
+       n_vocab_targets=st.integers(0, 3))
+@example(record_texts=["a b c a", "", "b d", ""], config=TokenizerConfig(), mode="window",
+         window=2, extra=None, n_vocab_targets=0)  # untargeted, empty records between windows
+@example(record_texts=["", "..."], config=TokenizerConfig(), mode="document", window=1,
+         extra=None, n_vocab_targets=0)  # records, but no tokens
+def test_chunked_cooccurrence_matches_loop(chunk, record_texts, config, mode, window, extra,
+                                           n_vocab_targets):
+    corpus = corpus_of(record_texts, config)
+    targets = None
+    if extra is not None:
+        targets = list(corpus.vocabulary[:n_vocab_targets]) + extra
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(association_module, "_COOC_CHUNK_CELLS", chunk)
+        table = build_cooccurrence(corpus, targets, mode, window if mode == "window" else None)
+    pairs, terms, n_contexts = loop_cooccurrence(corpus, targets, mode, window)
+    assert table.pair_counts == pairs
+    assert all(type(c) is int for c in (*table.pair_counts.values(), *table.term_counts.values()))
+    assert table.term_counts == terms
+    assert table.n_contexts == n_contexts
