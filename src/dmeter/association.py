@@ -80,9 +80,10 @@ _COOC_CHUNK_CELLS = 1 << 16
 
 
 def _context_spans(offsets: np.ndarray, window_size: int | None):
-    """Where each context starts in the token stream, and how many tokens it
-    spans.  A context is a record when window_size is None, else a sliding
-    window, where a non-empty record shorter than the window is one context."""
+    """Where each context of the records whose bounds these offsets are starts
+    in the token stream, and how many tokens it spans.  A context is a record
+    when window_size is None, else a sliding window, where a non-empty record
+    shorter than the window is one context."""
     lengths = np.diff(offsets)
     if window_size is None:
         return offsets[:-1], lengths
@@ -110,16 +111,17 @@ def _count(ids: np.ndarray, rank: np.ndarray, offsets: np.ndarray, window_size: 
     lo * n_terms + hi of the rank pairs lo < hi holding a source term, with the
     contexts holding each.
 
-    The contexts are taken a block at a time (_blocks), and each block's
-    source entries expanded a block at a time, so no temporary spans the
-    corpus; the blocks' distinct pair codes are merged by one sort at the end,
-    their counts summed."""
+    The contexts are taken a block at a time (_context_blocks), and each
+    block's source entries expanded a block at a time, so no temporary spans
+    the corpus; the blocks' distinct pair codes are merged by one sort at the
+    end, their counts summed."""
     n_terms = rank.size
-    starts, spans = _context_spans(offsets, window_size)
+    n_contexts = 0
     term_counts = np.zeros(n_terms, dtype=np.int64)
     codes, counts = [], []
-    for lo, hi in _blocks(spans, _COOC_CHUNK_CELLS):
-        sizes, present = _incidence(ids, rank, starts[lo:hi], spans[lo:hi])
+    for starts, spans in _context_blocks(offsets, window_size):
+        n_contexts += spans.size
+        sizes, present = _incidence(ids, rank, starts, spans)
         term_counts += np.bincount(present, minlength=n_terms)
         # Each source entry meets every entry of its own context.  A pair is
         # kept once per context: from its smaller term, or from its only source.
@@ -141,7 +143,19 @@ def _count(ids: np.ndarray, rank: np.ndarray, offsets: np.ndarray, window_size: 
     order = codes.argsort()
     codes = codes[order]
     first = _run_starts(codes)
-    return spans.size, term_counts, codes[first], np.add.reduceat(counts[order], first)
+    return n_contexts, term_counts, codes[first], np.add.reduceat(counts[order], first)
+
+
+def _context_blocks(offsets: np.ndarray, window_size: int | None):
+    """_context_spans of the corpus's contexts, a block of at most
+    _COOC_CHUNK_CELLS cells at a time (a longer context is a block of its
+    own): the spans are built a block of records of at most that many tokens
+    at a time, so window mode holds no start and width per window of the
+    corpus."""
+    for first, last in _blocks(np.diff(offsets), _COOC_CHUNK_CELLS):
+        starts, spans = _context_spans(offsets[first:last + 1], window_size)
+        for lo, hi in _blocks(spans, _COOC_CHUNK_CELLS):
+            yield starts[lo:hi], spans[lo:hi]
 
 
 def check_context_options(context_mode: str, window_size: int | None) -> None:

@@ -42,6 +42,12 @@ _NOT_UTF8 = re.compile("[\ud800-\udfff]")
 # are the rest).  Chunks of 2**13 to 2**18 characters built the store in 0.14
 # to 0.16 s against 0.17 to 0.23 s as one chunk (2-vCPU Xeon).
 _STORE_CHUNK_CHARS = 1 << 16
+# Tokens that a pass over the token store takes at once, a block of records
+# at a time (_record_blocks): n-gram codes, (context, token) codes and
+# per-token logs, syllable counts.  On the benchmark's text-zipf batch A,
+# tracemalloc saw ngram_diversity at n = 2 peak at 5.2 MiB this way against
+# 24.6 MiB over the whole corpus at once.
+_TOKEN_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -440,16 +446,38 @@ def ngram_windows(corpus: Corpus, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(starts, codes) for every n-token window inside one record, n >= 2: the
     token_ids position each window starts at, ascending, and one int64 code
     per window, equal exactly when the windows are."""
-    ids, offsets = corpus.token_ids, corpus.record_offsets
+    starts = _window_starts(corpus.record_offsets, n)
+    return starts, _window_codes(corpus.token_ids, len(corpus.vocabulary), n, starts)
+
+
+def _ngram_code_blocks(corpus: Corpus, n: int) -> Iterator[np.ndarray]:
+    """ngram_windows' codes, n >= 2, a block of records of about _TOKEN_BLOCK
+    tokens at a time (_record_blocks), so no temporary spans the corpus.
+
+    A block's codes are the corpus's only while no code is re-ranked, that is
+    while n_types ** n fits in int64; past that, the one block is the whole
+    corpus, whose ranks are the corpus's.
+    """
+    ids, offsets, n_types = corpus.token_ids, corpus.record_offsets, len(corpus.vocabulary)
+    # n_types ** n is only computed for n < 64, past which it cannot fit for n_types >= 2.
+    if not (n_types < 2 or (n < 64 and n_types ** n <= _INT64_MAX)):
+        yield ngram_windows(corpus, n)[1]
+        return
+    for start, stop in _record_blocks(corpus):
+        yield _window_codes(ids, n_types, n, _window_starts(offsets[start:stop + 1], n))
+
+
+def _window_starts(offsets: np.ndarray, n: int) -> np.ndarray:
+    """The token_ids position of every n-token window inside one record, for
+    the records whose bounds these offsets are, ascending."""
     lengths = np.diff(offsets)
     if not lengths.size or n > lengths.max():
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+        return np.empty(0, dtype=np.int64)
     # A window starting at position i stays inside its record when i + n <= the record's end.
-    n_windows = ids.size - n + 1
+    first = int(offsets[0])
+    n_windows = int(offsets[-1]) - first - n + 1
     ends = np.repeat(offsets[1:], lengths)[:n_windows]
-    starts = np.flatnonzero(np.arange(n_windows) + n <= ends)
-    return starts, _window_codes(ids, len(corpus.vocabulary), n, starts)
+    return first + np.flatnonzero(np.arange(first + n, first + n + n_windows) <= ends)
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -468,6 +496,19 @@ def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes[first], np.diff(first, append=codes.size)
 
 
+def _merged(codes: np.ndarray, counts: np.ndarray, part: np.ndarray,
+            part_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One table of the distinct sorted codes of two, with their counts: a code
+    in both gets the sum (counts is updated in place).  Each new code is
+    inserted where searchsorted puts it, so no sort of the union is made."""
+    at = np.searchsorted(codes, part)
+    held = at < codes.size
+    held[held] = codes[at[held]] == part[held]
+    counts[at[held]] += part_counts[held]
+    new = ~held
+    return np.insert(codes, at[new], part[new]), np.insert(counts, at[new], part_counts[new])
+
+
 def _blocks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
     """(start, stop) bounds that cut sizes, in order, into blocks whose sizes
     sum to at most limit; an item larger than limit is a block of its own.
@@ -483,6 +524,11 @@ def _blocks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
         start = stop
 
 
+def _record_blocks(corpus: Corpus) -> Iterator[tuple[int, int]]:
+    """_blocks over the corpus's record token counts, with _TOKEN_BLOCK as the limit."""
+    return _blocks(np.diff(corpus.record_offsets), _TOKEN_BLOCK)
+
+
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -494,6 +540,8 @@ def _window_codes(ids: np.ndarray, n_types: int, n: int, starts: np.ndarray) -> 
     are below the window count.
     """
     codes = ids[starts].astype(np.int64)
+    if not codes.size:
+        return codes
     for k in range(1, n):
         if int(codes.max()) + 1 > _INT64_MAX // n_types:
             codes = np.unique(codes, return_inverse=True)[1].astype(np.int64)

@@ -14,11 +14,11 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterator
 
 import numpy as np
 
-from .corpus import _WORD_RE, Corpus, FrequencyTable
+from .corpus import _WORD_RE, Corpus, FrequencyTable, _record_blocks
 from .diversity import shannon_entropy
 from .errors import UndefinedValueError, check_choice, check_int
 from .tendency import SummaryStats, summarize
@@ -143,22 +143,26 @@ def _score(text: str, n_words: int, n_syllables: int) -> float:
     return 206.835 - 1.015 * (n_words / len(sentences)) - 84.6 * (n_syllables / n_words)
 
 
-def _word_and_syllable_counts(corpus: Corpus) -> Iterable[tuple[int, int]]:
+def _word_and_syllable_counts(corpus: Corpus) -> Iterator[tuple[int, int]]:
     """Each record's word count and syllable sum, over the words _WORD_RE finds."""
     if corpus.tokenizer_config.mode == "unicode-word":
         # Here a record's tokens are its words, lowercased when the corpus folds
         # case, and count_syllables lowercases first (str.lower is idempotent).
-        # So each type is counted once, and the exact int64 sums are gathered.
+        # So each type is counted once, and the exact int64 sums are gathered,
+        # a block of records at a time.
         vocabulary, ids, offsets = corpus.vocabulary, corpus.token_ids, corpus.record_offsets
         per_type = np.fromiter(map(count_syllables, vocabulary), dtype=np.int64,
                                count=len(vocabulary))
-        running = np.zeros(ids.size + 1, dtype=np.int64)
-        np.cumsum(per_type[ids], out=running[1:])
-        sums = running[offsets[1:]] - running[offsets[:-1]]
-        return zip(np.diff(offsets).tolist(), sums.tolist())
+        for start, stop in _record_blocks(corpus):
+            bounds = offsets[start:stop + 1] - offsets[start]
+            running = np.zeros(bounds[-1] + 1, dtype=np.int64)
+            np.cumsum(per_type[ids[offsets[start]:offsets[stop]]], out=running[1:])
+            sums = running[bounds[1:]] - running[bounds[:-1]]
+            yield from zip(np.diff(bounds).tolist(), sums.tolist())
+        return
     syllables_of = functools.cache(count_syllables)  # each word counted once
-    return ((len(words), sum(map(syllables_of, words)))
-            for words in (_WORD_RE.findall(record.text) for record in corpus.records))
+    for words in (_WORD_RE.findall(record.text) for record in corpus.records):
+        yield len(words), sum(map(syllables_of, words))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import density, diversity, quality, tendency
-from .corpus import Corpus, read_lines
+from .corpus import Corpus, FrequencyTable, read_lines
 from .errors import MeasurementError, UndefinedValueError, check_int
 from .vectors import EmbeddingMatrix, align_to_corpus
 
@@ -157,6 +157,15 @@ class _ReportBuilder:
                  skip="no-embeddings" if self.embeddings is None else None, fields=fields)
 
 
+def _token_counts(corpus: Corpus) -> FrequencyTable:
+    """The corpus's type counts, for the entries that summarize them: a corpus
+    whose records hold no tokens leaves them undefined, as it does the n-gram
+    and perplexity entries."""
+    if not corpus.total_tokens:
+        raise UndefinedValueError("corpus has no tokens")
+    return corpus.token_counts
+
+
 def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> None:
     b.add(
         "record_length_tokens",
@@ -168,7 +177,7 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
         "token_count_stats",
         "count/type",
         {"tokenizer": tok},
-        lambda: asdict(tendency.summarize(list(corpus.token_counts.entries.values()))),
+        lambda: asdict(tendency.summarize(list(_token_counts(corpus).entries.values()))),
     )
 
     b.add("zipf", "exponent", {"fit_method": cfg["zipf_method"], "tokenizer": tok},
@@ -212,9 +221,9 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
 
 def _add_diversity(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> None:
     b.add("token_entropy", "nats", {"tokenizer": tok},
-          lambda: diversity.shannon_entropy(corpus.token_counts))
+          lambda: diversity.shannon_entropy(_token_counts(corpus)))
     b.add("token_gini", "probability", {"tokenizer": tok},
-          lambda: diversity.gini_diversity(corpus.token_counts))
+          lambda: diversity.gini_diversity(_token_counts(corpus)))
     for n in (1, 2):
         b.add(
             f"ngram_diversity_{n}",

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, FrequencyTable, _run_starts, decode_json_line, read_lines, record_id
+from .corpus import (Corpus, FrequencyTable, _distinct, _merged, _record_blocks, _run_starts,
+                     decode_json_line, read_lines, record_id)
 from .errors import UndefinedValueError, check_choice, check_int, check_smoothing
 
 # --- summary statistics -------------------------------------------------------
@@ -406,46 +407,39 @@ def _smoothed(lm: NgramLM, counts: np.ndarray, totals: np.ndarray) -> np.ndarray
         return np.where(dens == 0.0, 0.0, (counts + alpha) / dens)
 
 
-def _contexts(corpus: Corpus) -> np.ndarray:
-    """Each token's context as an index into corpus.vocabulary: the token
-    before it, or len(vocabulary), standing for BOS, at a record's first token."""
+def _pair_codes(corpus: Corpus, start: int, stop: int) -> np.ndarray:
+    """context * (n_types + 1) + token for each token of records start to
+    stop: the token as its vocabulary index, and the context as the index of
+    the token before it, or n_types, standing for BOS, at a record's first."""
     ids, offsets = corpus.token_ids, corpus.record_offsets
-    contexts = np.empty(ids.size, dtype=np.int64)
-    contexts[1:] = ids[:-1]
-    contexts[offsets[:-1][np.diff(offsets) > 0]] = len(corpus.vocabulary)
-    return contexts
+    n_keys = len(corpus.vocabulary) + 1  # the vocabulary and BOS
+    bounds = offsets[start:stop + 1] - offsets[start]
+    tokens = ids[offsets[start]:offsets[stop]]
+    codes = np.empty(tokens.size, dtype=np.int64)
+    codes[1:] = tokens[:-1]
+    codes[bounds[:-1][np.diff(bounds) > 0]] = n_keys - 1
+    codes *= n_keys
+    codes += tokens
+    return codes
 
 
-def _bigram_outcomes(corpus: Corpus) -> tuple[np.ndarray, ...]:
-    """The distinct (context, token) pairs of the corpus, ascending, as
-    (contexts, tokens, which, counts, totals): the context as _contexts gives
-    it and the token as a vocabulary index, each corpus token's index into
-    them, how many tokens each pair holds, and, per context index, how many
+def _bigram_table(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (context, token) codes of the corpus (_pair_codes),
+    ascending, how many tokens each holds, and, per context index, how many
     tokens follow that context.
 
-    What np.unique(codes, return_inverse=True, return_counts=True) gives, by
-    its steps, with the codes built in place and each per-token temporary
-    dropped once used: at most three arrays of one int64 per token are held
-    at once, where the np.unique route held eight."""
-    n_keys = len(corpus.vocabulary) + 1  # the vocabulary and BOS
-    codes = _contexts(corpus)
-    totals = np.bincount(codes, minlength=n_keys)
-    codes *= n_keys
-    codes += corpus.token_ids
-    perm = codes.argsort()
-    codes = codes[perm]
-    first = _run_starts(codes)
-    counts = np.diff(first, append=codes.size)
-    codes = codes[first]
-    # The pair at each sorted position: how many runs start at or before it, less one.
-    runs = np.zeros(perm.size, dtype=np.intp)
-    runs[first[1:]] = 1
-    del first
-    np.cumsum(runs, out=runs)
-    which = np.empty_like(runs)
-    which[perm] = runs
-    del perm, runs
-    return *np.divmod(codes, n_keys), which, counts, totals
+    A block of records at a time (_record_blocks): each block's distinct codes
+    and counts are merged into the table, so no temporary spans the corpus."""
+    n_keys = len(corpus.vocabulary) + 1
+    codes, counts = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    for start, stop in _record_blocks(corpus):
+        codes, counts = _merged(codes, counts, *_distinct(_pair_codes(corpus, start, stop)))
+    # The codes ascend, and so do their contexts.
+    contexts = codes // n_keys
+    first = _run_starts(contexts)
+    totals = np.zeros(n_keys, dtype=np.int64)
+    totals[contexts[first]] = np.add.reduceat(counts, first)
+    return codes, counts, totals
 
 
 def _check_training(corpus: Corpus, order, smoothing) -> None:
@@ -471,7 +465,8 @@ def train_lm(corpus: Corpus, order: int = 1, smoothing: float = 1.0) -> NgramLM:
     contexts: dict = {}
     if order == 2:
         keys = (*corpus.vocabulary, BOS)
-        ctx, tokens, _, counts, totals = _bigram_outcomes(corpus)
+        codes, counts, totals = _bigram_table(corpus)
+        ctx, tokens = np.divmod(codes, len(keys))
         pairs = zip(map(keys.__getitem__, ctx.tolist()), map(keys.__getitem__, tokens.tolist()))
         bigram = dict(zip(pairs, counts.tolist()))
         contexts = {keys[c]: n for c, n in enumerate(totals.tolist()) if n}
@@ -561,45 +556,80 @@ def _self_perplexity(corpus: Corpus, order: int, smoothing: float) -> Perplexity
     without building the model's count tables.
 
     Every token is in the corpus's own vocabulary, so no outcome is OOV, and
-    each outcome's count comes from the token arrays: np.bincount at order 1,
-    _bigram_outcomes at order 2, which holds at most three int64 arrays of one
-    entry per token at once.
+    each outcome's count comes from the token store: the type counts at order
+    1, _bigram_table at order 2.
     """
     _check_training(corpus, order, smoothing)
+    # The outcome arrays go with _block_logs, before _aggregate runs.
+    blocks = _block_logs(corpus, *_self_outcome_table(corpus, order, smoothing))
+    return _aggregate(_record_sums(corpus, blocks), _NO_TOKENS)
+
+
+def _self_outcome_table(corpus: Corpus, order: int,
+                        smoothing: float) -> tuple[np.ndarray | None, np.ndarray]:
+    """_outcome_table of the model train_lm(corpus, order, smoothing) would train."""
     # All that _smoothed reads of a model.
     model = SimpleNamespace(smoothing=float(smoothing), vocab_size=len(corpus.vocabulary))
     if order == 1:
-        outcome = corpus.token_ids
-        counts, totals = np.bincount(outcome, minlength=model.vocab_size), corpus.total_tokens
+        table, totals = None, float(corpus.total_tokens)
+        # The counts in vocabulary order, which is the table's.
+        counts = np.fromiter(corpus.token_counts.entries.values(), dtype=np.float64,
+                             count=model.vocab_size)
     else:
-        contexts, tokens, outcome, counts, totals = _bigram_outcomes(corpus)
-        totals = totals[contexts]
-        del contexts, tokens
-    probs = _smoothed(model, counts.astype(np.float64), np.asarray(totals, dtype=np.float64))
-    del counts, totals  # before _outcome_logs makes its per-token array
-    return _aggregate(_record_sums(corpus, _outcome_logs(probs, outcome)), _NO_TOKENS)
+        table, counts, totals = _bigram_table(corpus)
+        counts = counts.astype(np.float64)
+        totals = totals.astype(np.float64)[table // (model.vocab_size + 1)]
+    probs = _smoothed(model, counts, totals)
+    del counts, totals  # before _outcome_logs makes its arrays
+    return table, _outcome_logs(probs)
 
 
 def _logprob_rows(lm: NgramLM, corpus: Corpus) -> dict:
     """{record id: (total log-probability, n_tokens)} for each non-empty record."""
-    return _record_sums(corpus, _token_logprobs(lm, corpus))
+    return _record_sums(corpus, _block_logs(corpus, *_outcome_table(lm, corpus)))
 
 
-def _record_sums(corpus: Corpus, logprobs: np.ndarray) -> dict:
-    """{record id: (sum of its tokens' logprobs, n_tokens)} for each non-empty record."""
-    bounds = corpus.record_offsets.tolist()
+def _record_sums(corpus: Corpus, blocks) -> dict:
+    """{record id: (sum of its tokens' logprobs, n_tokens)} for each non-empty
+    record, from (start, stop, logprobs) blocks of records in order, as
+    _block_logs gives them."""
+    records, offsets = corpus.records, corpus.record_offsets
     rows = {}
-    for record, start, end in zip(corpus.records, bounds, bounds[1:]):
-        if end > start:
-            # accumulate adds left to right, as a per-token loop does; sum and
-            # reduceat add pairwise, so their last bits differ.
-            rows[record.id] = (float(np.add.accumulate(logprobs[start:end])[-1]), end - start)
+    for start, stop, logprobs in blocks:
+        bounds = (offsets[start:stop + 1] - offsets[start]).tolist()
+        for record, a, b in zip(records[start:stop], bounds, bounds[1:]):
+            if b > a:
+                # accumulate adds left to right, as a per-token loop does; sum and
+                # reduceat add pairwise, so their last bits differ.
+                rows[record.id] = (float(np.add.accumulate(logprobs[a:b])[-1]), b - a)
     return rows
 
 
-def _token_logprobs(lm: NgramLM, corpus: Corpus) -> np.ndarray:
-    """ln lm.prob of every corpus token in its record context, in token
-    order; -inf where the probability is zero.
+def _block_logs(corpus: Corpus, table: np.ndarray | None, logs: np.ndarray):
+    """(start, stop, the log-probability of each token of records start to
+    stop) for each block of records (_record_blocks).  logs holds one value
+    per outcome: per vocabulary index when table is None (order 1), else per
+    code of the sorted _bigram_table codes."""
+    offsets = corpus.record_offsets
+    for start, stop in _record_blocks(corpus):
+        if table is None:
+            yield start, stop, logs[corpus.token_ids[offsets[start]:offsets[stop]]]
+        else:
+            yield start, stop, logs[_table_index(table, _pair_codes(corpus, start, stop))]
+
+
+def _table_index(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Each code's index into the sorted table that holds it.  The codes are
+    looked up sorted, so searchsorted walks the table once, in order."""
+    order = codes.argsort()
+    index = np.empty_like(order)
+    index[order] = np.searchsorted(table, codes[order])
+    return index
+
+
+def _outcome_table(lm: NgramLM, corpus: Corpus) -> tuple[np.ndarray | None, np.ndarray]:
+    """The outcomes of the corpus's tokens as _block_logs reads them, and ln
+    lm.prob of each; -inf where the probability is zero.
 
     Each distinct (context, token) outcome is looked up in the model once,
     and math.log runs once per distinct probability, so every value is the
@@ -609,21 +639,28 @@ def _token_logprobs(lm: NgramLM, corpus: Corpus) -> np.ndarray:
         raise ValueError(f"order must be 1 or 2, got {lm.order}")
     vocab = corpus.vocabulary
     if lm.order == 1:
-        outcome, probs = corpus.token_ids, _outcome_probs(lm, vocab, None)
-    else:
-        keys = (*vocab, BOS)
-        contexts, tokens, outcome, _, _ = _bigram_outcomes(corpus)
-        probs = _outcome_probs(lm, map(keys.__getitem__, tokens.tolist()),
-                               map(keys.__getitem__, contexts.tolist()))
-    return _outcome_logs(probs, outcome)
+        return None, _outcome_logs(_outcome_probs(lm, vocab, None))
+    keys = (*vocab, BOS)
+    table = _bigram_table(corpus)[0]
+    contexts, tokens = np.divmod(table, len(keys))
+    probs = _outcome_probs(lm, map(keys.__getitem__, tokens.tolist()),
+                           map(keys.__getitem__, contexts.tolist()))
+    return table, _outcome_logs(probs)
 
 
-def _outcome_logs(probs: np.ndarray, outcome: np.ndarray) -> np.ndarray:
-    """ln probs[outcome], -inf where the probability is zero; math.log runs
-    once per distinct probability."""
+def _token_logprobs(lm: NgramLM, corpus: Corpus) -> np.ndarray:
+    """ln lm.prob of every corpus token in its record context, in token
+    order; -inf where the probability is zero."""
+    blocks = _block_logs(corpus, *_outcome_table(lm, corpus))
+    return np.concatenate([logs for _, _, logs in blocks])
+
+
+def _outcome_logs(probs: np.ndarray) -> np.ndarray:
+    """ln probs, -inf where the probability is zero; math.log runs once per
+    distinct probability."""
     distinct, which = np.unique(probs, return_inverse=True)
     logs = np.array([-math.inf if p <= 0.0 else math.log(p) for p in distinct.tolist()])
-    return logs[which][outcome]
+    return logs[which]
 
 
 def perplexity_from_logprobs(source, corpus: Corpus | None = None) -> PerplexityResult:

@@ -4,7 +4,9 @@ for the bounds of association and distance measures, for ingest on
 arbitrary bytes, and for the line reader that ingest shares with the
 logprob, embedding and target files, for the translation and
 power-of-two scale invariance of the embedding measures and of the mean,
-and for whole reports that no renaming of record ids moves."""
+for whole reports that no renaming of record ids moves, and that a shuffle
+of the records moves only where the order is read by design, and for the
+report of a corpus with no tokens."""
 
 import io
 import json
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dmeter.corpus as corpus_module
 from dmeter.association import build_cooccurrence, npmi, top_npmi
 from dmeter.cli import _read_targets
 from dmeter.corpus import DEFAULT_TOKENIZER, FORMATS, Corpus, IngestError, Record, ingest
@@ -448,3 +451,72 @@ def test_a_corpus_joined_with_its_copy_keeps_its_shares_and_halves_its_diversity
     dup, dup_joined = here["duplicates_exact"][0], joined["duplicates_exact"][0]
     assert dup_joined["n_distinct"] == dup["n_distinct"]
     assert dup_joined["excess_duplicates"] == dup["excess_duplicates"] + n
+
+
+# --- whole reports under a shuffle of the records ---------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shuffling_the_records_moves_no_report_value_but_the_stream_order_ones(data):
+    # The record blocks the text layers take move with the record order, and
+    # no value may move with them.  burstiness_token_* reads the token stream
+    # in record order, by design.  perplexity_self sums the records'
+    # log-probabilities in record order, so its corpus value may move by the
+    # rounding of that sum: each record's sum keeps its bits, and the sum of
+    # n values of one sign carries a relative error below (n - 1) * 2**-52.
+    texts = data.draw(st.lists(_report_text, min_size=1, max_size=8), label="texts")
+    n = len(texts)
+    order = data.draw(st.permutations(range(n)), label="order")
+    stamps = data.draw(st.lists(st.one_of(st.none(), st.integers(0, 10**6)),
+                                min_size=n, max_size=n), label="timestamps")
+    sources = data.draw(st.lists(st.sampled_from([None, "web", "news"]), min_size=n, max_size=n),
+                        label="sources")
+    config = {"lm_order": data.draw(st.sampled_from([1, 2]), label="lm_order"),
+              "burstiness_token": "the", "diversity_attribute": "source"}
+    records = [Record(id=str(i), text=t, timestamp=ts, attributes=src and {"source": src})
+               for i, (t, ts, src) in enumerate(zip(texts, stamps, sources))]
+    block = data.draw(st.sampled_from([1, 3, 8, corpus_module._TOKEN_BLOCK]), label="block")
+
+    def report(records):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(corpus_module, "_TOKEN_BLOCK", block)
+            rep = assemble_report(Corpus(records), ["tendency", "diversity", "quality"],
+                                  config=config, created_at="2026-01-01T00:00:00Z")
+        return {name: (e["value"], e["flags"]) for name, e in rep.measurements.items()}
+
+    here, shuffled = report(records), report([records[i] for i in order])
+    assert shuffled.keys() == here.keys()
+    for name in here:
+        if name.startswith("burstiness_token_"):
+            continue
+        if name == "perplexity_self" and here[name][0] is not None:
+            (value, flags), (moved, moved_flags) = here[name], shuffled[name]
+            assert moved_flags == flags
+            assert math.isclose(moved, value, rel_tol=1e-12, abs_tol=0.0), (moved, value)
+            continue
+        assert shuffled[name] == here[name], name
+
+
+# --- whole reports of a corpus whose records hold no tokens -----------------------
+
+
+_no_token_text = st.text(st.sampled_from(" \t\n.,;:!?-—\"'()"), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_no_token_text, min_size=1, max_size=6), st.sampled_from([1, 2]))
+@example(["", "..."], 1)
+def test_a_corpus_with_no_tokens_gives_no_error_entry(texts, lm_order):
+    records = [Record(id=str(i), text=t) for i, t in enumerate(texts)]
+    corpus = Corpus(records)
+    assert corpus.total_tokens == 0
+    rep = assemble_report(corpus, ["tendency", "diversity", "quality"],
+                          config={"lm_order": lm_order}, created_at="2026-01-01T00:00:00Z")
+    errors = {name: e.get("note") for name, e in rep.measurements.items()
+              if any(flag.startswith("error:") for flag in e["flags"])}
+    assert not errors
+    # Every entry that needs tokens says so.
+    for name in ("token_count_stats", "zipf", "perplexity_self", "token_entropy", "token_gini",
+                 "ngram_diversity_1", "ngram_diversity_2", "flesch_reading_ease"):
+        assert rep.measurements[name]["flags"] == ["undefined"], name

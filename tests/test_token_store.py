@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,19 +21,28 @@ from dmeter.corpus import (
     Record,
     TokenizerConfig,
     _blocks,
+    _distinct,
+    ngram_windows,
     ngrams,
     tokenize,
 )
 from dmeter.diversity import ngram_diversity
 from dmeter.errors import UndefinedValueError
-from dmeter.quality import FleschReport, count_syllables, flesch_reading_ease
+from dmeter.quality import (
+    FleschReport,
+    _word_and_syllable_counts,
+    count_syllables,
+    flesch_reading_ease,
+)
 from dmeter.tendency import (
+    _NO_TOKENS,
     BOS,
     _aggregate,
-    _bigram_outcomes,
-    _contexts,
+    _bigram_table,
+    _check_training,
     _logprob_rows,
     _self_perplexity,
+    _smoothed,
     perplexity,
     summarize,
     token_recurrence_gaps,
@@ -481,6 +491,8 @@ def test_train_lm_builds_no_tuple_keyed_table(monkeypatch):
 # them to one and to a few units, so each example spans many chunks.
 
 CHUNK_SIZES = [1, 2, 5, 13]
+# The record-block constant: one, a few tokens, and its own value.
+TOKEN_BLOCKS = [1, 2, 3, corpus_module._TOKEN_BLOCK]
 
 
 def loop_blocks(sizes, limit):
@@ -537,22 +549,37 @@ def test_chunked_store_matches_the_loop(chunk, record_texts, config):
         assert all(corpus.token_id(t) == i for i, t in enumerate(vocabulary))
 
 
-def unique_bigram_outcomes(corpus):
-    """_bigram_outcomes by the np.unique call it replaced."""
+def whole_contexts(corpus):
+    """Each token's context over the whole corpus at once: the token before
+    it, or len(vocabulary), standing for BOS, at a record's first token."""
+    ids, offsets = corpus.token_ids, corpus.record_offsets
+    contexts = np.empty(ids.size, dtype=np.int64)
+    contexts[1:] = ids[:-1]
+    contexts[offsets[:-1][np.diff(offsets) > 0]] = len(corpus.vocabulary)
+    return contexts
+
+
+def unique_bigram_table(corpus):
+    """_bigram_table by the whole-corpus np.unique call it replaced, and each
+    token's index into its codes."""
     n_keys = len(corpus.vocabulary) + 1
-    contexts = _contexts(corpus)
+    contexts = whole_contexts(corpus)
     codes, which, counts = np.unique(contexts * n_keys + corpus.token_ids,
                                      return_inverse=True, return_counts=True)
-    return *np.divmod(codes, n_keys), which, counts, np.bincount(contexts, minlength=n_keys)
+    return codes, counts, np.bincount(contexts, minlength=n_keys), which
 
 
+@pytest.mark.parametrize("block", TOKEN_BLOCKS)
 @settings(max_examples=100, deadline=None)
-@given(st.lists(texts | long_texts, max_size=6), configs)
-@example([], TokenizerConfig())  # no records
-@example(["", "...", ""], TokenizerConfig())  # records, but no tokens
-def test_bigram_outcomes_match_np_unique(record_texts, config):
+@given(record_texts=st.lists(texts | long_texts, max_size=6), config=configs)
+@example(record_texts=[], config=TokenizerConfig())  # no records
+@example(record_texts=["", "...", ""], config=TokenizerConfig())  # records, but no tokens
+def test_bigram_table_matches_np_unique(block, record_texts, config):
     corpus = corpus_of(record_texts, config)
-    got, want = _bigram_outcomes(corpus), unique_bigram_outcomes(corpus)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "_TOKEN_BLOCK", block)
+        got = _bigram_table(corpus)
+    want = unique_bigram_table(corpus)[:3]
     assert [a.dtype for a in got] == [a.dtype for a in want]
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
@@ -581,3 +608,181 @@ def test_chunked_cooccurrence_matches_loop(chunk, record_texts, config, mode, wi
     assert all(type(c) is int for c in (*table.pair_counts.values(), *table.term_counts.values()))
     assert table.term_counts == terms
     assert table.n_contexts == n_contexts
+
+
+# --- record-block routes ---------------------------------------------------------
+# ngram_diversity, the perplexity routes, the Flesch sums and window-mode
+# contexts take a block of records at a time.  Each is checked with the block
+# constant at one, a few tokens and its own value against the route that held
+# the whole corpus at once, kept here.
+
+# Records of no tokens, and records longer than any small block.
+block_texts = st.lists(texts | long_texts | st.sampled_from(["", "...", " "]), max_size=8)
+NO_TOKENS = ["", "...", " ! "]
+
+
+def whole_ngram_windows(corpus, n):
+    """ngram_windows over the whole corpus at once, as it was written before
+    it shared _window_starts with the blocked route."""
+    ids, offsets = corpus.token_ids, corpus.record_offsets
+    lengths = np.diff(offsets)
+    if not lengths.size or n > lengths.max():
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    n_windows = ids.size - n + 1
+    ends = np.repeat(offsets[1:], lengths)[:n_windows]
+    starts = np.flatnonzero(np.arange(n_windows) + n <= ends)
+    return starts, corpus_module._window_codes(ids, len(corpus.vocabulary), n, starts)
+
+
+def whole_ngram_diversity(corpus, n, denominator):
+    codes = whole_ngram_windows(corpus, n)[1]
+    if not codes.size:
+        raise UndefinedValueError(f"corpus has no {n}-grams (all records shorter than {n} tokens)")
+    distinct = _distinct(codes)[0].size
+    return distinct / (codes.size if denominator == "total-ngrams" else len(corpus.vocabulary))
+
+
+def assert_blocked_ngram_diversity_matches_whole(corpus, ns):
+    for n in ns:
+        starts, codes = ngram_windows(corpus, n)
+        want_starts, want_codes = whole_ngram_windows(corpus, n)
+        assert starts.tolist() == want_starts.tolist() and codes.tolist() == want_codes.tolist()
+        for denominator in ("total-ngrams", "vocabulary"):
+            want = outcome_of(lambda: whole_ngram_diversity(corpus, n, denominator))
+            assert outcome_of(lambda: ngram_diversity(corpus, n, denominator)) == want
+
+
+@pytest.mark.parametrize("block", TOKEN_BLOCKS)
+@settings(max_examples=100, deadline=None)
+@given(record_texts=block_texts, config=configs)
+@example(record_texts=[], config=TokenizerConfig())  # no records
+@example(record_texts=NO_TOKENS, config=TokenizerConfig())  # records, but no tokens
+@example(record_texts=["a b c a b c d", "", "b c", ""], config=TokenizerConfig())
+# A block that starts past token 0 and holds a record shorter than n before a longer one.
+@example(record_texts=["a b c", "d", "e f", "g"], config=TokenizerConfig())
+def test_blocked_ngram_diversity_matches_the_whole_corpus_route(block, record_texts, config):
+    corpus = corpus_of(record_texts, config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "_TOKEN_BLOCK", block)
+        assert_blocked_ngram_diversity_matches_whole(corpus, (2, 3, 4))
+
+
+@pytest.mark.parametrize("block", TOKEN_BLOCKS)
+def test_ngram_diversity_past_int64_keeps_the_whole_corpus_route(block):
+    # 256 types: from n = 8 on, 256 ** n passes int64 and the codes are ranked
+    # over the whole corpus; n = 7 still takes the blocks.
+    words = [f"w{i}" for i in range(256)]
+    tail = " ".join(words[10:24])
+    record_texts = [" ".join(words), f"w1 {tail}", f"w2 {tail}", f"w1 {tail}", ""]
+    rng = np.random.default_rng(7)
+    record_texts += [" ".join(rng.choice(words, size=rng.integers(0, 40))) for _ in range(40)]
+    corpus = corpus_of(record_texts)
+    assert len(corpus.vocabulary) == 256
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "_TOKEN_BLOCK", block)
+        assert_blocked_ngram_diversity_matches_whole(corpus, (2, 7, 8, 9, 15))
+
+
+def whole_self_perplexity(corpus, order, smoothing):
+    """_self_perplexity with every per-token array over the whole corpus at
+    once, as it was before the record blocks."""
+    _check_training(corpus, order, smoothing)
+    model = SimpleNamespace(smoothing=float(smoothing), vocab_size=len(corpus.vocabulary))
+    if order == 1:
+        outcome = corpus.token_ids
+        counts, totals = np.bincount(outcome, minlength=model.vocab_size), corpus.total_tokens
+    else:
+        codes, counts, totals, outcome = unique_bigram_table(corpus)
+        totals = totals[codes // (model.vocab_size + 1)]
+    probs = _smoothed(model, counts.astype(np.float64), np.asarray(totals, dtype=np.float64))
+    distinct, which = np.unique(probs, return_inverse=True)
+    logs = np.array([-math.inf if p <= 0.0 else math.log(p) for p in distinct.tolist()])
+    logprobs = logs[which][outcome]
+    bounds = corpus.record_offsets.tolist()
+    rows = {record.id: (float(np.add.accumulate(logprobs[a:b])[-1]), b - a)
+            for record, a, b in zip(corpus.records, bounds, bounds[1:]) if b > a}
+    return _aggregate(rows, _NO_TOKENS)
+
+
+@pytest.mark.parametrize("block", TOKEN_BLOCKS)
+@settings(max_examples=100, deadline=None)
+@given(record_texts=block_texts, config=configs, order=st.sampled_from([1, 2]),
+       smoothing=st.sampled_from([0.0, 1.0, 1e308]))
+@example(record_texts=[], config=TokenizerConfig(), order=2, smoothing=1.0)  # no records
+@example(record_texts=NO_TOKENS, config=TokenizerConfig(), order=2, smoothing=0.0)
+def test_blocked_self_perplexity_matches_the_whole_corpus_route(block, record_texts, config,
+                                                                order, smoothing):
+    corpus = corpus_of(record_texts, config)
+    want = outcome_of(lambda: whole_self_perplexity(corpus, order, smoothing))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "_TOKEN_BLOCK", block)
+        assert outcome_of(lambda: _self_perplexity(corpus, order, smoothing)) == want
+        # The general route reads the same blocks through the model's lookups.
+        if corpus.n_records:
+            lm = train_lm(corpus, order, smoothing)
+            assert outcome_of(lambda: perplexity(lm, corpus)) == want
+
+
+def whole_flesch_counts(corpus):
+    """Each record's token count and syllable sum under unicode-word, from one
+    running sum over the whole corpus."""
+    vocabulary, ids, offsets = corpus.vocabulary, corpus.token_ids, corpus.record_offsets
+    per_type = np.fromiter(map(count_syllables, vocabulary), dtype=np.int64,
+                           count=len(vocabulary))
+    running = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(per_type[ids], out=running[1:])
+    sums = running[offsets[1:]] - running[offsets[:-1]]
+    return list(zip(np.diff(offsets).tolist(), sums.tolist()))
+
+
+@pytest.mark.parametrize("block", TOKEN_BLOCKS)
+@settings(max_examples=100, deadline=None)
+@given(record_texts=st.lists(flesch_texts | long_texts, max_size=8), case_fold=st.booleans())
+@example(record_texts=[], case_fold=True)  # no records
+@example(record_texts=NO_TOKENS, case_fold=True)  # records, but no tokens
+def test_blocked_flesch_sums_match_the_whole_corpus_route(block, record_texts, case_fold):
+    corpus = corpus_of(record_texts, TokenizerConfig("unicode-word", case_fold))
+    want = whole_flesch_counts(corpus)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "_TOKEN_BLOCK", block)
+        assert list(_word_and_syllable_counts(corpus)) == want
+        per_record, skipped = loop_flesch(corpus)
+        if per_record:
+            expected = FleschReport(summarize(list(per_record.values())), per_record, skipped)
+            assert flesch_reading_ease(corpus) == expected
+
+
+def whole_context_spans(offsets, window_size):
+    """Every window's start and width over the whole corpus at once."""
+    lengths = np.diff(offsets)
+    window_size = min(window_size, int(lengths.max()))
+    n_windows = np.where(lengths > 0, np.maximum(lengths - window_size, 0) + 1, 0)
+    starts = np.repeat(offsets[:-1], n_windows) + association_module._ragged_arange(n_windows)
+    return starts, np.repeat(np.minimum(lengths, window_size), n_windows)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, association_module._COOC_CHUNK_CELLS])
+@settings(max_examples=100, deadline=None)
+@given(record_texts=st.lists(texts | st.sampled_from(NO_TOKENS + ["a b c d a b e c"]),
+                            min_size=1, max_size=8),
+       config=configs, window=st.integers(1, 5),
+       extra=st.one_of(st.none(), st.lists(texts, min_size=1, max_size=3)))
+@example(record_texts=NO_TOKENS, config=TokenizerConfig(), window=2, extra=None)
+@example(record_texts=["a b c d a", "", "b", "c a b d e f a"], config=TokenizerConfig(),
+         window=2, extra=None)  # records longer than a block, beside empty and short ones
+def test_blocked_window_contexts_match_the_whole_corpus_route(chunk, record_texts, config,
+                                                              window, extra):
+    corpus = corpus_of(record_texts, config)
+    offsets = corpus.record_offsets
+    targets = None if extra is None else list(corpus.vocabulary[:2]) + extra
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(association_module, "_COOC_CHUNK_CELLS", chunk)
+        blocks = list(association_module._context_blocks(offsets, window))
+        table = build_cooccurrence(corpus, targets, "window", window)
+    starts, spans = whole_context_spans(offsets, window)
+    assert np.concatenate([s for s, _ in blocks]).tolist() == starts.tolist()
+    assert np.concatenate([w for _, w in blocks]).tolist() == spans.tolist()
+    assert all(w.sum() <= chunk or w.size == 1 for _, w in blocks)
+    pairs, terms, n_contexts = loop_cooccurrence(corpus, targets, "window", window)
+    assert (table.pair_counts, table.term_counts, table.n_contexts) == (pairs, terms, n_contexts)
