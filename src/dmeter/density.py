@@ -52,13 +52,23 @@ class DataDensity:
     flags: tuple
 
 
-def _similarity_block(block: np.ndarray, all_rows: np.ndarray, similarity: str) -> np.ndarray:
+def _unclipped_similarity_block(block: np.ndarray, all_rows: np.ndarray,
+                                similarity: str) -> np.ndarray:
+    """_similarity_block before cosine's clip to [-1, 1]: a dot of two unit
+    rows can round past it, as to 1.0000000000000002."""
     if similarity == "cosine":
-        sims = block @ all_rows.T
-        return np.clip(sims, -1.0, 1.0, out=sims)
+        return block @ all_rows.T
     # inverse-euclidean: 1 / (1 + dist), from the row differences themselves;
     # |a|² + |b|² - 2a·b cancels every digit of rows far from the origin.
     return 1.0 / (1.0 + euclidean_matrix(block, all_rows))
+
+
+def _similarity_block(block: np.ndarray, all_rows: np.ndarray, similarity: str) -> np.ndarray:
+    """The similarity of each row of block to each of all_rows, in [-1, 1]."""
+    sims = _unclipped_similarity_block(block, all_rows, similarity)
+    if similarity == "cosine":
+        np.clip(sims, -1.0, 1.0, out=sims)
+    return sims
 
 
 def knn_density(emb: EmbeddingMatrix, k: int, similarity: str = "cosine") -> DensityReport:
@@ -87,14 +97,17 @@ def knn_density(emb: EmbeddingMatrix, k: int, similarity: str = "cosine") -> Den
     chunk = max(1, _CHUNK_CELLS // n)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        sims = _similarity_block(rows[start:stop], rows, similarity)
+        sims = _unclipped_similarity_block(rows[start:stop], rows, similarity)
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
         # The k largest, selected in place.  Ties share one value, so they do
         # not depend on which tie is picked; summed in descending order they
         # match a stable ranking bit for bit.  EmbeddingMatrix refuses
-        # non-finite rows, so no NaN is there to be ranked.
+        # non-finite rows, so no NaN is there to be ranked.  Clipping to
+        # [-1, 1] is monotone, so the top k of the raw similarities, clipped,
+        # are the top k of the clipped ones: only they are clipped.
+        # (inverse-euclidean similarities lie in (0, 1], which it keeps.)
         sims.partition(n - k, axis=1)
-        top = -np.sort(-sims[:, n - k:], axis=1)
+        top = -np.sort(-np.clip(sims[:, n - k:], -1.0, 1.0), axis=1)
         per_point[start:stop] = top.mean(axis=1)
         del sims, top  # before the next block is allocated
 

@@ -166,12 +166,29 @@ def _token_counts(corpus: Corpus) -> FrequencyTable:
     return corpus.token_counts
 
 
+def _with_records(corpus: Corpus) -> Corpus:
+    """The corpus, for the entries that summarize its records: a corpus of
+    no records leaves them undefined, as one of no tokens does the token
+    entries."""
+    if not corpus.n_records:
+        raise UndefinedValueError("corpus has no records")
+    return corpus
+
+
+def _burstiness_token_skip(corpus: Corpus, token) -> str | None:
+    """The skip reason of burstiness_token_<token>: burstiness needs two
+    gaps, so three occurrences of the token."""
+    if isinstance(token, str) and corpus.token_counts.entries.get(token, 0) < 3:
+        return "needs-at-least-3-occurrences-of-the-token"
+    return None
+
+
 def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> None:
     b.add(
         "record_length_tokens",
         "tokens/record",
         {"tokenizer": tok},
-        lambda: asdict(tendency.summarize(np.diff(corpus.record_offsets).tolist())),
+        lambda: asdict(tendency.summarize(np.diff(_with_records(corpus).record_offsets).tolist())),
     )
     b.add(
         "token_count_stats",
@@ -184,10 +201,14 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
           lambda: tendency.zipf_fit(corpus.token_counts, cfg["zipf_method"]),
           fields=("alpha", "ks_distance", "n_ranks"))
 
+    def _perplexity_self():
+        order, smoothing = cfg["lm_order"], cfg["lm_smoothing"]
+        tendency._check_lm_options(order, smoothing)  # an argument error on any corpus
+        return tendency._self_perplexity(_with_records(corpus), order, smoothing)
+
     b.add("perplexity_self", "perplexity",
           {"order": cfg["lm_order"], "smoothing": cfg["lm_smoothing"], "tokenizer": tok},
-          lambda: tendency._self_perplexity(corpus, cfg["lm_order"], cfg["lm_smoothing"]),
-          fields=("perplexity",))
+          _perplexity_self, fields=("perplexity",))
 
     if cfg["perplexity_logprobs"]:
         path = cfg["perplexity_logprobs"]
@@ -216,6 +237,7 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
             "dimensionless",
             {"gap_source": "token-recurrence", "token": token, "tokenizer": tok},
             lambda: tendency.burstiness(tendency.token_recurrence_gaps(corpus, token)),
+            skip=_burstiness_token_skip(corpus, token),
         )
 
 
@@ -275,12 +297,13 @@ def _add_quality(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> Non
     for norm in quality.NORMALIZATIONS:
         name = "duplicates_exact" if norm == "exact" else "duplicates_normalized"
         b.add(name, "records", {"normalization": norm},
-              lambda norm=norm: reports.setdefault(norm, quality.find_duplicates(corpus, norm)),
+              lambda norm=norm: reports.setdefault(
+                  norm, quality.find_duplicates(_with_records(corpus), norm)),
               fields=("n_records", "n_distinct", "duplicate_clusters", "excess_duplicates"))
 
     b.add("redundancy_entropy", "ratio", {"normalization": "exact"},
           lambda: quality.redundancy_entropy(
-              reports.get("exact") or quality.find_duplicates(corpus, "exact")),
+              reports.get("exact") or quality.find_duplicates(_with_records(corpus), "exact")),
           flags=("singleton-convention",) if corpus.n_records == 1 else ())
 
     def _flesch():

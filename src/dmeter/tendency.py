@@ -442,12 +442,18 @@ def _bigram_table(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return codes, counts, totals
 
 
-def _check_training(corpus: Corpus, order, smoothing) -> None:
-    """The argument checks of train_lm, which the self route shares."""
+def _check_lm_options(order, smoothing) -> None:
+    """train_lm's checks of its order and smoothing, which come before its
+    check of the corpus."""
     check_int("order", order)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
     check_smoothing(smoothing)
+
+
+def _check_training(corpus: Corpus, order, smoothing) -> None:
+    """The argument checks of train_lm, which the self route shares."""
+    _check_lm_options(order, smoothing)
     if corpus.n_records == 0:
         raise ValueError("cannot train on an empty corpus")
 

@@ -85,6 +85,55 @@ def _row_fields(i: int, line: str, d: int) -> list[str]:
     return parts
 
 
+def _parse_values(rows, n: int, d: int):
+    """The labels and the n×d matrix of rows (file line number, text), with
+    every row's values parsed in one numpy pass; None where numpy refuses a
+    value or does not find n rows of d values.
+
+    numpy reads a value as float() does, through the same correctly rounding
+    parser, and splits a row at the same whitespace as str.split.  It refuses
+    what float() alone takes, such as 1_0 or non-ASCII digits, and a \\r
+    inside a row, which a stream that ends lines at \\n alone can hold: those
+    files take the row-by-row parse."""
+    if len(rows[0][1].split()) != d + 1:
+        return None  # numpy makes its n-row array as wide as the first row
+    labels = []
+
+    def value_texts():  # a generator, so no second copy of the text is held
+        for _, line in rows:
+            parts = line.split(None, 1)
+            if len(parts) < 2:
+                raise ValueError("a row holds a label alone")
+            labels.append(parts[0])
+            yield parts[1]
+
+    try:
+        matrix = np.loadtxt(value_texts(), dtype=np.float64, comments=None, ndmin=2,
+                            max_rows=n)
+    except ValueError:  # numpy's error for every text it refuses
+        return None
+    return (labels, matrix) if matrix.shape == (n, d) else None
+
+
+def _parse_row_by_row(rows, n: int, d: int):
+    """The labels and the n×d matrix of rows (file line number, text), one
+    float() call per value; ValueError names the first bad line."""
+    labels = []
+    seen = set()
+    matrix = np.empty((n, d), dtype=np.float64)
+    for row, (i, line) in enumerate(rows):
+        parts = _row_fields(i, line, d)
+        if parts[0] in seen:
+            raise ValueError(f"line {i}: duplicate label {parts[0]!r}")
+        seen.add(parts[0])
+        labels.append(parts[0])
+        try:
+            matrix[row] = [float(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"line {i}: {exc}") from None
+    return labels, matrix
+
+
 def load_embeddings(source) -> EmbeddingMatrix:
     """Parse the labeled-vector text format from a path or stream."""
     lines = [(i, ln) for i, ln in read_lines(source) if ln.strip()]
@@ -110,22 +159,15 @@ def load_embeddings(source) -> EmbeddingMatrix:
     if short is not None:
         for i, line in lines[1:short + 2]:
             _row_fields(i, line, d)
-    labels = []
-    seen = set()
-    matrix = np.empty((n, d), dtype=np.float64)
-    for row, (i, line) in enumerate(lines[1:]):
-        parts = _row_fields(i, line, d)
-        if parts[0] in seen:
-            raise ValueError(f"line {i}: duplicate label {parts[0]!r}")
-        seen.add(parts[0])
-        labels.append(parts[0])
-        try:
-            matrix[row] = [float(x) for x in parts[1:]]
-        except ValueError as exc:
-            raise ValueError(f"line {i}: {exc}") from None
+    rows = lines[1:]
+    parsed = _parse_values(rows, n, d) if n else None
+    if parsed is None or len(set(parsed[0])) < n:
+        # Row by row, which names the first bad line or duplicate label.
+        parsed = _parse_row_by_row(rows, n, d)
+    labels, matrix = parsed
     finite = np.isfinite(matrix).all(axis=1)
     if not finite.all():
-        raise ValueError(f"line {lines[1 + int(finite.argmin())][0]}: non-finite value")
+        raise ValueError(f"line {rows[int(finite.argmin())][0]}: non-finite value")
     return EmbeddingMatrix(labels, matrix)
 
 

@@ -282,6 +282,57 @@ def test_top_k_across_many_blocks_matches_stable_argsort_oracle(monkeypatch, sim
         assert np.array_equal(got, stable_argsort_knn_density(matrix, k, similarity))
 
 
+def clip_every_similarity_knn_density(emb, k, similarity):
+    """knn_density as it was before it clipped only the k similarities it
+    keeps: every similarity of the block clipped, then the top k selected."""
+    n = emb.n
+    rows = unit_rows(emb) if similarity == "cosine" else emb.matrix
+    per_point = np.empty(n)
+    chunk = max(1, density._CHUNK_CELLS // n)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        sims = _similarity_block(rows[start:stop], rows, similarity)
+        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        sims.partition(n - k, axis=1)
+        per_point[start:stop] = (-np.sort(-sims[:, n - k:], axis=1)).mean(axis=1)
+    return per_point
+
+
+@pytest.mark.parametrize("similarity", SIMILARITIES)
+@pytest.mark.parametrize("rows_per_block", [1, 3])
+def test_clipping_the_kept_neighbours_matches_clipping_every_similarity(monkeypatch, similarity,
+                                                                         rows_per_block):
+    # [-2, -2, -2] against itself has a raw cosine of 1.0000000000000002, and
+    # against [2, 2, 2] one of -1.0000000000000002.
+    matrix = np.array([[-2.0, -2.0, -2.0]] * 3 + [[2.0, 2.0, 2.0]] * 2 + [[1.0, 0.0, -1.0]]
+                      + np.random.default_rng(32).standard_normal((4, 3)).tolist())
+    emb = emb_from(matrix)
+    n = emb.n
+    monkeypatch.setattr(density, "_CHUNK_CELLS", rows_per_block * n)
+    rows = unit_rows(emb)
+    raw = rows @ rows.T
+    assert raw.max() > 1.0 and raw.min() < -1.0
+    for k in range(1, n):
+        got = np.array(knn_density(emb, k, similarity).per_point_density)
+        assert np.array_equal(got, clip_every_similarity_knn_density(emb, k, similarity))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=knn_matrices(), rows_per_block=st.sampled_from([1, 3]))
+def test_clipping_the_kept_neighbours_matches_clipping_every_similarity_on_drawn_rows(
+        matrix, rows_per_block):
+    emb = emb_from(matrix)
+    n = emb.n
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "_CHUNK_CELLS", rows_per_block * n)
+        for similarity in SIMILARITIES:
+            if similarity == "cosine" and not matrix.any(axis=1).all():
+                continue
+            for k in range(1, n):
+                got = np.array(knn_density(emb, k, similarity).per_point_density)
+                assert np.array_equal(got, clip_every_similarity_knn_density(emb, k, similarity))
+
+
 def test_cosine_search_allocates_about_one_similarity_block():
     n = 2_000
     emb = emb_from(np.random.default_rng(42).standard_normal((n, 16)))

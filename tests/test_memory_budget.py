@@ -1,5 +1,6 @@
 """Traced memory peaks of the text layers' chunked builds and record-block
-routes, against the peaks of the whole-corpus routes they replaced."""
+routes, against the peaks of the whole-corpus routes they replaced, and of
+the embedding loader, against the per-value float() parse it replaced."""
 
 import tracemalloc
 
@@ -10,6 +11,7 @@ from dmeter.corpus import Corpus, Record
 from dmeter.diversity import ngram_diversity
 from dmeter.quality import _word_and_syllable_counts
 from dmeter.tendency import _self_perplexity
+from dmeter.vectors import EmbeddingMatrix, load_embeddings, save_embeddings
 
 # tracemalloc peaks, in MiB, of the builds that held the whole corpus at once:
 # the token store as one chunk, the order-2 (context, token) outcomes through
@@ -75,3 +77,26 @@ def test_record_block_routes_peak_below_half_of_the_whole_corpus_routes():
     assert corpus.total_tokens == 474_721
     for name, peak in peaks.items():
         assert peak < WHOLE_CORPUS_ROUTE_PEAKS_MIB[name] / 2, (name, peak)
+
+
+# tracemalloc peak, in MiB, of load_embeddings when it parsed each value with
+# float(), on the file embedding_file() writes (4,000 rows of 64 values, 5.2
+# MB of text), loaded once before.  Measured with Python 3.11.7 and numpy
+# 2.4.6; the one numpy pass over every row's values peaked at 8.068.
+FLOAT_ROUTE_LOAD_PEAK_MIB = 8.167
+
+
+def embedding_file(path):
+    rng = np.random.default_rng(32)
+    rows = rng.standard_normal((4000, 64))
+    save_embeddings(EmbeddingMatrix([f"r{i}" for i in range(4000)], rows), path)
+    return rows
+
+
+def test_embedding_load_peaks_no_higher_than_the_float_route(tmp_path):
+    path = tmp_path / "emb.txt"
+    rows = embedding_file(path)
+    # The first load also makes what numpy and the reader allocate once.
+    assert np.array_equal(load_embeddings(path).matrix, rows)
+    peak = traced_peak_mib(lambda: load_embeddings(path))
+    assert peak <= FLOAT_ROUTE_LOAD_PEAK_MIB, peak

@@ -505,14 +505,16 @@ _no_token_text = st.text(st.sampled_from(" \t\n.,;:!?-—\"'()"), max_size=6)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_no_token_text, min_size=1, max_size=6), st.sampled_from([1, 2]))
+@given(st.lists(_no_token_text, max_size=6), st.sampled_from([1, 2]))
 @example(["", "..."], 1)
+@example([], 2)  # no records
 def test_a_corpus_with_no_tokens_gives_no_error_entry(texts, lm_order):
     records = [Record(id=str(i), text=t) for i, t in enumerate(texts)]
     corpus = Corpus(records)
     assert corpus.total_tokens == 0
     rep = assemble_report(corpus, ["tendency", "diversity", "quality"],
-                          config={"lm_order": lm_order}, created_at="2026-01-01T00:00:00Z")
+                          config={"lm_order": lm_order, "burstiness_token": "the"},
+                          created_at="2026-01-01T00:00:00Z")
     errors = {name: e.get("note") for name, e in rep.measurements.items()
               if any(flag.startswith("error:") for flag in e["flags"])}
     assert not errors
@@ -520,3 +522,11 @@ def test_a_corpus_with_no_tokens_gives_no_error_entry(texts, lm_order):
     for name in ("token_count_stats", "zipf", "perplexity_self", "token_entropy", "token_gini",
                  "ngram_diversity_1", "ngram_diversity_2", "flesch_reading_ease"):
         assert rep.measurements[name]["flags"] == ["undefined"], name
+    assert rep.measurements["burstiness_token_the"]["flags"] == [
+        "skipped:needs-at-least-3-occurrences-of-the-token"]
+    # And every entry that summarizes the records, where there are none.
+    if not records:
+        for name in ("record_length_tokens", "duplicates_exact", "duplicates_normalized",
+                     "redundancy_entropy"):
+            assert rep.measurements[name]["flags"] == ["undefined"], name
+            assert rep.measurements[name]["note"] == "corpus has no records", name

@@ -189,6 +189,25 @@ class TestAssembleReport:
         assert e["params"]["token"] == "the"
         assert isinstance(e["value"], float)
 
+    @pytest.mark.parametrize("token", ["the", "cat", "absent"])
+    def test_burstiness_token_under_3_occurrences_is_skipped(self, token):
+        c = Corpus([Record(id="a", text="the cat the"), Record(id="b", text="a dog")])
+        rep = assemble_report(c, ["tendency"], config={"burstiness_token": token})
+        e = rep.measurements[f"burstiness_token_{token}"]
+        assert e["flags"] == ["skipped:needs-at-least-3-occurrences-of-the-token"]
+        assert e["value"] is None
+
+    def test_burstiness_token_of_3_occurrences_is_measured(self):
+        c = Corpus([Record(id="a", text="the cat the"), Record(id="b", text="a the dog")])
+        rep = assemble_report(c, ["tendency"], config={"burstiness_token": "the"})
+        e = rep.measurements["burstiness_token_the"]
+        assert e["flags"] == [] and e["value"] == -1.0  # gaps of 2 and 2 are periodic
+
+    def test_bad_lm_order_is_an_argument_error_on_a_corpus_of_no_records(self):
+        rep = assemble_report(Corpus([]), ["tendency"], config={"lm_order": 3})
+        e = rep.measurements["perplexity_self"]
+        assert e["flags"] == ["error:argument"] and e["note"] == "order must be 1 or 2, got 3"
+
     def test_subset_diversity_config(self):
         recs = [
             Record(id="1", text="x", attributes={"lang": "en"}),

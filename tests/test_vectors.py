@@ -6,13 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmeter.corpus import Corpus, Record
+from dmeter.corpus import Corpus, Record, read_lines
 from dmeter.errors import UndefinedValueError
 from dmeter.vectors import (
     EmbeddingMatrix,
+    _parse_values,
     align_to_corpus,
     cosine_matrix,
     cosine_similarity,
@@ -77,6 +78,19 @@ class TestLoadEmbeddings:
         assert str(info.value) == reason
         assert peak < 2**24
 
+    def test_wide_first_row_is_named_before_numpy_sizes_its_array(self):
+        # np.loadtxt makes its array n rows as wide as the first: here 77 MiB.
+        text = "101 2\na" + " 0" * 100_000 + "\n" + "".join(f"b{i} 1 2\n" for i in range(100))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                load_embeddings(io.StringIO(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "line 2: expected label + 2 values, got 100001 fields"
+        assert peak < 2**24
+
     def test_non_finite_value_fatal(self):
         with pytest.raises(ValueError, match="non-finite"):
             load_embeddings(io.StringIO("1 2\na 1 inf\n"))
@@ -108,6 +122,14 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError) as info:
             load_embeddings(io.StringIO(header + ending + "a 1 0" + ending, newline=""))
         assert str(info.value) == reason
+
+    def test_label_alone_on_a_row_past_2d_characters_is_named(self):
+        # Too long for the check of short rows; the one-pass parse refuses it.
+        text = "2 2\na 1 0\nlonglabel\n"
+        with pytest.raises(ValueError) as info:
+            load_embeddings(io.StringIO(text))
+        assert str(info.value) == "line 3: expected label + 2 values, got 1 fields"
+        assert load_outcome(float_route_load_embeddings, text, None) == ("error", str(info.value))
 
     def test_write_read_round_trip_is_bitwise(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -405,3 +427,134 @@ def test_euclidean_matches_the_norm_oracle(pair):
     assert euclidean(u, v) == parent_euclidean(u, v)
     assert euclidean(u.tolist(), v.tolist()) == parent_euclidean(u, v)
 
+
+
+# --- the one-pass parse of values against the per-value float() parse ------------
+
+
+def float_route_load_embeddings(source):
+    """load_embeddings as it was before it parsed every row's values in one
+    numpy pass: the same checks, then one float() call per value."""
+    lines = [(i, ln) for i, ln in read_lines(source) if ln.strip()]
+    if not lines:
+        raise ValueError("empty embedding file")
+    header_line = lines[0][1].rstrip("\r\n")
+    header = header_line.split()
+    if len(header) != 2:
+        raise ValueError(f"header must be 'n d', got {header_line!r}")
+    try:
+        n, d = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"header must be two integers, got {header_line!r}") from None
+    if n < 0 or d < 1:
+        raise ValueError(f"invalid header n={n} d={d}")
+    if len(lines) - 1 != n:
+        raise ValueError(f"header declares {n} rows, found {len(lines) - 1}")
+
+    def row_fields(i, line):
+        parts = line.split()
+        if len(parts) != d + 1:
+            raise ValueError(f"line {i}: expected label + {d} values, got {len(parts)} fields")
+        return parts
+
+    short = next((k for k, (_, line) in enumerate(lines[1:]) if len(line) <= 2 * d), None)
+    if short is not None:
+        for i, line in lines[1:short + 2]:
+            row_fields(i, line)
+    labels = []
+    seen = set()
+    matrix = np.empty((n, d), dtype=np.float64)
+    for row, (i, line) in enumerate(lines[1:]):
+        parts = row_fields(i, line)
+        if parts[0] in seen:
+            raise ValueError(f"line {i}: duplicate label {parts[0]!r}")
+        seen.add(parts[0])
+        labels.append(parts[0])
+        try:
+            matrix[row] = [float(x) for x in parts[1:]]
+        except ValueError as exc:
+            raise ValueError(f"line {i}: {exc}") from None
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"line {lines[1 + int(finite.argmin())][0]}: non-finite value")
+    return EmbeddingMatrix(labels, matrix)
+
+
+def load_outcome(load, text, newline):
+    """The labels and the matrix's bits (so -0.0 is not 0.0), or the error."""
+    try:
+        emb = load(io.StringIO(text, newline=newline))
+    except ValueError as exc:
+        return "error", str(exc)
+    return emb.labels, emb.matrix.shape, emb.matrix.view(np.int64).tolist()
+
+
+# Every character str.split splits at, but the line ends \n and \r.
+SEPARATORS = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\n\r"]
+finite_float = st.floats(allow_nan=False, allow_infinity=False)
+plain_value = st.one_of(
+    finite_float.map(repr),
+    finite_float.map("%.6f".__mod__),
+    finite_float.map("%.17g".__mod__),
+    st.builds("{}{}{}".format, st.sampled_from(["1", "-2.5", "+.5", "7.", "123456789"]),
+              st.sampled_from(["e", "E"]), st.integers(-400, 400)),
+    st.sampled_from(["0", "-0", "+0", "0.0", "-0.0", "-0e5", ".5", "5."]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308).map(repr),  # subnormals
+    st.sampled_from(["4.9e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+                     "1e-400", "1.7976931348623157e308", "1.797693134862315807e308"]),
+)
+odd_value = st.sampled_from([
+    "inf", "-inf", "+Infinity", "INF", "nan", "-nan", "NaN", "+nan", "1e999",  # non-finite
+    "1_0", "1_000.5", "١٢", "٣.٥", "１２",  # what float() alone accepts
+    "0x10", "1d5", "1.0j", "x", "--1", "1e",  # what neither accepts
+])
+
+
+@st.composite
+def embedding_texts(draw):
+    """An embedding file and the newline argument of the stream that reads it."""
+    n = draw(st.integers(0, 5), label="n")
+    d = draw(st.integers(1, 4), label="d")
+    value = plain_value | odd_value if draw(st.booleans(), label="odd values") else plain_value
+    sep = st.just(" ") | st.text(st.sampled_from(SEPARATORS), min_size=1, max_size=3)
+    ending = st.sampled_from(["\n", "\r\n", "\r"])
+    text = f"{n} {d}" + draw(ending)
+    for _ in range(n):
+        if draw(st.integers(0, 9)) == 0:
+            text += draw(st.sampled_from(["", " ", "\x0c"])) + draw(ending)  # a blank line
+        width = draw(st.sampled_from([d] * 8 + [d - 1, d + 1]), label="values in the row")
+        fields = [draw(st.text("abé_1", min_size=1, max_size=4), label="label")]
+        fields += draw(st.lists(value, min_size=width, max_size=width), label="values")
+        text += draw(st.sampled_from(["", " ", "\xa0"])) + "".join(
+            field + draw(sep) for field in fields[:-1]) + fields[-1]
+        text += draw(st.sampled_from(["", " ", "\u3000"])) + draw(ending)
+    if draw(st.booleans(), label="no final line end"):
+        text = text.rstrip("\r\n")
+    return text, draw(st.sampled_from([None, "", "\n"]), label="newline")
+
+
+@settings(max_examples=500, deadline=None)
+@given(embedding_texts())
+@example(("2 2\na -0.0 1_0\nb ١٢ 5e-324\n", None))
+@example(("2 2\na 1 2\na 3 4\n", None))  # a duplicate label
+@example(("2 2\r\na\x1c1\u20282\r\nb\x85-0\u30004.9e-324\r\n", ""))
+@example(("2 2\ra 1 2\rb 3 4\r", "\n"))  # the \r ends no line
+@example(("1 1\nabcd\n", None))  # a label alone, past 2d characters
+def test_one_pass_load_matches_the_float_route_bit_for_bit(case):
+    text, newline = case
+    assert load_outcome(load_embeddings, text, newline) == \
+        load_outcome(float_route_load_embeddings, text, newline)
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=lambda c: f"U+{ord(c):04X}")
+def test_one_pass_splits_at_every_separator_str_split_splits_at(sep):
+    rows = [(2, f"a 1{sep}-0.0\n"), (3, f"b{sep}2.5e-3{sep}{sep}4\r\n")]
+    labels, matrix = _parse_values(rows, 2, 2)
+    assert labels == ["a", "b"]
+    assert matrix.view(np.int64).tolist() == np.array([[1.0, -0.0], [2.5e-3, 4.0]]).view(
+        np.int64).tolist()
+
+
+@pytest.mark.parametrize("row", ["a 1_0 2", "a ١٢ 2", "a 1\r2 3", "abcde", "a 1 2 3"])
+def test_one_pass_leaves_to_the_float_route_what_it_does_not_read_as_d_values(row):
+    assert _parse_values([(2, row + "\n")], 1, 2) is None
