@@ -6,7 +6,7 @@ Every context mode, with targets or without, counts by one array route, a
 block of contexts at a time: a sorted (context, term) incidence, term counts
 by np.bincount, and pair counts from each target's entries expanded against
 the terms of their own contexts (with no targets, every term is a target),
-merged across blocks by one sort.
+tallied block by block into one sorted table (corpus._tally).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, _blocks, _distinct, _run_starts
+from .corpus import Corpus, _blocks, _distinct, _tally
 from .errors import UndefinedValueError, check_choice, check_int, check_smoothing
 from .vectors import cosine_similarity
 
@@ -72,10 +72,9 @@ def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
 # (context, term) codes, or expanded term pairs, that the co-occurrence count
 # makes at once: each int64 temporary of a block is 512 KiB.  On the
 # benchmark's text-zipf batch A, the targeted document-mode count peaked at
-# 34.7 MiB under tracemalloc with the whole corpus as one block, and at 4.8
-# MiB with blocks of 2**16 cells (5.8 with 2**15, where the merge of more
-# blocks' pair codes grows; 6.9 with 2**17, 28 with 2**20), in the same
-# 0.05 to 0.06 s (2-vCPU Xeon).
+# 28.2 MiB under tracemalloc with the whole corpus as one block, and at 3.9
+# MiB with blocks of 2**16 cells (3.4 with 2**15, 6.8 with 2**17), in 0.043
+# to 0.057 s (2-vCPU Xeon).
 _COOC_CHUNK_CELLS = 1 << 16
 
 
@@ -100,8 +99,7 @@ def _incidence(ids: np.ndarray, rank: np.ndarray, starts: np.ndarray, spans: np.
     n_terms = rank.size
     codes = np.repeat(np.arange(spans.size) * n_terms, spans)
     codes += rank[ids[np.repeat(starts, spans) + _ragged_arange(spans)]]
-    codes.sort()
-    contexts, present = np.divmod(codes[_run_starts(codes)], n_terms)
+    contexts, present = np.divmod(_distinct(codes)[0], n_terms)
     return np.bincount(contexts, minlength=spans.size), present
 
 
@@ -113,37 +111,34 @@ def _count(ids: np.ndarray, rank: np.ndarray, offsets: np.ndarray, window_size: 
 
     The contexts are taken a block at a time (_context_blocks), and each
     block's source entries expanded a block at a time, so no temporary spans
-    the corpus; the blocks' distinct pair codes are merged by one sort at the
-    end, their counts summed."""
+    the corpus; each expansion's pair codes are tallied as it is made (_tally)."""
     n_terms = rank.size
     n_contexts = 0
     term_counts = np.zeros(n_terms, dtype=np.int64)
-    codes, counts = [], []
-    for starts, spans in _context_blocks(offsets, window_size):
-        n_contexts += spans.size
-        sizes, present = _incidence(ids, rank, starts, spans)
-        term_counts += np.bincount(present, minlength=n_terms)
-        # Each source entry meets every entry of its own context.  A pair is
-        # kept once per context: from its smaller term, or from its only source.
-        ends = np.cumsum(sizes)
-        held = np.flatnonzero(source[present])
-        context = np.searchsorted(ends, held, side="right")
-        own = sizes[context]
-        begin = ends[context] - own
-        for start, stop in _blocks(own, _COOC_CHUNK_CELLS):
-            n = own[start:stop]
-            b = present[np.repeat(begin[start:stop], n) + _ragged_arange(n)]
-            a = np.repeat(present[held[start:stop]], n)
-            keep = (b > a) | ((b < a) & ~source[b])
-            a, b = a[keep], b[keep]
-            part, part_counts = _distinct(np.minimum(a, b) * n_terms + np.maximum(a, b))
-            codes.append(part)
-            counts.append(part_counts)
-    codes, counts = np.concatenate(codes), np.concatenate(counts)
-    order = codes.argsort()
-    codes = codes[order]
-    first = _run_starts(codes)
-    return n_contexts, term_counts, codes[first], np.add.reduceat(counts[order], first)
+
+    def pair_codes():
+        nonlocal n_contexts, term_counts
+        for starts, spans in _context_blocks(offsets, window_size):
+            n_contexts += spans.size
+            sizes, present = _incidence(ids, rank, starts, spans)
+            term_counts += np.bincount(present, minlength=n_terms)
+            # Each source entry meets every entry of its own context.  A pair is
+            # kept once per context: from its smaller term, or from its only source.
+            ends = np.cumsum(sizes)
+            held = np.flatnonzero(source[present])
+            context = np.searchsorted(ends, held, side="right")
+            own = sizes[context]
+            begin = ends[context] - own
+            for start, stop in _blocks(own, _COOC_CHUNK_CELLS):
+                n = own[start:stop]
+                b = present[np.repeat(begin[start:stop], n) + _ragged_arange(n)]
+                a = np.repeat(present[held[start:stop]], n)
+                keep = (b > a) | ((b < a) & ~source[b])
+                a, b = a[keep], b[keep]
+                yield np.minimum(a, b) * n_terms + np.maximum(a, b)
+
+    codes, counts = _tally(pair_codes())
+    return n_contexts, term_counts, codes, counts
 
 
 def _context_blocks(offsets: np.ndarray, window_size: int | None):

@@ -45,7 +45,7 @@ _STORE_CHUNK_CHARS = 1 << 16
 # Tokens that a pass over the token store takes at once, a block of records
 # at a time (_record_blocks): n-gram codes, (context, token) codes and
 # per-token logs, syllable counts.  On the benchmark's text-zipf batch A,
-# tracemalloc saw ngram_diversity at n = 2 peak at 5.2 MiB this way against
+# tracemalloc saw ngram_diversity at n = 2 peak at 6.3 MiB this way against
 # 24.6 MiB over the whole corpus at once.
 _TOKEN_BLOCK = 1 << 16
 
@@ -496,17 +496,22 @@ def _distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes[first], np.diff(first, append=codes.size)
 
 
-def _merged(codes: np.ndarray, counts: np.ndarray, part: np.ndarray,
-            part_counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One table of the distinct sorted codes of two, with their counts: a code
-    in both gets the sum (counts is updated in place).  Each new code is
-    inserted where searchsorted puts it, so no sort of the union is made."""
-    at = np.searchsorted(codes, part)
-    held = at < codes.size
-    held[held] = codes[at[held]] == part[held]
-    counts[at[held]] += part_counts[held]
-    new = ~held
-    return np.insert(codes, at[new], part[new]), np.insert(counts, at[new], part_counts[new])
+def _tally(blocks: Iterable[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes of these int64 blocks, sorted, and how often each
+    occurs across them.  Each block is sorted in place (_distinct) and merged
+    into the table: a code held adds its count, and a new one is inserted
+    where searchsorted puts it, so the union is never sorted."""
+    codes, counts = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    for block in blocks:
+        part, part_counts = _distinct(block)
+        at = np.searchsorted(codes, part)
+        held = at < codes.size
+        held[held] = codes[at[held]] == part[held]
+        counts[at[held]] += part_counts[held]
+        new = ~held
+        codes = np.insert(codes, at[new], part[new])
+        counts = np.insert(counts, at[new], part_counts[new])
+    return codes, counts
 
 
 def _blocks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:

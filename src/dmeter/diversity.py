@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import (Corpus, FrequencyTable, _distinct, _ngram_code_blocks, _run_starts,
-                     check_ngram_n)
+from .corpus import Corpus, FrequencyTable, _ngram_code_blocks, _tally, check_ngram_n
 from .errors import KernelInvalidError, UndefinedValueError, check_choice
 from .vectors import EmbeddingMatrix, overflow_safe_norms, unit_rows
 
@@ -132,14 +131,8 @@ def ngram_diversity(corpus: Corpus, n: int, denominator: str = "total-ngrams") -
     if n == 1:
         distinct, total = len(corpus.token_counts), corpus.total_tokens
     else:
-        # A running sorted set of the distinct codes, merged with each block's.
-        total, codes = 0, np.empty(0, dtype=np.int64)
-        for block in _ngram_code_blocks(corpus, n):
-            total += block.size
-            codes = np.concatenate((codes, _distinct(block)[0]))
-            codes.sort(kind="stable")  # two sorted runs, merged in linear time
-            codes = codes[_run_starts(codes)]
-        distinct = codes.size
+        codes, counts = _tally(_ngram_code_blocks(corpus, n))
+        distinct, total = codes.size, int(counts.sum())
     if total == 0:
         raise UndefinedValueError(f"corpus has no {n}-grams (all records shorter than {n} tokens)")
     return distinct / (total if denominator == "total-ngrams" else len(corpus.vocabulary))

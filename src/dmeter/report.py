@@ -231,12 +231,18 @@ def _add_tendency(b: _ReportBuilder, corpus: Corpus, cfg: dict, tok: dict) -> No
     )
 
     token = cfg["burstiness_token"]
-    if token:
+
+    def _burstiness_token():
+        if not isinstance(token, str):
+            raise ValueError(f"burstiness_token must be a string, got {token!r}")
+        return tendency.burstiness(tendency.token_recurrence_gaps(corpus, token))
+
+    if token not in (None, ""):
         b.add(
             f"burstiness_token_{token}",
             "dimensionless",
             {"gap_source": "token-recurrence", "token": token, "tokenizer": tok},
-            lambda: tendency.burstiness(tendency.token_recurrence_gaps(corpus, token)),
+            _burstiness_token,
             skip=_burstiness_token_skip(corpus, token),
         )
 

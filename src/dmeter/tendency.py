@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import (Corpus, FrequencyTable, _distinct, _merged, _record_blocks, _run_starts,
+from .corpus import (Corpus, FrequencyTable, _record_blocks, _run_starts, _tally,
                      decode_json_line, read_lines, record_id)
 from .errors import UndefinedValueError, check_choice, check_int, check_smoothing
 
@@ -428,12 +428,11 @@ def _bigram_table(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ascending, how many tokens each holds, and, per context index, how many
     tokens follow that context.
 
-    A block of records at a time (_record_blocks): each block's distinct codes
-    and counts are merged into the table, so no temporary spans the corpus."""
+    The codes are made a block of records at a time (_record_blocks) and
+    tallied block by block (_tally), so no temporary spans the corpus."""
     n_keys = len(corpus.vocabulary) + 1
-    codes, counts = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    for start, stop in _record_blocks(corpus):
-        codes, counts = _merged(codes, counts, *_distinct(_pair_codes(corpus, start, stop)))
+    codes, counts = _tally(_pair_codes(corpus, start, stop)
+                           for start, stop in _record_blocks(corpus))
     # The codes ascend, and so do their contexts.
     contexts = codes // n_keys
     first = _run_starts(contexts)

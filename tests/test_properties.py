@@ -5,8 +5,9 @@ arbitrary bytes, and for the line reader that ingest shares with the
 logprob, embedding and target files, for the translation and
 power-of-two scale invariance of the embedding measures and of the mean,
 for whole reports that no renaming of record ids moves, and that a shuffle
-of the records moves only where the order is read by design, and for the
-report of a corpus with no tokens."""
+of the records moves only where the order is read by design, for the
+report of a corpus with no tokens, and for whole reports that no renaming of
+the vocabulary moves when it keeps case folding and syllable counts."""
 
 import io
 import json
@@ -22,10 +23,12 @@ from hypothesis import strategies as st
 import dmeter.corpus as corpus_module
 from dmeter.association import build_cooccurrence, npmi, top_npmi
 from dmeter.cli import _read_targets
-from dmeter.corpus import DEFAULT_TOKENIZER, FORMATS, Corpus, IngestError, Record, ingest
+from dmeter.corpus import (DEFAULT_TOKENIZER, FORMATS, Corpus, IngestError, Record,
+                           TokenizerConfig, ingest)
 from dmeter.density import data_density, knn_density
 from dmeter.distance import Distribution, emd_discrete, kl_divergence
 from dmeter.diversity import embedding_dispersion, vendi_score
+from dmeter.quality import count_syllables
 from dmeter.report import (
     METRIC_FAMILIES,
     SCHEMA_VERSION,
@@ -530,3 +533,66 @@ def test_a_corpus_with_no_tokens_gives_no_error_entry(texts, lm_order):
                      "redundancy_entropy"):
             assert rep.measurements[name]["flags"] == ["undefined"], name
             assert rep.measurements[name]["note"] == "corpus has no records", name
+
+
+# --- whole reports under a renaming of the vocabulary -----------------------------
+
+
+_POOL = ("the", "cat", "sat", "on", "a", "dog", "x", "sun", "tree", "apple", "table",
+         "over", "yellow", "river", "quietly", "banana", "beautiful", "elephant", "happily")
+# Sentences of (word, capitalized) pairs, each with its end mark.
+_pool_sentences = st.lists(
+    st.tuples(st.lists(st.tuples(st.sampled_from(_POOL), st.booleans()), max_size=8),
+              st.sampled_from([".", "!", "?", ""])),
+    max_size=3)
+
+
+@st.composite
+def _syllable_bijections(draw):
+    """A bijection of _POOL onto itself that maps each word to one with the
+    same count_syllables."""
+    classes: dict = {}
+    for word in _POOL:
+        classes.setdefault(count_syllables(word), []).append(word)
+    mapping = {}
+    for words in classes.values():
+        mapping.update(zip(words, draw(st.permutations(words))))
+    return mapping
+
+
+def _render(sentences, rename) -> str:
+    # A capitalized word is renamed before it is capitalized, so that the
+    # renaming commutes with case folding.
+    return " ".join(" ".join(rename(w).capitalize() if cap else rename(w) for w, cap in words) + end
+                    for words, end in sentences)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_vocabulary_bijection_that_keeps_syllables_moves_no_report_value(data):
+    # The token entries read only the token stream, up to the names of its
+    # types; Flesch reads word and syllable counts and sentence marks; and
+    # duplicate texts stay duplicates, folded or not.  So under a renaming of
+    # the words that commutes with case folding and keeps each word's syllable
+    # count, every value and flag stays ==, with burstiness_token_<t> under
+    # the renamed token's name.
+    rename = data.draw(_syllable_bijections(), label="rename")
+    sentences = data.draw(st.lists(_pool_sentences, min_size=1, max_size=8), label="texts")
+    tokenizer = data.draw(st.sampled_from([DEFAULT_TOKENIZER, TokenizerConfig(case_fold=False),
+                                           TokenizerConfig("whitespace")]), label="tokenizer")
+    lm_order = data.draw(st.sampled_from([1, 2]), label="lm_order")
+    token = data.draw(st.sampled_from(_POOL), label="burstiness_token")
+
+    def report(rename, token):
+        records = [Record(id=str(i), text=_render(s, rename)) for i, s in enumerate(sentences)]
+        rep = assemble_report(Corpus(records, tokenizer), ["tendency", "diversity", "quality"],
+                              config={"lm_order": lm_order, "burstiness_token": token},
+                              created_at="2026-01-01T00:00:00Z")
+        return {name: (e["value"], e["flags"]) for name, e in rep.measurements.items()}
+
+    here = report(lambda w: w, token)
+    renamed = report(rename.__getitem__, rename[token])
+    renamed[f"burstiness_token_{token}"] = renamed.pop(f"burstiness_token_{rename[token]}")
+    assert renamed.keys() == here.keys()
+    for name in here:
+        assert renamed[name] == here[name], name

@@ -203,6 +203,14 @@ class TestAssembleReport:
         e = rep.measurements["burstiness_token_the"]
         assert e["flags"] == [] and e["value"] == -1.0  # gaps of 2 and 2 are periodic
 
+    @pytest.mark.parametrize("token", [5, True, 1.5, ["the"], 0, False])
+    def test_a_burstiness_token_that_is_not_a_string_is_an_argument_error(self, token):
+        c = Corpus([Record(id="a", text="the cat the"), Record(id="b", text="a the dog")])
+        rep = assemble_report(c, ["tendency"], config={"burstiness_token": token})
+        e = rep.measurements[f"burstiness_token_{token}"]
+        assert e["flags"] == ["error:argument"] and e["value"] is None
+        assert e["note"] == f"burstiness_token must be a string, got {token!r}"
+
     def test_bad_lm_order_is_an_argument_error_on_a_corpus_of_no_records(self):
         rep = assemble_report(Corpus([]), ["tendency"], config={"lm_order": 3})
         e = rep.measurements["perplexity_self"]

@@ -22,6 +22,7 @@ from dmeter.corpus import (
     TokenizerConfig,
     _blocks,
     _distinct,
+    _tally,
     ngram_windows,
     ngrams,
     tokenize,
@@ -513,6 +514,26 @@ def loop_blocks(sizes, limit):
 @example([0, 0, 4, 0, 1, 20, 0, 0], 4)  # zero sizes at the edges, an item past the limit
 def test_blocks_match_the_greedy_loop(sizes, limit):
     assert list(_blocks(np.array(sizes, dtype=np.int64), limit)) == loop_blocks(sizes, limit)
+
+
+INT64_MAX = np.iinfo(np.int64).max
+# Codes from a small pool, so blocks share codes, with both ends of int64 in it.
+tally_codes = st.one_of(st.integers(0, 6), st.integers(INT64_MAX - 3, INT64_MAX),
+                        st.just(np.iinfo(np.int64).min))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(tally_codes, max_size=8), max_size=6))
+@example([])  # no blocks
+@example([[], [], []])  # only empty blocks
+@example([[INT64_MAX, 0, INT64_MAX], [], [INT64_MAX - 1, INT64_MAX]])
+def test_tally_matches_np_unique_of_all_blocks(blocks):
+    arrays = [np.array(b, dtype=np.int64) for b in blocks]
+    want = np.unique(np.concatenate(arrays or [np.empty(0, dtype=np.int64)]),
+                     return_counts=True)
+    got = _tally(a.copy() for a in arrays)
+    assert [a.dtype for a in got] == [np.dtype(np.int64)] * 2
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
 def test_store_tokenizes_a_chunk_at_a_time(monkeypatch):
