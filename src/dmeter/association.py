@@ -153,6 +153,20 @@ def _context_blocks(offsets: np.ndarray, window_size: int | None):
             yield starts[lo:hi], spans[lo:hi]
 
 
+def _pair_dict(terms: list, pairs: np.ndarray, counts: np.ndarray) -> dict:
+    """{(terms[lo], terms[hi]): count} of the pair codes lo * len(terms) + hi,
+    in code order, built _COOC_CHUNK_CELLS pairs at a time so that no list of
+    Python ints spans every pair."""
+    table: dict = {}
+    term = terms.__getitem__
+    for start in range(0, pairs.size, _COOC_CHUNK_CELLS):
+        stop = start + _COOC_CHUNK_CELLS
+        lo, hi = np.divmod(pairs[start:stop], len(terms))
+        table.update(zip(zip(map(term, lo.tolist()), map(term, hi.tolist())),
+                         counts[start:stop].tolist()))
+    return table
+
+
 def check_context_options(context_mode: str, window_size: int | None) -> None:
     """ValueError unless build_cooccurrence takes this context mode and window size."""
     check_choice("context mode", context_mode, CONTEXT_MODES)
@@ -197,11 +211,9 @@ def build_cooccurrence(
     source = np.array([target_set is None or term in target_set for term in terms], dtype=bool)
     n_contexts, term_counts, pairs, pair_counts = _count(
         corpus.token_ids, rank, corpus.record_offsets, window_size, source)
-    lo, hi = np.divmod(pairs, len(terms))
     present = np.flatnonzero(term_counts)
     return CooccurrenceTable(
-        pair_counts={(terms[a], terms[b]): c
-                     for a, b, c in zip(lo.tolist(), hi.tolist(), pair_counts.tolist())},
+        pair_counts=_pair_dict(terms, pairs, pair_counts),
         term_counts=dict(zip([terms[r] for r in present.tolist()],
                              term_counts[present].tolist())),
         n_contexts=n_contexts,

@@ -13,17 +13,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_choice, check_int
-from .vectors import _CHUNK_CELLS, EmbeddingMatrix, euclidean_matrix, unit_rows
+from .vectors import EmbeddingMatrix, euclidean_matrix, unit_rows
 
 SIMILARITIES = ("cosine", "inverse-euclidean")
 VOLUME_MODES = ("bounding-box", "unit-hypercube")
 
+# Rows of each similarity block knn_density ranks at once: a 64 × n float64
+# block is 2 MB at n = 4,000 and 25.6 MB at EXACT_SEARCH_CAP.  At n = 4,000,
+# d = 64 (2-vCPU Xeon, 2 BLAS threads) the cosine search took 54 ms in blocks
+# of 64 rows, 68 ms in blocks of 17 and 88 ms in blocks of 8.
+_BLOCK_ROWS = 64
+
 EXACT_SEARCH_CAP = 50_000
 """Most points knn_density searches exactly.  The search compares all n² pairs:
 at d=64 on a 2-vCPU Xeon with 2 BLAS threads the cosine search takes about
-0.44 s at n=10,000 and 1.8 s at n=20,000, so about 11 s at this cap, and it
+0.35 s at n=10,000 and 1.25 s at n=20,000, so about 8 s at this cap, and it
 grows fourfold per doubling past it.  Memory stays bounded (cosine holds one
-block of _CHUNK_CELLS similarities at a time), so the cap bounds time only.
+block of _BLOCK_ROWS × n similarities at a time, 25.6 MB at this cap), so the
+cap bounds time only.
 inverse-euclidean forms every row difference, which keeps the distances exact
 far from the origin but costs 20 to 30 times the cosine search: with one BLAS
 thread, 0.81 s against 0.04 s at n=2,000, d=64, and 2.8 s against 0.10 s at
@@ -54,21 +61,14 @@ class DataDensity:
 
 def _unclipped_similarity_block(block: np.ndarray, all_rows: np.ndarray,
                                 similarity: str) -> np.ndarray:
-    """_similarity_block before cosine's clip to [-1, 1]: a dot of two unit
-    rows can round past it, as to 1.0000000000000002."""
+    """The similarity of each row of block to each of all_rows.  cosine is not
+    clipped to [-1, 1]: a dot of two unit rows can round past it, as to
+    1.0000000000000002."""
     if similarity == "cosine":
         return block @ all_rows.T
     # inverse-euclidean: 1 / (1 + dist), from the row differences themselves;
     # |a|² + |b|² - 2a·b cancels every digit of rows far from the origin.
     return 1.0 / (1.0 + euclidean_matrix(block, all_rows))
-
-
-def _similarity_block(block: np.ndarray, all_rows: np.ndarray, similarity: str) -> np.ndarray:
-    """The similarity of each row of block to each of all_rows, in [-1, 1]."""
-    sims = _unclipped_similarity_block(block, all_rows, similarity)
-    if similarity == "cosine":
-        np.clip(sims, -1.0, 1.0, out=sims)
-    return sims
 
 
 def knn_density(emb: EmbeddingMatrix, k: int, similarity: str = "cosine") -> DensityReport:
@@ -94,9 +94,8 @@ def knn_density(emb: EmbeddingMatrix, k: int, similarity: str = "cosine") -> Den
     rows = unit_rows(emb) if similarity == "cosine" else emb.matrix
 
     per_point = np.empty(n, dtype=np.float64)
-    chunk = max(1, _CHUNK_CELLS // n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
         sims = _unclipped_similarity_block(rows[start:stop], rows, similarity)
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
         # The k largest, selected in place.  Ties share one value, so they do

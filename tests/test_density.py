@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dmeter import density
-from dmeter.density import SIMILARITIES, _similarity_block, data_density, knn_density
+from dmeter.density import (SIMILARITIES, _unclipped_similarity_block, data_density,
+                            knn_density)
 from dmeter.errors import UndefinedValueError
 from dmeter.vectors import EmbeddingMatrix, unit_rows
 
@@ -208,13 +209,22 @@ class TestDataDensity:
 # --- top-k by partition against the per-row ranking it replaced -----------------
 
 
+def clipped_similarity_block(block, all_rows, similarity):
+    """The similarity of each row of block to each of all_rows, in [-1, 1]:
+    every cosine clipped, where knn_density clips only the ones it keeps."""
+    sims = _unclipped_similarity_block(block, all_rows, similarity)
+    if similarity == "cosine":
+        np.clip(sims, -1.0, 1.0, out=sims)
+    return sims
+
+
 def stable_argsort_knn_density(matrix, k, similarity):
     """Rank each row by a stable descending argsort, drop the point itself and
     average the first k similarities: the per-row loop knn_density ran before
     it took the top k by partition."""
     # Top-k selection is under test here, not normalization: unit_rows has its own tests.
     rows = unit_rows(emb_from(matrix)) if similarity == "cosine" else matrix
-    sims = _similarity_block(rows, rows, similarity)
+    sims = clipped_similarity_block(rows, rows, similarity)
     out = np.empty(matrix.shape[0])
     for i, row_order in enumerate(np.argsort(-sims, axis=1, kind="stable")):
         out[i] = sims[i, row_order[row_order != i][:k]].mean()
@@ -274,7 +284,7 @@ def test_top_k_across_many_blocks_matches_stable_argsort_oracle(monkeypatch, sim
                                                                  rows_per_block):
     # Blocks of 1 to 3 rows, the last one short where the size does not divide
     # n; k past 8 reaches numpy's pairwise summation of each row's top k.
-    monkeypatch.setattr(density, "_CHUNK_CELLS", rows_per_block * n)
+    monkeypatch.setattr(density, "_BLOCK_ROWS", rows_per_block)
     matrix = _block_invariant_rows(np.random.default_rng(n * 10 + rows_per_block), n, similarity)
     emb = emb_from(matrix)
     for k in range(1, n):
@@ -288,10 +298,9 @@ def clip_every_similarity_knn_density(emb, k, similarity):
     n = emb.n
     rows = unit_rows(emb) if similarity == "cosine" else emb.matrix
     per_point = np.empty(n)
-    chunk = max(1, density._CHUNK_CELLS // n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        sims = _similarity_block(rows[start:stop], rows, similarity)
+    for start in range(0, n, density._BLOCK_ROWS):
+        stop = min(start + density._BLOCK_ROWS, n)
+        sims = clipped_similarity_block(rows[start:stop], rows, similarity)
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
         sims.partition(n - k, axis=1)
         per_point[start:stop] = (-np.sort(-sims[:, n - k:], axis=1)).mean(axis=1)
@@ -308,7 +317,7 @@ def test_clipping_the_kept_neighbours_matches_clipping_every_similarity(monkeypa
                       + np.random.default_rng(32).standard_normal((4, 3)).tolist())
     emb = emb_from(matrix)
     n = emb.n
-    monkeypatch.setattr(density, "_CHUNK_CELLS", rows_per_block * n)
+    monkeypatch.setattr(density, "_BLOCK_ROWS", rows_per_block)
     rows = unit_rows(emb)
     raw = rows @ rows.T
     assert raw.max() > 1.0 and raw.min() < -1.0
@@ -324,7 +333,7 @@ def test_clipping_the_kept_neighbours_matches_clipping_every_similarity_on_drawn
     emb = emb_from(matrix)
     n = emb.n
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(density, "_CHUNK_CELLS", rows_per_block * n)
+        patch.setattr(density, "_BLOCK_ROWS", rows_per_block)
         for similarity in SIMILARITIES:
             if similarity == "cosine" and not matrix.any(axis=1).all():
                 continue
@@ -334,10 +343,10 @@ def test_clipping_the_kept_neighbours_matches_clipping_every_similarity_on_drawn
 
 
 def test_cosine_search_allocates_about_one_similarity_block():
-    n = 2_000
-    emb = emb_from(np.random.default_rng(42).standard_normal((n, 16)))
-    assert density._CHUNK_CELLS // n == n  # so the whole search is one block
-    block_bytes = n * n * 8
+    n, d = 2_000, 16
+    emb = emb_from(np.random.default_rng(42).standard_normal((n, d)))
+    assert n // density._BLOCK_ROWS >= 30  # so the search takes many blocks
+    block_bytes = density._BLOCK_ROWS * n * 8 + n * d * 8  # one block and the unit rows
     tracemalloc.start()
     try:
         knn_density(emb, 5)

@@ -1,6 +1,7 @@
 """Traced memory peaks of the text layers' chunked builds and record-block
-routes, against the peaks of the whole-corpus routes they replaced, and of
-the embedding loader, against the per-value float() parse it replaced."""
+routes, against the peaks of the whole-corpus routes they replaced, of the
+embedding loader, against the per-value float() parse it replaced, and of
+the kNN density search, against the n-sized similarity blocks it replaced."""
 
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 
 from dmeter.association import build_cooccurrence
 from dmeter.corpus import Corpus, Record
+from dmeter.density import _BLOCK_ROWS, EXACT_SEARCH_CAP, knn_density
 from dmeter.diversity import ngram_diversity
 from dmeter.quality import _word_and_syllable_counts
 from dmeter.tendency import _self_perplexity
@@ -15,10 +17,12 @@ from dmeter.vectors import EmbeddingMatrix, load_embeddings, save_embeddings
 
 # tracemalloc peaks, in MiB, of the builds that held the whole corpus at once:
 # the token store as one chunk, the order-2 (context, token) outcomes through
-# np.unique, and the co-occurrence count as one block.  Measured on
+# np.unique, and the co-occurrence count as one block, targeted and untargeted
+# (4,950 pairs, fewer than one slice of the pair dict).  Measured on
 # zipf_corpus() with Python 3.11.7 and numpy 2.4.6; the chunked builds peaked
-# at 1.65, 2.87 and 2.61 MiB.
-WHOLE_CORPUS_PEAKS_MIB = {"store": 7.382, "self_perplexity": 6.702, "cooccurrence": 7.138}
+# at 1.65, 2.87, 2.61 and 4.42 MiB.
+WHOLE_CORPUS_PEAKS_MIB = {"store": 7.382, "self_perplexity": 6.702, "cooccurrence": 7.138,
+                          "untargeted_cooccurrence": 39.996}
 
 
 # tracemalloc peaks, in MiB, of the routes that held per-token arrays over
@@ -59,6 +63,7 @@ def test_text_layers_peak_below_half_of_the_whole_corpus_builds():
         "store": traced_peak_mib(lambda: corpus._store),
         "self_perplexity": traced_peak_mib(lambda: _self_perplexity(corpus, 2, 1.0)),
         "cooccurrence": traced_peak_mib(lambda: build_cooccurrence(corpus, ["w0", "w2", "w10"])),
+        "untargeted_cooccurrence": traced_peak_mib(lambda: build_cooccurrence(corpus)),
     }
     assert corpus.total_tokens == 119_745
     for name, peak in peaks.items():
@@ -100,3 +105,22 @@ def test_embedding_load_peaks_no_higher_than_the_float_route(tmp_path):
     assert np.array_equal(load_embeddings(path).matrix, rows)
     peak = traced_peak_mib(lambda: load_embeddings(path))
     assert peak <= FLOAT_ROUTE_LOAD_PEAK_MIB, peak
+
+
+# tracemalloc peak, in MiB, of knn_density(emb, 5) on 4,000 standard normal
+# rows of 64 values when each similarity block held _CHUNK_CELLS // n = 1,000
+# rows: 32 MB of float64.  Measured with Python 3.11.7 and numpy 2.4.6;
+# blocks of _BLOCK_ROWS rows peaked at 3.945.
+N_SIZED_BLOCK_KNN_PEAK_MIB = 32.581
+
+
+def test_knn_density_peaks_below_a_quarter_of_the_n_sized_blocks():
+    rows = np.random.default_rng(32).standard_normal((4000, 64))
+    emb = EmbeddingMatrix([f"r{i}" for i in range(4000)], rows)
+    peak = traced_peak_mib(lambda: knn_density(emb, 5))
+    assert peak < N_SIZED_BLOCK_KNN_PEAK_MIB / 4, peak
+
+
+def test_similarity_block_at_the_search_cap_is_no_larger_than_the_n_sized_one():
+    # The n-sized blocks held _CHUNK_CELLS = 4,000,000 float64 at every n.
+    assert _BLOCK_ROWS * EXACT_SEARCH_CAP * 8 <= 32_000_000

@@ -631,6 +631,39 @@ def test_chunked_cooccurrence_matches_loop(chunk, record_texts, config, mode, wi
     assert table.n_contexts == n_contexts
 
 
+def whole_array_pair_counts(corpus, targets, window_size):
+    """build_cooccurrence's pair_counts as it built them before it took the
+    pair codes a slice at a time: from lists of every pair's term ranks and
+    count at once."""
+    vocab = corpus.vocabulary
+    terms = sorted(vocab)
+    rank = np.array([terms.index(t) for t in vocab], dtype=np.int64)
+    source = np.array([targets is None or t in targets for t in terms], dtype=bool)
+    _, _, pairs, counts = association_module._count(
+        corpus.token_ids, rank, corpus.record_offsets, window_size, source)
+    lo, hi = np.divmod(pairs, len(terms))
+    return {(terms[a], terms[b]): c for a, b, c in zip(lo.tolist(), hi.tolist(), counts.tolist())}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, association_module._COOC_CHUNK_CELLS])
+@settings(max_examples=100, deadline=None)
+@given(record_texts=st.lists(texts, min_size=1, max_size=6), config=configs,
+       mode=st.sampled_from(["document", "window"]), window=st.integers(1, 4),
+       extra=st.one_of(st.none(), st.lists(texts, min_size=1, max_size=3)))
+@example(record_texts=["a b c d e", "b c", "e a"], config=TokenizerConfig(), mode="document",
+         window=1, extra=None)  # more pairs than the smallest slices
+def test_sliced_pair_counts_match_the_whole_array_route_in_order(chunk, record_texts, config,
+                                                                  mode, window, extra):
+    corpus = corpus_of(record_texts, config)
+    targets = None if extra is None else list(corpus.vocabulary[:2]) + extra
+    window_size = window if mode == "window" else None
+    want = whole_array_pair_counts(corpus, targets, window_size)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(association_module, "_COOC_CHUNK_CELLS", chunk)
+        table = build_cooccurrence(corpus, targets, mode, window_size)
+    assert list(table.pair_counts.items()) == list(want.items())
+
+
 # --- record-block routes ---------------------------------------------------------
 # ngram_diversity, the perplexity routes, the Flesch sums and window-mode
 # contexts take a block of records at a time.  Each is checked with the block
